@@ -5,6 +5,7 @@ header and a run-metadata JSON alongside."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -16,7 +17,7 @@ from . import encoder, evalkit, trainer
 from .ellanet import AttentionCapture, ModelConfig, ModelParams, forward_batch
 from .hetgraph import load_graph, load_graph_dir, load_labels, save_graph
 from .promptkit import TemplateId
-from .tensorcore import Tensor, load_arrays, save_arrays
+from .tensorcore import load_checkpoint, save_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -32,14 +33,16 @@ def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig]:
     if not meta_path.exists():
         raise click.ClickException(f"missing checkpoint metadata {meta_path}")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if "checkpoint_sha256" not in meta:
+        raise click.ClickException(f"{meta_path} records no checkpoint_sha256")
+    if _file_sha256(ckpt) != meta["checkpoint_sha256"]:
+        raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
     cfg = ModelConfig.from_dict(meta["model_config"])
-    arrays = load_arrays(ckpt)
-    params = ModelParams({name: Tensor(arr.copy(), requires_grad=True) for name, arr in arrays.items()})
-    return params, cfg
+    return ModelParams(load_checkpoint(ckpt)), cfg
 
 
 def _save_params(params: ModelParams, cfg: ModelConfig, out: str, extra: dict) -> None:
-    save_arrays({n: t.data for n, t in params.tensors.items()}, out)
+    save_checkpoint(params.tensors, out)
     payload = {"model_config": cfg.to_dict(), "checkpoint_sha256": _file_sha256(out), **extra}
     Path(out + ".meta.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
@@ -127,13 +130,15 @@ def tokenize(graph_dir, backend_name, endpoint, hops, template, cache_path, out_
 
 
 def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.TrainConfig]:
-    doc: dict = {}
-    if config_path:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    model_cfg = ModelConfig.from_dict(doc.get("model", {})) if doc.get("model") else ModelConfig()
-    train_doc = doc.get("train", {})
-    train_cfg = trainer.TrainConfig(**train_doc)
-    return model_cfg, train_cfg
+    doc = json.loads(Path(config_path).read_text(encoding="utf-8")) if config_path else {}
+    configs = []
+    for section, cls in (("model", ModelConfig), ("train", trainer.TrainConfig)):
+        values = doc.get(section) or {}
+        unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise click.ClickException(f"{config_path}: unknown {section} keys: {', '.join(unknown)}")
+        configs.append(cls(**values))
+    return configs[0], configs[1]
 
 
 @main.command()
@@ -203,7 +208,8 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
         splits.node_part("train"),
         splits.node_part("val"),
     )
-    assert params.content_hash(sorted(params.backbone())) == backbone_before
+    if params.content_hash(sorted(params.backbone())) != backbone_before:
+        raise click.ClickException("fine-tuning changed the frozen backbone")
     _save_params(
         params,
         model_cfg,

@@ -20,8 +20,6 @@ import numpy as np
 
 from . import tensorcore as tc
 from .encoder import TokenTable
-from .hetgraph import HeteroGraph
-from .pathstats import hop_types_present
 from .tensorcore import Tensor
 
 HEAD_PREFIX = "head/"
@@ -72,9 +70,6 @@ class ModelParams:
 
     def backbone(self) -> dict[str, Tensor]:
         return {n: t for n, t in self.tensors.items() if not n.startswith(HEAD_PREFIX)}
-
-    def heads(self) -> dict[str, Tensor]:
-        return {n: t for n, t in self.tensors.items() if n.startswith(HEAD_PREFIX)}
 
     def content_hash(self, names: list[str] | None = None) -> str:
         """SHA-256 over (name, shape, raw bytes) of the selected tensors."""
@@ -412,15 +407,3 @@ def forward(
     """Embed one target node; returns z as a (1, d) tensor (row 0 of
     :func:`forward_batch` over ``[s]``)."""
     return forward_batch([s], table, params, cfg, capture)
-
-
-def validate_table(g: HeteroGraph, table: TokenTable, targets: list[str], K: int) -> None:
-    """Check the table covers every (target, hop, present type); raises naming
-    the first missing entry."""
-    for s in targets:
-        if s not in table.node_tokens:
-            raise KeyError(f"no node token for {s!r}")
-        for hop in range(1, K + 1):
-            for t in hop_types_present(g, s, hop):
-                if (s, hop, t) not in table.relation_tokens:
-                    raise KeyError(f"missing relation token for {s!r} at (hop {hop}, {t!r})")

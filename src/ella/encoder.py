@@ -281,11 +281,6 @@ class TokenTable:
         n = 1 if target in self.node_tokens else 0
         return n + sum(1 for (s, _, _) in self.relation_tokens if s == target)
 
-    def relation_token_count(self, target: str | None = None) -> int:
-        if target is None:
-            return len(self.relation_tokens)
-        return sum(1 for (s, _, _) in self.relation_tokens if s == target)
-
 
 def _call_backend(
     backend,
@@ -424,16 +419,25 @@ _SEP = "\x1f"
 
 
 def save_tokens(table: TokenTable, path: str | Path) -> None:
+    """Write the table as named arrays; a node id or type name containing the
+    field separator ``\\x1f`` cannot be stored and raises ``EncoderError``."""
     from .tensorcore import save_arrays
 
     arrays: dict[str, np.ndarray] = {}
     for nid, vec in table.node_tokens.items():
-        arrays[f"node{_SEP}{nid}"] = vec
+        arrays[_entry_name("node", nid)] = vec
     for (s, hop, t), vec in table.relation_tokens.items():
-        arrays[f"rel{_SEP}{s}{_SEP}{hop}{_SEP}{t}"] = vec
+        arrays[_entry_name("rel", s, str(hop), t)] = vec
     save_arrays(arrays, path)
     meta = {"dim": table.dim, "call_count": table.call_count, "cache_hits": table.cache_hits}
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+
+
+def _entry_name(kind: str, *fields: str) -> str:
+    for f in fields:
+        if _SEP in f:
+            raise EncoderError(f"cannot store {kind} token {fields!r}: {f!r} contains \\x1f")
+    return _SEP.join((kind, *fields))
 
 
 def load_tokens(path: str | Path) -> TokenTable:
@@ -447,10 +451,10 @@ def load_tokens(path: str | Path) -> TokenTable:
     table = TokenTable(dim=dim or next(iter(arrays.values())).size)
     for name, vec in arrays.items():
         parts = name.split(_SEP)
-        if parts[0] == "node":
+        if parts[0] == "node" and len(parts) == 2:
             table.node_tokens[parts[1]] = vec
-        elif parts[0] == "rel":
+        elif parts[0] == "rel" and len(parts) == 4 and parts[2].isascii() and parts[2].isdigit():
             table.relation_tokens[(parts[1], int(parts[2]), parts[3])] = vec
         else:
-            raise EncoderError(f"unrecognized token entry {name!r}")
+            raise EncoderError(f"{path}: unrecognized token entry {name!r}")
     return table

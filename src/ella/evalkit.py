@@ -321,41 +321,29 @@ def profile_run(
 
 
 def export_attention(
-    capture: AttentionCapture | None,
-    g: HeteroGraph,
-    out_dir: str | Path,
-    epoch_series: list[tuple[int, AttentionCapture]] | None = None,
+    capture: AttentionCapture | None, g: HeteroGraph, out_dir: str | Path
 ) -> dict[str, Path]:
     """Write per-(target-type, hop, relation-type) alpha statistics and
-    per-(target-type, hop) gamma statistics as CSV; optionally also the
-    per-epoch training series."""
+    per-(target-type, hop) gamma statistics as CSV."""
     if capture is None:
         raise ValueError("attention capture disabled; run forward with a capture")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-
-    def alpha_groups(cap: AttentionCapture) -> dict[tuple[str, int, str], list[float]]:
-        groups: dict[tuple[str, int, str], list[float]] = {}
-        for (target, hop), (types, vec) in cap.alpha.items():
-            ttype = g.node_type(target)
-            for t, a in zip(types, vec):
-                groups.setdefault((ttype, hop, t), []).append(float(a))
-        return groups
-
-    def gamma_groups(cap: AttentionCapture) -> dict[tuple[str, int], list[float]]:
-        groups: dict[tuple[str, int], list[float]] = {}
-        for target, (hops, vec) in cap.gamma.items():
-            ttype = g.node_type(target)
-            for h, v in zip(hops, vec):
-                groups.setdefault((ttype, h), []).append(float(v))
-        return groups
+    alpha_groups: dict[tuple[str, int, str], list[float]] = {}
+    for (target, hop), (types, vec) in capture.alpha.items():
+        for t, a in zip(types, vec):
+            alpha_groups.setdefault((g.node_type(target), hop, t), []).append(float(a))
+    gamma_groups: dict[tuple[str, int], list[float]] = {}
+    for target, (hops, vec) in capture.gamma.items():
+        for h, v in zip(hops, vec):
+            gamma_groups.setdefault((g.node_type(target), h), []).append(float(v))
 
     path = out / "type_attention.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target_type", "hop", "relation_type", "mean_alpha", "std_alpha", "n"])
-        for (ttype, hop, t), vals in sorted(alpha_groups(capture).items()):
+        for (ttype, hop, t), vals in sorted(alpha_groups.items()):
             writer.writerow(
                 [ttype, hop, t, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}", len(vals)]
             )
@@ -365,34 +353,9 @@ def export_attention(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target_type", "hop", "mean_gamma", "std_gamma", "n"])
-        for (ttype, hop), vals in sorted(gamma_groups(capture).items()):
+        for (ttype, hop), vals in sorted(gamma_groups.items()):
             writer.writerow([ttype, hop, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}", len(vals)])
     written["hop_attention"] = path
-
-    if epoch_series:
-        path = out / "training_type_attention.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["epoch", "target_type", "hop", "relation_type", "mean_alpha", "std_alpha"]
-            )
-            for epoch, cap in epoch_series:
-                for (ttype, hop, t), vals in sorted(alpha_groups(cap).items()):
-                    writer.writerow(
-                        [epoch, ttype, hop, t, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}"]
-                    )
-        written["training_type_attention"] = path
-
-        path = out / "training_hop_attention.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "target_type", "hop", "mean_gamma", "std_gamma"])
-            for epoch, cap in epoch_series:
-                for (ttype, hop), vals in sorted(gamma_groups(cap).items()):
-                    writer.writerow(
-                        [epoch, ttype, hop, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}"]
-                    )
-        written["training_hop_attention"] = path
     return written
 
 

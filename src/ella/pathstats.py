@@ -7,9 +7,7 @@ Node revisits and immediate backtracking are allowed; only walks that
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 from .hetgraph import HeteroGraph
 
@@ -40,9 +38,6 @@ class MetaPathProfile:
 
     def restricted_to(self, endpoint_type: str) -> dict[tuple[str, ...], PatternStat]:
         return {p: s for p, s in self.patterns.items() if p[-1] == endpoint_type}
-
-    def endpoint_types(self) -> list[str]:
-        return sorted({p[-1] for p in self.patterns})
 
 
 @dataclass
@@ -156,19 +151,6 @@ def hop_types_present(g: HeteroGraph, s: str, i: int) -> list[str]:
     return sorted({g.node_type(v) for v in frontier if v != s})
 
 
-def count_walks(g: HeteroGraph, s: str, i: int) -> int:
-    """Number of hop-``i`` walks from ``s`` (revisits allowed, endpoint != s)."""
-    _check_node(g, s)
-    counts = {s: 1}
-    for _ in range(i):
-        nxt: dict[str, int] = {}
-        for u, c in counts.items():
-            for v, _et in g.incident(u):
-                nxt[v] = nxt.get(v, 0) + c
-        counts = nxt
-    return sum(c for v, c in counts.items() if v != s)
-
-
 def count_simple_paths(g: HeteroGraph, s: str, i: int) -> int:
     """Number of length-``i`` simple paths (no node revisits) from ``s``.
 
@@ -190,15 +172,3 @@ def count_simple_paths(g: HeteroGraph, s: str, i: int) -> int:
         return total
 
     return walk(s, 0, {s})
-
-
-def profiles_to_csv(profiles: list[MetaPathProfile], path: str | Path) -> None:
-    """Dump profiles as one (target, hop, pattern, count, proportion) row each."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "hop", "pattern", "count", "proportion"])
-        for prof in profiles:
-            for pattern, stat in sorted(prof.patterns.items()):
-                writer.writerow(
-                    [prof.target, prof.hop, "-".join(pattern), stat.count, f"{stat.proportion:.6f}"]
-                )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -192,12 +191,3 @@ def bind_placeholders(p: PromptInstance, vecs: list[np.ndarray]) -> BoundPrompt:
     if len(dims) > 1 or any(a.ndim != 1 for a in arrs):
         raise ValueError(f"placeholder vectors disagree in dimension: {[a.shape for a in arrs]}")
     return BoundPrompt(prompt=p, placeholder_vectors=(arrs[0], arrs[1]))
-
-
-def dump_prompt(root: str | Path, node: str, hop: int, ntype: str, prompt: PromptInstance) -> Path:
-    """Write one prompt to <root>/<node>/hop<hop>_<type>.txt for inspection."""
-    d = Path(root) / node
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"hop{hop}_{ntype}.txt"
-    path.write_text(prompt.rendered_text, encoding="utf-8")
-    return path

@@ -1,18 +1,17 @@
 """Minimal dense tensor engine with reverse-mode differentiation.
 
-Values are float64 by default (float32 optional, with looser tolerances).
+Values are float64.
 Tensors record their parents and a backward closure; ``backward`` replays the
 implicit tape in reverse topological order. Single-threaded per tape.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
-
-DEFAULT_DTYPE = np.float64
 
 CKPT_MAGIC = b"ELLACKPT v1\n"
 _DTYPE_CODES = {0: np.float64, 1: np.float32}
@@ -26,8 +25,8 @@ class ShapeError(ValueError):
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -57,7 +56,7 @@ class Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), dtype=data.dtype)
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
@@ -477,27 +476,40 @@ def save_arrays(arrays: dict[str, np.ndarray], path: str | Path) -> None:
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a :func:`save_arrays` container; a truncated or padded file, or an
+    unknown dtype code, raises ``ValueError`` naming the file."""
     data = Path(path).read_bytes()
     if not data.startswith(CKPT_MAGIC):
         raise ValueError(f"{path}: not a checkpoint file (bad header)")
     off = len(CKPT_MAGIC)
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+
+    def take(n: int) -> int:
+        """Claim the next ``n`` bytes; returns their start offset."""
+        nonlocal off
+        if off + n > len(data):
+            raise ValueError(f"{path}: checkpoint truncated at byte {len(data)}")
+        off += n
+        return off - n
+
+    (count,) = struct.unpack_from("<I", data, take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        code, ndim = struct.unpack_from("<BB", data, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}I", data, off)
-        off += 4 * ndim
-        dtype = np.dtype(_DTYPE_CODES[code]).newbyteorder("<")
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype=dtype, count=n, offset=off).reshape(shape)
-        off += arr.nbytes
-        arrays[name] = arr.astype(_DTYPE_CODES[code])
+        (nlen,) = struct.unpack_from("<H", data, take(2))
+        start = take(nlen)
+        try:
+            name = data[start:off].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: array name at byte {start} is not UTF-8") from None
+        code, ndim = struct.unpack_from("<BB", data, take(2))
+        if code not in _DTYPE_CODES:
+            raise ValueError(f"{path}: array {name!r} has unknown dtype code {code}")
+        shape = struct.unpack_from(f"<{ndim}I", data, take(4 * ndim))
+        dtype = np.dtype(_DTYPE_CODES[code])
+        n = math.prod(shape)
+        arr = np.frombuffer(data, dtype.newbyteorder("<"), n, take(n * dtype.itemsize))
+        arrays[name] = arr.reshape(shape).astype(dtype)
+    if off != len(data):
+        raise ValueError(f"{path}: {len(data) - off} trailing bytes after the last array")
     return arrays
 
 

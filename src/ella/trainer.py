@@ -9,14 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorcore as tc
-from .ellanet import (
-    AttentionCapture,
-    HEAD_PREFIX,
-    ModelConfig,
-    ModelParams,
-    forward_batch,
-    init_params,
-)
+from .ellanet import HEAD_PREFIX, ModelConfig, ModelParams, forward_batch, init_params
 from .encoder import TokenTable
 from .hetgraph import HeteroGraph
 from .tensorcore import AdamState, Tensor, adam_step, backward, zero_grads
@@ -45,7 +38,6 @@ class TrainConfig:
     neg_ratio: int = 1
     val_fraction: float = 0.1
     lr_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    capture_attention: bool = False
     dump_path: str | None = None
 
 
@@ -67,18 +59,6 @@ class EdgeSampleSet:
                 nodes.add(t)
         return nodes
 
-    def total_pairs(self) -> int:
-        return sum(len(s.positives) + len(s.negatives) for s in self.by_type.values())
-
-
-def _pair_space(g: HeteroGraph, etype_name: str) -> int:
-    et = g.schema.edge_type(etype_name)
-    n_src = len(g.nodes_of_type(et.src))
-    n_dst = len(g.nodes_of_type(et.dst))
-    if et.src == et.dst:
-        return n_src * (n_src - 1) // 2
-    return n_src * n_dst
-
 
 def sample_negatives(
     g: HeteroGraph,
@@ -90,25 +70,19 @@ def sample_negatives(
 ) -> list[tuple[str, str]]:
     """Corrupt one endpoint of a uniformly chosen positive until ``count``
     distinct non-edges are found; falls back to exact complement enumeration
-    when rejection stalls."""
+    when rejection stalls. A pair is an edge if the graph holds it or
+    ``forbidden`` names it, in either orientation."""
     et = g.schema.edge_type(etype_name)
     src_pool = g.nodes_of_type(et.src)
     dst_pool = g.nodes_of_type(et.dst)
-    existing = {(s, t, etype_name) for s, t, _ in g.edges if _ == etype_name}
-    if forbidden:
-        existing |= {f for f in forbidden if f[2] == etype_name}
-    capacity = _pair_space(g, etype_name) - len(existing)
-    if capacity <= 0:
-        raise SamplingError(f"relation {etype_name!r} is complete; no negatives exist")
-    if capacity < count:
-        raise SamplingError(
-            f"relation {etype_name!r} admits only {capacity} negatives, need {count}"
-        )
+    forbidden = forbidden or set()
 
     def is_edge(s: str, t: str) -> bool:
-        if (s, t, etype_name) in existing or (t, s, etype_name) in existing:
-            return True
-        return False
+        return (
+            g.has_edge(s, t, etype_name)
+            or (s, t, etype_name) in forbidden
+            or (t, s, etype_name) in forbidden
+        )
 
     out: list[tuple[str, str]] = []
     chosen: set[tuple[str, str]] = set()
@@ -140,6 +114,13 @@ def sample_negatives(
                     continue
                 complement.append(key)
         need = count - len(out)
+        if not out and not complement:
+            raise SamplingError(f"relation {etype_name!r} is complete; no negatives exist")
+        if len(complement) < need:
+            raise SamplingError(
+                f"relation {etype_name!r} admits only {len(out) + len(complement)} negatives,"
+                f" need {count}"
+            )
         idx = rng.choice(len(complement), size=need, replace=False)
         out.extend(complement[i] for i in sorted(idx))
     return out
@@ -256,21 +237,12 @@ def cross_entropy(logits: Tensor, onehot: Tensor) -> Tensor:
 
 
 @dataclass
-class TrainState:
-    epoch: int = 0
-    best_val: float = float("inf")
-    best_epoch: int = -1
-    epochs_since_best: int = 0
-
-
-@dataclass
 class PretrainResult:
     params: ModelParams
     best_epoch: int
     last_epoch: int
     val_curve: list[float]
     train_curve: list[float]
-    attention_series: list[tuple[int, AttentionCapture]] = field(default_factory=list)
 
     def metadata(self) -> dict:
         return {
@@ -342,13 +314,12 @@ def pretrain(
         base = sample_edges(g, train_cfg.neg_ratio, seed)
         train_positives, val_samples = _holdout_split(base, train_cfg.val_fraction, seed)
 
-    trainable = {n: t for n, t in params.tensors.items() if not n.startswith(HEAD_PREFIX)}
+    trainable = params.backbone()
     opt = AdamState()
-    state = TrainState()
+    best_val, best_epoch, epoch = float("inf"), -1, 0
     best_values: dict[str, np.ndarray] | None = None
     val_curve: list[float] = []
     train_curve: list[float] = []
-    series: list[tuple[int, AttentionCapture]] = []
     if forbidden is None:
         forbidden = {(s, t, e) for s, t, e in g.edges}
 
@@ -365,7 +336,6 @@ def pretrain(
     index = {n: i for i, n in enumerate(needed)}
 
     for epoch in range(train_cfg.max_epochs):
-        state.epoch = epoch
         epoch_samples = EdgeSampleSet()
         rng = np.random.default_rng([seed, epoch])
         for ename in sorted(train_positives):
@@ -380,8 +350,7 @@ def pretrain(
                     raise SamplingError(f"negative ({s}, {t}, {ename}) collides with an edge")
             epoch_samples.by_type[ename] = EdgeSample(positives=pos, negatives=neg)
 
-        capture = AttentionCapture() if train_cfg.capture_attention else None
-        Z = forward_batch(needed, table, params, model_cfg, capture)
+        Z = forward_batch(needed, table, params, model_cfg)
         train_loss = _contrastive_loss(epoch_samples, Z, index, g.node_type, params)
         val_loss = (
             _contrastive_loss(val_samples, Z, index, g.node_type, params).item()
@@ -392,17 +361,11 @@ def pretrain(
         _check_finite(val_loss, epoch, params, train_cfg.dump_path)
         train_curve.append(train_loss.item())
         val_curve.append(val_loss)
-        if capture is not None:
-            series.append((epoch, capture))
 
-        if val_loss < state.best_val:
-            state.best_val = val_loss
-            state.best_epoch = epoch
-            state.epochs_since_best = 0
+        if val_loss < best_val:
+            best_val, best_epoch = val_loss, epoch
             best_values = params.copy_values()
-        else:
-            state.epochs_since_best = epoch - state.best_epoch
-        if state.epochs_since_best >= train_cfg.patience:
+        if epoch - best_epoch >= train_cfg.patience:
             break
 
         zero_grads(params.tensors)
@@ -413,11 +376,10 @@ def pretrain(
         params.restore_values(best_values)
     return PretrainResult(
         params=params,
-        best_epoch=state.best_epoch,
-        last_epoch=state.epoch,
+        best_epoch=best_epoch,
+        last_epoch=epoch,
         val_curve=val_curve,
         train_curve=train_curve,
-        attention_series=series,
     )
 
 

@@ -1,11 +1,14 @@
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from ella import cli, trainer
 from ella.cli import main
-from ella.hetgraph import save_graph, save_labels
+from ella.ellanet import ModelConfig, init_params
+from ella.hetgraph import load_graph_dir, save_graph, save_labels
 
 from fixtures import complete_typed_tree, planted_node_fixture
 
@@ -160,3 +163,75 @@ def test_profile_command(tmp_path):
     assert len(lines) == 4  # header + K rows
 
 
+
+
+def _untrained_checkpoint(graph_dir, out, hops=1, d_llm=12):
+    g = load_graph_dir(graph_dir)
+    cfg = ModelConfig(d=8, heads=2, type_layers=1, hop_layers=1, hops=hops, d_llm=d_llm)
+    class_counts = {t: len(v) for t, v in g.schema.class_labels.items()}
+    cli._save_params(init_params(cfg, g.schema.node_types, class_counts), cfg, out, {})
+    return out
+
+
+def test_load_params_checks_checkpoint_hash(workdir):
+    ckpt = _untrained_checkpoint(workdir / "graph", str(workdir / "hashed.ckpt"))
+    params, _ = cli._load_params(ckpt)
+    assert "proj/W" in params.tensors
+
+    data = bytearray(Path(ckpt).read_bytes())
+    data[-1] ^= 0x01
+    Path(ckpt).write_bytes(bytes(data))
+    with pytest.raises(click.ClickException, match="hashed.ckpt does not match"):
+        cli._load_params(ckpt)
+
+    meta_path = Path(ckpt + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    del meta["checkpoint_sha256"]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(click.ClickException, match="records no checkpoint_sha256"):
+        cli._load_params(ckpt)
+
+
+@pytest.mark.parametrize(
+    "doc,unknown",
+    [
+        ({"train": {"capture_attention": True, "max_epochs": 2}}, "unknown train keys: capture_attention"),
+        ({"model": {"d": 8, "depth": 2, "width": 3}}, "unknown model keys: depth, width"),
+    ],
+)
+def test_train_config_unknown_keys(tmp_path, doc, unknown):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(click.ClickException, match=unknown):
+        cli._load_train_config(str(path))
+
+
+def test_finetune_refuses_a_changed_backbone(workdir, monkeypatch):
+    graph_dir = str(workdir / "graph")
+    tokens = str(workdir / "tokens_k1.bin")
+    run_cli(
+        [
+            "tokenize", "--graph", graph_dir, "--hops", "1", "--template", "finetune",
+            "--out", tokens, "--dim", "12",
+        ]
+    )
+    ckpt = _untrained_checkpoint(graph_dir, str(workdir / "frozen.ckpt"))
+    finetune = trainer.finetune
+
+    def finetune_moving_the_backbone(*args, **kwargs):
+        result = finetune(*args, **kwargs)
+        result.params["proj/b"].data += 1.0
+        return result
+
+    monkeypatch.setattr(trainer, "finetune", finetune_moving_the_backbone)
+    result = CliRunner().invoke(
+        main,
+        [
+            "finetune", "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt,
+            "--labels", str(workdir / "labels.csv"), "--target-type", "paper",
+            "--out", str(workdir / "moved.ckpt"),
+        ],
+    )
+    assert result.exit_code == 1
+    assert "fine-tuning changed the frozen backbone" in result.output
+    assert not (workdir / "moved.ckpt").exists()

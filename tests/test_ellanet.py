@@ -13,7 +13,6 @@ from ella.ellanet import (
     project,
     type_block,
     type_readout,
-    validate_table,
 )
 from ella.encoder import MockBackend, TokenTable, tokenize_graph
 from ella.tensorcore import Tensor, grad_check
@@ -326,14 +325,6 @@ def test_forward_missing_node_token():
     p = params_for(cfg)
     with pytest.raises(KeyError):
         forward("missing", TokenTable(dim=8), p, cfg)
-
-
-def test_validate_table_names_missing_entry():
-    cfg = small_cfg(d_llm=8)
-    g, table = tokenized(cfg)
-    del table.relation_tokens[("p2", 1, "author")]
-    with pytest.raises(KeyError, match=r"p2.*hop 1.*author"):
-        validate_table(g, table, ["p2"], K=1)
 
 
 def test_attention_rows_sum_to_one():

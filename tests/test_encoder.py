@@ -298,7 +298,7 @@ def test_tokenize_star_two_types_two_calls():
     text = {nid: f"node {nid}" for nid, _ in nodes}
     g = HeteroGraph(schema, nodes, edges, text)
     t = tokenize_graph(MockBackend(dim=8), g, targets=["h"], K=1)
-    assert t.relation_token_count("h") == 2
+    assert t.stored_per_target("h") == 1 + 2
     assert t.calls_by_template[TemplateId.PretrainLink.value] == 2
 
 
@@ -306,9 +306,8 @@ def test_tokenize_tree_linear_calls():
     g = complete_typed_tree(b=5, depth=3)
     t = tokenize_graph(MockBackend(dim=8), g, targets=["n0"], K=3)
     n_types = len(g.schema.node_types)
-    assert t.relation_token_count("n0") <= n_types * 3
+    assert t.stored_per_target("n0") <= 1 + n_types * 3
     # walk endpoints by hop: {lvl1}, {lvl2}, {lvl1, lvl3}
-    assert t.relation_token_count("n0") == 4
     assert t.stored_per_target("n0") == 1 + 4
 
 
@@ -366,6 +365,40 @@ def test_tokens_save_load_roundtrip(tmp_path):
     assert set(t2.relation_tokens) == set(t.relation_tokens)
     for k in t.relation_tokens:
         assert np.array_equal(t.relation_tokens[k], t2.relation_tokens[k])
+
+
+@pytest.mark.parametrize(
+    "node_id,rel_key",
+    [("a\x1fb", None), ("a", ("a", 1, "pa\x1fper")), ("a", ("a\x1fb", 1, "paper"))],
+)
+def test_save_tokens_rejects_separator_in_names(tmp_path, node_id, rel_key):
+    t = TokenTable(dim=2, node_tokens={node_id: np.ones(2)})
+    if rel_key is not None:
+        t.relation_tokens[rel_key] = np.ones(2)
+    with pytest.raises(EncoderError, match=r"x1f"):
+        save_tokens(t, tmp_path / "tokens.bin")
+
+
+@pytest.mark.parametrize(
+    "entry", ["node\x1fa\x1fb", "node", "rel\x1fa\x1f1\x1fpaper\x1fx", "rel\x1fa\x1fone\x1fpaper"]
+)
+def test_load_tokens_rejects_malformed_entry(tmp_path, entry):
+    from ella.tensorcore import save_arrays
+
+    path = tmp_path / "tokens.bin"
+    save_arrays({"node\x1fa": np.ones(2), entry: np.ones(2)}, path)
+    with pytest.raises(EncoderError, match="tokens.bin.*unrecognized token entry"):
+        load_tokens(path)
+
+
+def test_load_tokens_truncated_file_names_it(tmp_path):
+    t = TokenTable(dim=2, node_tokens={"a": np.ones(2)})
+    t.relation_tokens[("a", 1, "paper")] = np.ones(2)
+    path = tmp_path / "tokens.bin"
+    save_tokens(t, path)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ValueError, match="tokens.bin.*truncated"):
+        load_tokens(path)
 
 
 # -- http backend -----------------------------------------------------------------
@@ -430,7 +463,7 @@ def test_http_backend_handshake_and_encode(http_server):
 def test_http_backend_tokenizes_graph(http_server):
     g = small_academic_graph()
     t = tokenize_graph(HttpBackend(http_server), g, targets=["a1"], K=1)
-    assert t.relation_token_count("a1") >= 1
+    assert t.stored_per_target("a1") >= 1 + 1
 
 
 def test_http_backend_unreachable_is_transport_error():

