@@ -137,7 +137,10 @@ def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.Tr
         unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise click.ClickException(f"{config_path}: unknown {section} keys: {', '.join(unknown)}")
-        configs.append(cls(**values))
+        try:
+            configs.append(cls(**values))
+        except (TypeError, ValueError) as exc:
+            raise click.ClickException(f"{config_path}: invalid {section} config: {exc}") from None
     return configs[0], configs[1]
 
 
@@ -155,6 +158,7 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     if model_cfg.d_llm != table.dim:
         model_cfg = ModelConfig.from_dict({**model_cfg.to_dict(), "d_llm": table.dim})
     result = trainer.pretrain(g, table, model_cfg, train_cfg, seed=seed)
+    run_meta = result.metadata()
     backend_info = {}
     tokens_meta = Path(tokens_path + ".meta.json")
     if tokens_meta.exists():
@@ -170,12 +174,14 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
             "lr": train_cfg.lr,
             "patience": train_cfg.patience,
             **backend_info,
-            **result.metadata(),
+            **run_meta,
         },
     )
+    best_val = run_meta["best_val_loss"]
+    best_val_text = "n/a" if best_val is None else f"{best_val:.6f}"
     click.echo(
         f"pretrained: best epoch {result.best_epoch}, last epoch {result.last_epoch}, "
-        f"best val loss {min(result.val_curve):.6f}"
+        f"best val loss {best_val_text}"
     )
 
 

@@ -14,7 +14,7 @@ forward and backward pass rather than one small tape per node.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,15 +44,7 @@ class ModelConfig:
             raise ValueError("hops must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "heads": self.heads,
-            "type_layers": self.type_layers,
-            "hop_layers": self.hop_layers,
-            "hops": self.hops,
-            "d_llm": self.d_llm,
-            "ffn_mult": self.ffn_mult,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -245,37 +237,17 @@ def type_block(
 
 
 def type_readout(
-    u_proj: Tensor,
-    U_hat: Tensor,
-    capture: AttentionCapture | None = None,
-    capture_key: tuple[str, int] | None = None,
-    type_names: list[str] | None = None,
-    keep: np.ndarray | None = None,
-) -> Tensor:
+    u_proj: Tensor, U_hat: Tensor, keep: np.ndarray | None = None
+) -> tuple[Tensor, np.ndarray]:
     """Attention of the target token (..., 1, d) over the mixed type tokens
-    (..., m, d); returns the hop feature token as a (..., 1, d) row.
-
-    For a batch, ``capture_key`` and ``type_names`` hold one entry per
-    leading index of ``U_hat`` (in C order); sets with no real token are not
-    recorded.
-    """
+    (..., m, d); returns the hop feature token as a (..., 1, d) row and the
+    weights alpha as a (..., 1, m) array, 0 on padded slots."""
     if U_hat.shape[-2] < 1:
         raise tc.ShapeError("type_readout needs at least one token")
     keep = _all_real(U_hat) if keep is None else keep
     scores = tc.matmul(u_proj, tc.transpose(U_hat))  # (..., 1, m)
     alpha = tc.softmax(scores, keep[..., None, :])
-    if capture is not None:
-        lead_shape = U_hat.shape[:-2]
-        keys = [capture_key] if not lead_shape else capture_key
-        names = [type_names] if not lead_shape else type_names
-        for i, lead in enumerate(np.ndindex(lead_shape)):
-            if not keep[lead].any():
-                continue
-            row = alpha.data[lead][0][keep[lead]]
-            capture.softmax_rows.append(row.copy())
-            if keys is not None and keys[i] is not None:
-                capture.alpha[keys[i]] = (list(names[i] or []), row.copy())
-    return tc.matmul(alpha, U_hat)
+    return tc.matmul(alpha, U_hat), alpha.data
 
 
 def hop_block(
@@ -293,42 +265,25 @@ def hop_block(
 
 
 def hop_readout(
-    params: ModelParams,
-    H_hat: Tensor,
-    capture: AttentionCapture | None = None,
-    target: str | list[str] | None = None,
-    keep: np.ndarray | None = None,
-) -> Tensor:
+    params: ModelParams, H_hat: Tensor, keep: np.ndarray | None = None
+) -> tuple[Tensor, np.ndarray]:
     """Gated combination: z = h0 + sum_j gamma_j * h_j with gamma a softmax of
-    per-hop scores of the concatenated (h0 || h_j) pairs. Empty sum for K=0.
+    per-hop scores of the concatenated (h0 || h_j) pairs.
 
-    ``H_hat`` is (..., K+1, d) and the result (..., 1, d). ``keep`` (..., K)
-    marks the hops that are present, all by default. ``target`` names the
-    node of each set in C order (one id for a single set); gamma is recorded
-    under it over the present hops only, with their hop ids.
+    ``H_hat`` is (..., K+1, d) with K >= 1; returns z as (..., 1, d) and
+    gamma as a (..., 1, K) array. ``keep`` (..., K) marks the hops that are
+    present, all by default; gamma is 0 on the others.
     """
-    k_eff = H_hat.shape[-2] - 1
-    lead_shape = H_hat.shape[:-2]
-    keep = np.ones(lead_shape + (k_eff,), dtype=bool) if keep is None else keep
+    k = H_hat.shape[-2] - 1
+    if k < 1:
+        raise tc.ShapeError("hop_readout needs at least one hop token")
+    keep = np.ones(H_hat.shape[:-2] + (k,), dtype=bool) if keep is None else keep
     h0 = tc.gather(H_hat, [0], axis=-2)
-    if k_eff == 0:
-        z, gamma = h0, np.zeros(lead_shape + (1, 0))
-    else:
-        rest = tc.gather(H_hat, list(range(1, k_eff + 1)), axis=-2)
-        pairs = tc.concat([tc.mul(Tensor(np.ones((k_eff, 1))), h0), rest], axis=-1)  # (..., k, 2d)
-        scores = tc.transpose(tc.matmul(pairs, params["readout/w"]))  # (..., 1, k)
-        weights = tc.softmax(scores, keep[..., None, :])
-        z, gamma = tc.add(h0, tc.matmul(weights, rest)), weights.data
-    if capture is not None:
-        targets = [target] if not lead_shape else target
-        for i, lead in enumerate(np.ndindex(lead_shape)):
-            row = gamma[lead][0][keep[lead]]
-            if len(row):
-                capture.softmax_rows.append(row.copy())
-            if targets is not None and targets[i] is not None:
-                hops = [int(j) + 1 for j in np.flatnonzero(keep[lead])]
-                capture.gamma[targets[i]] = (hops, row.copy())
-    return z
+    rest = tc.gather(H_hat, list(range(1, k + 1)), axis=-2)
+    pairs = tc.concat([tc.mul(Tensor(np.ones((k, 1))), h0), rest], axis=-1)  # (..., k, 2d)
+    scores = tc.transpose(tc.matmul(pairs, params["readout/w"]))  # (..., 1, k)
+    gamma = tc.softmax(scores, keep[..., None, :])
+    return tc.add(h0, tc.matmul(gamma, rest)), gamma.data
 
 
 def _padded_tokens(
@@ -384,16 +339,23 @@ def forward_batch(
     B, K, d = len(ids), cfg.hops, cfg.d
     u_proj = tc.reshape(project(params, Tensor(node)), (B, 1, d))
     U_hat = type_block(params, project(params, Tensor(rel)), cfg, capture, keep)
-    keys = [(s, hop) for s in ids for hop in range(1, K + 1)]
-    h = type_readout(
-        tc.reshape(u_proj, (B, 1, 1, d)), U_hat, capture, keys,
-        [types for per_node in names for types in per_node], keep,
-    )  # (B, K, 1, d)
+    h, alpha = type_readout(tc.reshape(u_proj, (B, 1, 1, d)), U_hat, keep)  # (B, K, 1, d)
     present = keep.any(axis=-1)  # (B, K)
     H = tc.concat([u_proj, tc.reshape(h, (B, K, d))], axis=1)
     hop_keep = np.concatenate([np.ones((B, 1), dtype=bool), present], axis=1)
     H_hat = hop_block(params, H, cfg, capture, hop_keep)
-    z = hop_readout(params, H_hat, capture, target=ids, keep=present)
+    z, gamma = hop_readout(params, H_hat, present)
+    if capture is not None:
+        for b, s in enumerate(ids):
+            hops = [int(k) + 1 for k in np.flatnonzero(present[b])]
+            for hop in hops:
+                row = alpha[b, hop - 1, 0][keep[b, hop - 1]]
+                capture.softmax_rows.append(row)
+                capture.alpha[(s, hop)] = (list(names[b][hop - 1]), row)
+            row = gamma[b, 0][present[b]]
+            if hops:
+                capture.softmax_rows.append(row)
+            capture.gamma[s] = (hops, row)
     return tc.reshape(z, (B, d))
 
 

@@ -448,8 +448,13 @@ def load_tokens(path: str | Path) -> TokenTable:
     dim = None
     if meta_path.exists():
         dim = json.loads(meta_path.read_text(encoding="utf-8")).get("dim")
+    if not dim and not arrays:
+        raise EncoderError(f"{path}: no token entries and no {meta_path.name} to give the dimension")
     table = TokenTable(dim=dim or next(iter(arrays.values())).size)
+    shape = (table.dim,)
     for name, vec in arrays.items():
+        if vec.shape != shape:
+            raise EncoderError(f"{path}: token entry {name!r} has shape {vec.shape}, not {shape}")
         parts = name.split(_SEP)
         if parts[0] == "node" and len(parts) == 2:
             table.node_tokens[parts[1]] = vec

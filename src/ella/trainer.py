@@ -401,48 +401,28 @@ def _head_training_run(
     Z: np.ndarray,
     onehot: np.ndarray,
     val_Z: np.ndarray,
-    val_gold: np.ndarray,
-    n_classes: int,
+    val_onehot: np.ndarray,
     lr: float,
     train_cfg: TrainConfig,
-) -> tuple[np.ndarray, float, float, int]:
-    """Train one zero-initialized head; returns (weights, val micro-F1 at the
-    best validation loss, best val loss, best epoch)."""
-    from .evalkit import micro_f1
-
-    head = Tensor(np.zeros((Z.shape[1], n_classes)), requires_grad=True)
-    Zt = Tensor(Z)
-    Y = Tensor(onehot)
+) -> tuple[np.ndarray, float, int]:
+    """Train one zero-initialized head; returns (weights, val loss, epoch)
+    at the best validation loss."""
+    head = Tensor(np.zeros((Z.shape[1], onehot.shape[1])), requires_grad=True)
+    Zt, Y, val_Zt, val_Y = Tensor(Z), Tensor(onehot), Tensor(val_Z), Tensor(val_onehot)
     opt = AdamState()
-    best = (float("inf"), -1, head.data.copy(), 0.0)  # (val loss, epoch, weights, val f1)
-    since_best = 0
+    best_loss, best_epoch, best_weights = float("inf"), -1, head.data.copy()
     for epoch in range(train_cfg.max_epochs):
         loss = cross_entropy(tc.matmul(Zt, head), Y)
         _check_finite(loss.item(), epoch, ModelParams({"head": head}), train_cfg.dump_path)
-
-        val_logits = val_Z @ head.data
-        val_loss = -np.mean(
-            np.log(
-                np.clip(_np_softmax(val_logits)[np.arange(len(val_gold)), val_gold], SIM_CLAMP, 1)
-            )
-        )
-        if val_loss < best[0]:
-            preds = val_logits.argmax(axis=1)
-            best = (val_loss, epoch, head.data.copy(), micro_f1(preds.tolist(), val_gold.tolist()))
-            since_best = 0
-        else:
-            since_best = epoch - best[1]
-        if since_best >= train_cfg.patience:
+        val_loss = cross_entropy(tc.matmul(val_Zt, Tensor(head.data)), val_Y).item()
+        if val_loss < best_loss:
+            best_loss, best_epoch, best_weights = val_loss, epoch, head.data.copy()
+        if epoch - best_epoch >= train_cfg.patience:
             break
         zero_grads({"head": head})
         backward(loss)
         adam_step({"head": head}, opt, lr)
-    return best[2], best[3], best[0], best[1]
-
-
-def _np_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return best_weights, best_loss, best_epoch
 
 
 def finetune(
@@ -458,6 +438,8 @@ def finetune(
 ) -> FinetuneResult:
     """Train only the ``head/<target_type>`` tensor on frozen-backbone
     embeddings, grid-searching the learning rate; the backbone is untouched."""
+    from .evalkit import micro_f1
+
     vocab = g.schema.class_labels.get(target_type)
     if not vocab:
         raise ValueError(f"node type {target_type!r} has no class labels declared")
@@ -474,14 +456,14 @@ def finetune(
     Z_train, Z_val = embed(train_ids), embed(val_ids)
     gold_train = np.array([label_index[labels[n]] for n in train_ids])
     gold_val = np.array([label_index[labels[n]] for n in val_ids])
-    onehot = np.zeros((len(train_ids), len(vocab)))
-    onehot[np.arange(len(train_ids)), gold_train] = 1.0
+    onehot, val_onehot = np.eye(len(vocab))[gold_train], np.eye(len(vocab))[gold_val]
 
     results = []
     for lr in train_cfg.lr_grid:
-        weights, val_f1, val_loss, best_epoch = _head_training_run(
-            Z_train, onehot, Z_val, gold_val, len(vocab), lr, train_cfg
+        weights, val_loss, best_epoch = _head_training_run(
+            Z_train, onehot, Z_val, val_onehot, lr, train_cfg
         )
+        val_f1 = micro_f1((Z_val @ weights).argmax(axis=1).tolist(), gold_val.tolist())
         results.append((val_f1, -val_loss, lr, weights, best_epoch))
     results.sort(key=lambda r: (-r[0], -r[1]))
     val_f1, neg_loss, lr, weights, best_epoch = results[0]

@@ -206,6 +206,38 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
         cli._load_train_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"model": {"d": 7, "heads": 2}}, "invalid model config: hidden dim 7 not divisible by 2"),
+        ({"model": {"hops": 0}}, "invalid model config: hops must be >= 1"),
+        ({"model": {"d": "8"}}, "invalid model config: "),
+    ],
+    ids=["indivisible_heads", "zero_hops", "string_dim"],
+)
+def test_train_config_invalid_values(tmp_path, doc, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(click.ClickException, match=f"config.json: {message}"):
+        cli._load_train_config(str(path))
+
+
+def test_pretrain_with_zero_epochs(workdir):
+    graph_dir = str(workdir / "graph")
+    tokens = str(workdir / "tokens_zero.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    config = workdir / "zero_epochs.json"
+    model = {"d": 8, "heads": 2, "type_layers": 1, "hop_layers": 1, "hops": 1, "d_llm": 12}
+    config.write_text(json.dumps({"model": model, "train": {"max_epochs": 0}}))
+    ckpt = str(workdir / "zero.ckpt")
+    result = run_cli(
+        ["pretrain", "--graph", graph_dir, "--tokens", tokens, "--config", str(config), "--out", ckpt]
+    )
+    assert "best val loss n/a" in result.output
+    meta = json.loads(Path(ckpt + ".meta.json").read_text())
+    assert meta["epochs_run"] == 0 and meta["best_val_loss"] is None
+
+
 def test_finetune_refuses_a_changed_backbone(workdir, monkeypatch):
     graph_dir = str(workdir / "graph")
     tokens = str(workdir / "tokens_k1.bin")

@@ -173,28 +173,26 @@ def test_type_block_empty_errors():
 def test_type_readout_single_type():
     u = Tensor(np.array([[1.0, 0.0]]))
     U = Tensor(np.array([[3.0, 4.0]]))
-    cap = AttentionCapture()
-    h = type_readout(u, U, cap, capture_key=("s", 1), type_names=["paper"])
+    h, alpha = type_readout(u, U)
     assert np.allclose(h.data, [[3.0, 4.0]])
-    assert np.allclose(cap.alpha[("s", 1)][1], [1.0])
+    assert np.allclose(alpha, [[1.0]])
 
 
 def test_type_readout_identical_tokens_uniform():
     u = Tensor(np.array([[0.3, -0.2]]))
     U = Tensor(np.tile([1.0, 2.0], (4, 1)))
-    cap = AttentionCapture()
-    type_readout(u, U, cap, capture_key=("s", 1), type_names=list("abcd"))
-    assert np.allclose(cap.alpha[("s", 1)][1], 0.25)
+    _, alpha = type_readout(u, U)
+    assert alpha.shape == (1, 4)
+    assert np.allclose(alpha, 0.25)
 
 
 def test_type_readout_dot_products_one_two():
     # u.u1 = 1, u.u2 = 2 -> alpha = softmax([1, 2])
     u = Tensor(np.array([[1.0, 0.0]]))
     U = Tensor(np.array([[1.0, 5.0], [2.0, -3.0]]))
-    cap = AttentionCapture()
-    h = type_readout(u, U, cap, capture_key=("s", 1), type_names=["a", "b"])
+    h, alpha = type_readout(u, U)
     expected_alpha = np.exp([1.0, 2.0]) / np.exp([1.0, 2.0]).sum()
-    assert np.allclose(cap.alpha[("s", 1)][1], expected_alpha, atol=1e-12)
+    assert np.allclose(alpha[0], expected_alpha, atol=1e-12)
     assert np.allclose(h.data[0], expected_alpha @ U.data, atol=1e-12)
 
 
@@ -204,9 +202,8 @@ def test_type_readout_argmax_invariant_under_scaling():
     U = Tensor(rng.standard_normal((3, 4)))
     base = None
     for c in (0.5, 1.0, 3.0, 10.0):
-        cap = AttentionCapture()
-        type_readout(Tensor(c * u), U, cap, capture_key=("s", 1), type_names=list("abc"))
-        arg = int(np.argmax(cap.alpha[("s", 1)][1]))
+        _, alpha = type_readout(Tensor(c * u), U)
+        arg = int(np.argmax(alpha[0]))
         base = arg if base is None else base
         assert arg == base
 
@@ -237,18 +234,15 @@ def test_hop_block_permutation_equivariant():
 def test_hop_readout_k1():
     p = params_for(small_cfg())
     H = Tensor(np.array([[1.0, 2.0, 0.0, 0.0], [0.5, -1.0, 0.0, 0.0]]))
-    cap = AttentionCapture()
-    z = hop_readout(p, H, cap, target="s")
-    assert cap.gamma["s"][0] == [1]
-    assert np.allclose(cap.gamma["s"][1], [1.0])
+    z, gamma = hop_readout(p, H)
+    assert np.allclose(gamma, [[1.0]])
     assert np.allclose(z.data, H.data[0] + H.data[1])
 
 
 def test_hop_readout_k0():
     p = params_for(small_cfg())
-    H = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-    z = hop_readout(p, H)
-    assert np.allclose(z.data, H.data)
+    with pytest.raises(tc.ShapeError):
+        hop_readout(p, Tensor(np.array([[1.0, 2.0, 3.0, 4.0]])))
 
 
 def test_hop_readout_scores_03_07():
@@ -256,12 +250,28 @@ def test_hop_readout_scores_03_07():
     p = init_params(cfg, ["t"], {}, seed=0)
     p["readout/w"].data[...] = np.array([[0.0], [1.0]])  # score_j = h_j
     H = Tensor(np.array([[0.0], [0.3], [0.7]]))
-    cap = AttentionCapture()
-    z = hop_readout(p, H, cap, target="s")
-    assert cap.gamma["s"][0] == [1, 2]
+    z, weights = hop_readout(p, H)
     gamma = np.exp([0.3, 0.7]) / np.exp([0.3, 0.7]).sum()
-    assert np.allclose(cap.gamma["s"][1], gamma, atol=1e-12)
+    assert np.allclose(weights[0], gamma, atol=1e-12)
     assert np.allclose(z.data, [[gamma[0] * 0.3 + gamma[1] * 0.7]], atol=1e-12)
+
+
+def test_readouts_return_masked_weights_on_a_padded_batch():
+    # set 0 has two of three entries real, set 1 all three, set 2 none
+    keep = np.array([[True, True, False], [True, True, True], [False, False, False]])
+    rng = np.random.default_rng(40)
+    _, alpha = type_readout(
+        Tensor(rng.standard_normal((3, 1, 4))), Tensor(rng.standard_normal((3, 3, 4))), keep
+    )
+    H = rng.standard_normal((3, 4, 4))
+    z, gamma = hop_readout(params_for(small_cfg(), seed=41), Tensor(H), keep)
+    for weights in (alpha, gamma):
+        assert weights.shape == (3, 1, 3)
+        assert not np.isnan(weights).any()
+        assert np.all(weights[:, 0][~keep] == 0.0)
+        assert np.allclose(weights[:2].sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(weights[2] == 0.0)
+    assert np.array_equal(z.data[2], H[2, :1])
 
 
 # -- composed forward ------------------------------------------------------------------
@@ -280,8 +290,7 @@ def test_forward_isolated_node_collapses_to_h0():
     table.node_tokens["lonely"] = np.random.default_rng(13).standard_normal(8)
     z = forward("lonely", table, p, cfg)
     u_proj = project(p, Tensor(table.node_tokens["lonely"].reshape(1, -1)))
-    expected = hop_readout(p, hop_block(p, u_proj, cfg), None)
-    assert np.allclose(z.data, expected.data, atol=1e-12)
+    assert np.allclose(z.data, hop_block(p, u_proj, cfg).data, atol=1e-12)
 
 
 def test_forward_matches_manual_composition():
@@ -305,9 +314,9 @@ def test_forward_matches_manual_composition():
 
     u_proj = project(p, Tensor(table.node_tokens["a"].reshape(1, -1)))
     U = project(p, Tensor(table.relation_tokens[("a", 1, "paper")].reshape(1, -1)))
-    h1 = type_readout(u_proj, type_block(p, U, cfg))
+    h1, _ = type_readout(u_proj, type_block(p, U, cfg))
     H = tc.concat([u_proj, h1], axis=0)
-    expected = hop_readout(p, hop_block(p, H, cfg))
+    expected, _ = hop_readout(p, hop_block(p, H, cfg))
     assert np.allclose(z.data, expected.data, atol=1e-12)
 
 

@@ -391,6 +391,23 @@ def test_load_tokens_rejects_malformed_entry(tmp_path, entry):
         load_tokens(path)
 
 
+def test_load_tokens_empty_file_without_meta_names_it(tmp_path):
+    path = tmp_path / "tokens.bin"
+    save_tokens(TokenTable(dim=4), path)
+    (tmp_path / "tokens.bin.meta.json").unlink()
+    with pytest.raises(EncoderError, match="tokens.bin: no token entries"):
+        load_tokens(path)
+
+
+@pytest.mark.parametrize("bad", [np.ones(5), np.ones((2, 4))])
+def test_load_tokens_rejects_vector_of_wrong_shape(tmp_path, bad):
+    t = TokenTable(dim=8, node_tokens={"a": np.ones(8), "b": bad})
+    path = tmp_path / "tokens.bin"
+    save_tokens(t, path)
+    with pytest.raises(EncoderError, match=r"tokens.bin: token entry 'node.x1fb' has shape"):
+        load_tokens(path)
+
+
 def test_load_tokens_truncated_file_names_it(tmp_path):
     t = TokenTable(dim=2, node_tokens={"a": np.ones(2)})
     t.relation_tokens[("a", 1, "paper")] = np.ones(2)
