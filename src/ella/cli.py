@@ -131,9 +131,15 @@ def tokenize(graph_dir, backend_name, endpoint, hops, template, cache_path, out_
 
 def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.TrainConfig]:
     doc = json.loads(Path(config_path).read_text(encoding="utf-8")) if config_path else {}
+    if not isinstance(doc, dict):
+        raise click.ClickException(f"{config_path}: expected a JSON object, got {type(doc).__name__}")
     configs = []
     for section, cls in (("model", ModelConfig), ("train", trainer.TrainConfig)):
         values = doc.get(section) or {}
+        if not isinstance(values, dict):
+            raise click.ClickException(
+                f"{config_path}: {section} section: expected a JSON object, got {type(values).__name__}"
+            )
         unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise click.ClickException(f"{config_path}: unknown {section} keys: {', '.join(unknown)}")

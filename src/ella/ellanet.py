@@ -73,9 +73,6 @@ class ModelParams:
             h.update(np.ascontiguousarray(t.data).tobytes())
         return h.hexdigest()
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {n: t.data.copy() for n, t in self.tensors.items()}
-
     def restore_values(self, values: dict[str, np.ndarray]) -> None:
         for n, arr in values.items():
             self.tensors[n].data[...] = arr

@@ -27,7 +27,7 @@ from .promptkit import PromptInstance, TemplateId, bind_placeholders, build_rela
 
 NODE_TEXT_TEMPLATE_ID = "node_text"
 
-CACHE_MAGIC = b"ELLACACHE v1\n"
+CACHE_MAGIC = b"ELLACACHE v2\n"
 
 
 class EncoderError(RuntimeError):
@@ -38,11 +38,11 @@ class EncoderTransportError(EncoderError):
     """Remote backend unreachable or returned garbage; safe to retry."""
 
 
-def stable_hash64(*parts: str) -> int:
-    """64-bit stable hash of the given strings (order-sensitive)."""
+def stable_hash64(*parts: str | bytes) -> int:
+    """64-bit stable hash of the given strings or bytes (order-sensitive)."""
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
-        h.update(part.encode("utf-8"))
+        h.update(part.encode("utf-8") if isinstance(part, str) else part)
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
 
@@ -121,8 +121,6 @@ class PrototypeBackend(MockBackend):
         m = self._MARKER.search(text or "")
         if m is None or placeholders:
             return super().encode(template_id, text, placeholders, pooling)
-        if not text:
-            raise EncoderError("cannot encode empty text")
         h = _unit(self._base(template_id, text))
         return _unit(self._prototype(m.group(1)) + self.noise * h)
 
@@ -202,6 +200,8 @@ class VectorCache:
 
     def _load(self) -> None:
         data = self.path.read_bytes()
+        if data.startswith(b"ELLACACHE v1\n"):
+            raise EncoderError(f"{self.path}: cache file has an older key format (v1); delete it")
         if not data.startswith(CACHE_MAGIC):
             raise EncoderError(f"{self.path}: not a cache file (bad header)")
         off = len(CACHE_MAGIC)
@@ -220,10 +220,10 @@ class VectorCache:
     def key_for(
         backend_name: str, template_id: str, text: str, placeholders: list[np.ndarray]
     ) -> int:
-        parts = [backend_name, template_id, text]
+        parts: list[str | bytes] = [backend_name, template_id, text]
         for p in placeholders:
-            rounded = np.round(np.asarray(p, dtype=np.float64), 6)
-            parts.append(",".join(f"{x:.6f}" for x in rounded))
+            # equal rounded values have equal bytes, so near-equal placeholders share a key
+            parts.append(np.round(np.asarray(p, dtype=np.float64), 6).astype("<f8").tobytes())
         return stable_hash64(*parts)
 
     def get(self, key: int) -> np.ndarray | None:
@@ -293,7 +293,7 @@ def _call_backend(
     if cache is None:
         table.count_call(template_id)
         return backend.encode(template_id, text, placeholders)
-    key = VectorCache.key_for(backend.name, template_id, text, placeholders)
+    key = VectorCache.key_for(f"{backend.name}:{backend.dim}", template_id, text, placeholders)
     hit = cache.get(key)
     if hit is not None:
         table.count_hit()

@@ -326,7 +326,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # -- tape -------------------------------------------------------------------
 
 
-def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
+def backward(out: Tensor) -> None:
     """Reverse-mode accumulation from ``out`` through its tape."""
     if not out.requires_grad:
         raise ValueError("output does not require grad")
@@ -345,7 +345,7 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    out.grad = np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=out.data.dtype)
+    out.grad = np.ones_like(out.data)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node)
@@ -423,16 +423,10 @@ class AdamState:
         self.v: dict[str, np.ndarray] = {}
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """In-place Adam update with bias correction; parameters without a
     gradient are treated as zero-gradient (unchanged moments still decay)."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     for name in sorted(params):
@@ -517,8 +511,5 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
     save_arrays({name: p.data for name, p in params.items()}, path)
 
 
-def load_checkpoint(path: str | Path, requires_grad: bool = True) -> dict[str, Tensor]:
-    return {
-        name: Tensor(arr, requires_grad=requires_grad)
-        for name, arr in load_arrays(path).items()
-    }
+def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
+    return {name: Tensor(arr, requires_grad=True) for name, arr in load_arrays(path).items()}

@@ -126,28 +126,19 @@ def sample_negatives(
     return out
 
 
-def sample_edges(
-    g: HeteroGraph,
-    ratio: int,
-    seed: int,
-    forbidden: set[tuple[str, str, str]] | None = None,
-    positives_by_type: dict[str, list[tuple[str, str]]] | None = None,
-) -> EdgeSampleSet:
-    """Per relation type: positives (all edges by default) plus ``ratio``
-    uniformly corrupted negatives per positive, rejecting existing edges."""
+def sample_edges(g: HeteroGraph, ratio: int, seed: int) -> EdgeSampleSet:
+    """Per relation type: all edges as positives plus ``ratio`` uniformly
+    corrupted negatives per positive, rejecting existing edges."""
     if ratio < 1:
         raise ValueError("negative ratio must be >= 1")
     rng = np.random.default_rng(seed)
     sampleset = EdgeSampleSet()
-    if positives_by_type is None:
-        positives_by_type = {}
-        for s, t, ename in g.edges:
-            positives_by_type.setdefault(ename, []).append((s, t))
+    positives_by_type: dict[str, list[tuple[str, str]]] = {}
+    for s, t, ename in g.edges:
+        positives_by_type.setdefault(ename, []).append((s, t))
     for ename in sorted(positives_by_type):
         positives = sorted(positives_by_type[ename])
-        if not positives:
-            continue
-        negatives = sample_negatives(g, ename, positives, ratio * len(positives), rng, forbidden)
+        negatives = sample_negatives(g, ename, positives, ratio * len(positives), rng)
         sampleset.by_type[ename] = EdgeSample(positives=positives, negatives=negatives)
     return sampleset
 
@@ -277,13 +268,48 @@ def _holdout_split(
     return train_pos, val
 
 
-def _check_finite(value: float, epoch: int, params: ModelParams, dump_path: str | None) -> None:
+def _check_finite(
+    value: float, epoch: int, tensors: dict[str, Tensor], dump_path: str | None
+) -> None:
     if np.isfinite(value):
         return
     if dump_path:
-        tc.save_checkpoint(params.tensors, dump_path)
+        tc.save_checkpoint(tensors, dump_path)
         log.error("diverged at epoch %d; state dumped to %s", epoch, dump_path)
     raise TrainingDiverged(epoch, value)
+
+
+def _fit(
+    step, trainable: dict[str, Tensor], lr: float, train_cfg: TrainConfig
+) -> tuple[dict[str, np.ndarray], int, int, list[float], list[float]]:
+    """The training policy of both stages: Adam on ``trainable``, stopping
+    once the validation loss has not improved for ``patience`` epochs, and
+    raising :class:`TrainingDiverged` on a non-finite loss.
+
+    ``step(epoch)`` builds one epoch's (training loss tensor, validation
+    loss). Returns the values of ``trainable`` at the lowest validation loss,
+    that epoch, the last epoch run, and the training and validation curves.
+    """
+    opt = AdamState()
+    best_values = {n: t.data.copy() for n, t in trainable.items()}
+    best_val, best_epoch, epoch = float("inf"), -1, 0
+    train_curve: list[float] = []
+    val_curve: list[float] = []
+    for epoch in range(train_cfg.max_epochs):
+        train_loss, val_loss = step(epoch)
+        _check_finite(train_loss.item(), epoch, trainable, train_cfg.dump_path)
+        _check_finite(val_loss, epoch, trainable, train_cfg.dump_path)
+        train_curve.append(train_loss.item())
+        val_curve.append(val_loss)
+        if val_loss < best_val:
+            best_val, best_epoch = val_loss, epoch
+            best_values = {n: t.data.copy() for n, t in trainable.items()}
+        if epoch - best_epoch >= train_cfg.patience:
+            break
+        zero_grads(trainable)
+        backward(train_loss)
+        adam_step(trainable, opt, lr)
+    return best_values, best_epoch, epoch, train_curve, val_curve
 
 
 def pretrain(
@@ -313,13 +339,6 @@ def pretrain(
     if train_positives is None:
         base = sample_edges(g, train_cfg.neg_ratio, seed)
         train_positives, val_samples = _holdout_split(base, train_cfg.val_fraction, seed)
-
-    trainable = params.backbone()
-    opt = AdamState()
-    best_val, best_epoch, epoch = float("inf"), -1, 0
-    best_values: dict[str, np.ndarray] | None = None
-    val_curve: list[float] = []
-    train_curve: list[float] = []
     if forbidden is None:
         forbidden = {(s, t, e) for s, t, e in g.edges}
 
@@ -335,7 +354,7 @@ def pretrain(
     needed = sorted(needed)
     index = {n: i for i, n in enumerate(needed)}
 
-    for epoch in range(train_cfg.max_epochs):
+    def step(epoch: int) -> tuple[Tensor, float]:
         epoch_samples = EdgeSampleSet()
         rng = np.random.default_rng([seed, epoch])
         for ename in sorted(train_positives):
@@ -352,32 +371,18 @@ def pretrain(
 
         Z = forward_batch(needed, table, params, model_cfg)
         train_loss = _contrastive_loss(epoch_samples, Z, index, g.node_type, params)
-        val_loss = (
-            _contrastive_loss(val_samples, Z, index, g.node_type, params).item()
-            if val_samples.by_type
-            else train_loss.item()
-        )
-        _check_finite(train_loss.item(), epoch, params, train_cfg.dump_path)
-        _check_finite(val_loss, epoch, params, train_cfg.dump_path)
-        train_curve.append(train_loss.item())
-        val_curve.append(val_loss)
+        if not val_samples.by_type:
+            return train_loss, train_loss.item()
+        return train_loss, _contrastive_loss(val_samples, Z, index, g.node_type, params).item()
 
-        if val_loss < best_val:
-            best_val, best_epoch = val_loss, epoch
-            best_values = params.copy_values()
-        if epoch - best_epoch >= train_cfg.patience:
-            break
-
-        zero_grads(params.tensors)
-        backward(train_loss)
-        adam_step(trainable, opt, train_cfg.lr)
-
-    if best_values is not None:
-        params.restore_values(best_values)
+    best, best_epoch, last_epoch, train_curve, val_curve = _fit(
+        step, params.backbone(), train_cfg.lr, train_cfg
+    )
+    params.restore_values(best)
     return PretrainResult(
         params=params,
         best_epoch=best_epoch,
-        last_epoch=epoch,
+        last_epoch=last_epoch,
         val_curve=val_curve,
         train_curve=train_curve,
     )
@@ -397,34 +402,6 @@ class FinetuneResult:
     metadata_extra: dict = field(default_factory=dict)
 
 
-def _head_training_run(
-    Z: np.ndarray,
-    onehot: np.ndarray,
-    val_Z: np.ndarray,
-    val_onehot: np.ndarray,
-    lr: float,
-    train_cfg: TrainConfig,
-) -> tuple[np.ndarray, float, int]:
-    """Train one zero-initialized head; returns (weights, val loss, epoch)
-    at the best validation loss."""
-    head = Tensor(np.zeros((Z.shape[1], onehot.shape[1])), requires_grad=True)
-    Zt, Y, val_Zt, val_Y = Tensor(Z), Tensor(onehot), Tensor(val_Z), Tensor(val_onehot)
-    opt = AdamState()
-    best_loss, best_epoch, best_weights = float("inf"), -1, head.data.copy()
-    for epoch in range(train_cfg.max_epochs):
-        loss = cross_entropy(tc.matmul(Zt, head), Y)
-        _check_finite(loss.item(), epoch, ModelParams({"head": head}), train_cfg.dump_path)
-        val_loss = cross_entropy(tc.matmul(val_Zt, Tensor(head.data)), val_Y).item()
-        if val_loss < best_loss:
-            best_loss, best_epoch, best_weights = val_loss, epoch, head.data.copy()
-        if epoch - best_epoch >= train_cfg.patience:
-            break
-        zero_grads({"head": head})
-        backward(loss)
-        adam_step({"head": head}, opt, lr)
-    return best_weights, best_loss, best_epoch
-
-
 def finetune(
     g: HeteroGraph,
     labels: dict[str, str],
@@ -437,7 +414,8 @@ def finetune(
     val_ids: list[str],
 ) -> FinetuneResult:
     """Train only the ``head/<target_type>`` tensor on frozen-backbone
-    embeddings, grid-searching the learning rate; the backbone is untouched."""
+    embeddings, grid-searching the learning rate; the backbone is untouched.
+    Each learning rate trains a zero-initialized head."""
     from .evalkit import micro_f1
 
     vocab = g.schema.class_labels.get(target_type)
@@ -456,17 +434,23 @@ def finetune(
     Z_train, Z_val = embed(train_ids), embed(val_ids)
     gold_train = np.array([label_index[labels[n]] for n in train_ids])
     gold_val = np.array([label_index[labels[n]] for n in val_ids])
-    onehot, val_onehot = np.eye(len(vocab))[gold_train], np.eye(len(vocab))[gold_val]
+    Zt, Y = Tensor(Z_train), Tensor(np.eye(len(vocab))[gold_train])
+    val_Zt, val_Y = Tensor(Z_val), Tensor(np.eye(len(vocab))[gold_val])
 
     results = []
     for lr in train_cfg.lr_grid:
-        weights, val_loss, best_epoch = _head_training_run(
-            Z_train, onehot, Z_val, val_onehot, lr, train_cfg
-        )
+        head = Tensor(np.zeros((Z_train.shape[1], len(vocab))), requires_grad=True)
+
+        def step(epoch: int) -> tuple[Tensor, float]:
+            loss = cross_entropy(tc.matmul(Zt, head), Y)
+            return loss, cross_entropy(tc.matmul(val_Zt, Tensor(head.data)), val_Y).item()
+
+        best, best_epoch, _, _, val_curve = _fit(step, {"head": head}, lr, train_cfg)
+        weights = best["head"]
         val_f1 = micro_f1((Z_val @ weights).argmax(axis=1).tolist(), gold_val.tolist())
-        results.append((val_f1, -val_loss, lr, weights, best_epoch))
-    results.sort(key=lambda r: (-r[0], -r[1]))
-    val_f1, neg_loss, lr, weights, best_epoch = results[0]
+        results.append((val_f1, min(val_curve, default=float("inf")), lr, weights, best_epoch))
+    results.sort(key=lambda r: (-r[0], r[1]))
+    val_f1, _, lr, weights, best_epoch = results[0]
 
     head_name = f"{HEAD_PREFIX}{target_type}"
     if head_name in params.tensors:

@@ -212,8 +212,13 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
         ({"model": {"d": 7, "heads": 2}}, "invalid model config: hidden dim 7 not divisible by 2"),
         ({"model": {"hops": 0}}, "invalid model config: hops must be >= 1"),
         ({"model": {"d": "8"}}, "invalid model config: "),
+        ([1, 2], "expected a JSON object, got list"),
+        ("x", "expected a JSON object, got str"),
+        ({"model": [1, 2]}, "model section: expected a JSON object, got list"),
+        ({"train": 5}, "train section: expected a JSON object, got int"),
     ],
-    ids=["indivisible_heads", "zero_hops", "string_dim"],
+    ids=["indivisible_heads", "zero_hops", "string_dim", "list_document", "string_document",
+         "list_model", "int_train"],
 )
 def test_train_config_invalid_values(tmp_path, doc, message):
     path = tmp_path / "config.json"

@@ -153,6 +153,13 @@ def test_cache_tolerates_truncated_tail(tmp_path):
     assert len(c2) == 0 or c2.get(1) is None
 
 
+def test_cache_refuses_older_key_format(tmp_path):
+    path = tmp_path / "cache.bin"
+    path.write_bytes(b"ELLACACHE v1\n")
+    with pytest.raises(EncoderError, match="cache.bin: .*older key format"):
+        VectorCache(path)
+
+
 def test_cache_key_rounds_placeholders():
     a = VectorCache.key_for("m", "t", "x", [np.array([0.123456749])])
     b = VectorCache.key_for("m", "t", "x", [np.array([0.123456751])])
@@ -321,6 +328,21 @@ def test_tokenize_warm_cache_zero_calls(tmp_path):
     assert t2.cache_hits > 0
     for key in t1.relation_tokens:
         assert np.array_equal(t1.relation_tokens[key], t2.relation_tokens[key])
+
+
+def test_cache_keys_separate_encoder_dimensions(tmp_path):
+    g = small_academic_graph()
+    path = tmp_path / "cache.bin"
+    for dim in (8, 16, 8):
+        t = tokenize_graph(MockBackend(dim=dim), g, K=2, cache=VectorCache(path))
+        expected = tokenize_graph(MockBackend(dim=dim), g, K=2)
+        assert t.dim == dim
+        pairs = [(t.node_tokens, expected.node_tokens), (t.relation_tokens, expected.relation_tokens)]
+        for tokens, want in pairs:
+            assert set(tokens) == set(want)
+            for key, vec in want.items():
+                assert np.array_equal(tokens[key], vec)
+    assert t.call_count == 0  # the second dim-8 pass reads the first one's entries
 
 
 def test_tokenize_worker_count_invariant():

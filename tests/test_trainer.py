@@ -306,6 +306,32 @@ def test_finetune_learns_planted_classes():
     assert micro_f1(preds, golds) >= 0.8
 
 
+def test_finetune_stops_at_patience_zero():
+    g, labels, cfg, table, params = node_task_setup()
+    paper_labels = {n: l for n, l in labels.items() if g.node_type(n) == "paper"}
+    ids = sorted(paper_labels)
+    result = finetune(
+        g, paper_labels, cfg, TrainConfig(patience=0), params, table, "paper", ids[:30], ids[30:45]
+    )
+    assert result.best_epoch == 0
+    assert np.array_equal(params["head/paper"].data, np.zeros_like(params["head/paper"].data))
+
+
+def test_finetune_divergence_aborts_with_dump(tmp_path):
+    g, labels, cfg, table, params = node_task_setup()
+    paper_labels = {n: l for n, l in labels.items() if g.node_type(n) == "paper"}
+    ids = sorted(paper_labels)
+    train_ids, val_ids = ids[:30], ids[30:45]
+    table.node_tokens[val_ids[0]] = np.full(table.dim, np.nan)
+    dump = tmp_path / "diverged.ckpt"
+    with pytest.raises(TrainingDiverged, match="at epoch 0"):
+        finetune(
+            g, paper_labels, cfg, TrainConfig(max_epochs=5, dump_path=str(dump)), params, table,
+            "paper", train_ids, val_ids,
+        )
+    assert set(tc.load_checkpoint(dump)) == {"head"}
+
+
 def test_finetune_unlabeled_type_errors():
     g, labels, cfg, table, params = node_task_setup()
     g.schema.class_labels.pop("author")
