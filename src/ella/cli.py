@@ -32,9 +32,10 @@ def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig]:
     meta_path = Path(ckpt + ".meta.json")
     if not meta_path.exists():
         raise click.ClickException(f"missing checkpoint metadata {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if "checkpoint_sha256" not in meta:
-        raise click.ClickException(f"{meta_path} records no checkpoint_sha256")
+    meta = _read_json(meta_path)
+    for key in ("checkpoint_sha256", "model_config"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise click.ClickException(f"{meta_path} records no {key}")
     if _file_sha256(ckpt) != meta["checkpoint_sha256"]:
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
     cfg = ModelConfig.from_dict(meta["model_config"])
@@ -44,7 +45,21 @@ def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig]:
 def _save_params(params: ModelParams, cfg: ModelConfig, out: str, extra: dict) -> None:
     save_checkpoint(params.tensors, out)
     payload = {"model_config": cfg.to_dict(), "checkpoint_sha256": _file_sha256(out), **extra}
-    Path(out + ".meta.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    evalkit.write_metadata(out, payload)
+
+
+def _read_json(path: str | Path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: not valid JSON ({exc})") from None
+
+
+def _load_tokens(path: str) -> encoder.TokenTable:
+    try:
+        return encoder.load_tokens(path)
+    except (encoder.EncoderError, ValueError) as exc:
+        raise click.ClickException(str(exc)) from None
 
 
 @click.group()
@@ -130,7 +145,7 @@ def tokenize(graph_dir, backend_name, endpoint, hops, template, cache_path, out_
 
 
 def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.TrainConfig]:
-    doc = json.loads(Path(config_path).read_text(encoding="utf-8")) if config_path else {}
+    doc = _read_json(config_path) if config_path else {}
     if not isinstance(doc, dict):
         raise click.ClickException(f"{config_path}: expected a JSON object, got {type(doc).__name__}")
     configs = []
@@ -159,7 +174,7 @@ def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.Tr
 def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     """Contrastive pre-training over per-relation-type edge samples."""
     g = load_graph_dir(graph_dir)
-    table = encoder.load_tokens(tokens_path)
+    table = _load_tokens(tokens_path)
     model_cfg, train_cfg = _load_train_config(config_path)
     if model_cfg.d_llm != table.dim:
         model_cfg = ModelConfig.from_dict({**model_cfg.to_dict(), "d_llm": table.dim})
@@ -168,7 +183,7 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     backend_info = {}
     tokens_meta = Path(tokens_path + ".meta.json")
     if tokens_meta.exists():
-        doc = json.loads(tokens_meta.read_text(encoding="utf-8"))
+        doc = _read_json(tokens_meta)
         backend_info = {"backend": doc.get("backend"), "pooling": doc.get("pooling")}
     _save_params(
         result.params,
@@ -202,7 +217,7 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
 def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, out_path):
     """Train the classification head on a frozen pre-trained backbone."""
     g = load_graph_dir(graph_dir)
-    table = encoder.load_tokens(tokens_path)
+    table = _load_tokens(tokens_path)
     labels = load_labels(labels_path)
     params, model_cfg = _load_params(ckpt_path)
     splits = evalkit.build_splits(
@@ -251,7 +266,7 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
 def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, labels_path, target_type):
     """Score the held-out test split of the chosen task."""
     g = load_graph_dir(graph_dir)
-    table = encoder.load_tokens(tokens_path)
+    table = _load_tokens(tokens_path)
     params, model_cfg = _load_params(ckpt_path)
     rows: list[tuple[str, str, float]] = []
     if task == "node":
@@ -325,7 +340,7 @@ def profile(graph_dir, hops, out_path, cache_path, dim):
 def export_attention(ckpt_path, out_dir, graph_dir, tokens_path):
     """Dump type-level and hop-level attention distributions as CSV."""
     g = load_graph_dir(graph_dir)
-    table = encoder.load_tokens(tokens_path)
+    table = _load_tokens(tokens_path)
     params, model_cfg = _load_params(ckpt_path)
     capture = AttentionCapture()
     forward_batch(g.node_ids(), table, params, model_cfg, capture)

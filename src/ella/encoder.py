@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import struct
 import threading
@@ -24,6 +25,7 @@ import numpy as np
 from .hetgraph import HeteroGraph, typed_neighbors
 from .pathstats import HopTypeNeighborhood, hop_type_neighbors, hop_types_present, meta_path_profile
 from .promptkit import PromptInstance, TemplateId, bind_placeholders, build_relation_prompt
+from .tensorcore import load_arrays, save_arrays
 
 NODE_TEXT_TEMPLATE_ID = "node_text"
 
@@ -195,6 +197,7 @@ class VectorCache:
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
         self._store: dict[int, np.ndarray] = {}
+        self._torn_tail: int | None = None
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -202,19 +205,20 @@ class VectorCache:
         data = self.path.read_bytes()
         if data.startswith(b"ELLACACHE v1\n"):
             raise EncoderError(f"{self.path}: cache file has an older key format (v1); delete it")
-        if not data.startswith(CACHE_MAGIC):
+        if CACHE_MAGIC.startswith(data):
+            off = 0  # empty, or a header cut off by an interrupted first append
+        elif not data.startswith(CACHE_MAGIC):
             raise EncoderError(f"{self.path}: not a cache file (bad header)")
-        off = len(CACHE_MAGIC)
-        while off < len(data):
-            if off + 12 > len(data):
-                break  # truncated tail from an interrupted append
-            key, dim = struct.unpack_from("<QI", data, off)
-            off += 12
-            if off + 8 * dim > len(data):
-                break
-            vec = np.frombuffer(data, dtype="<f8", count=dim, offset=off).copy()
-            off += 8 * dim
-            self._store[key] = vec
+        else:
+            off = len(CACHE_MAGIC)
+            while off + 12 <= len(data):
+                key, dim = struct.unpack_from("<QI", data, off)
+                if off + 12 + 8 * dim > len(data):
+                    break
+                self._store[key] = np.frombuffer(data, dtype="<f8", count=dim, offset=off + 12).copy()
+                off += 12 + 8 * dim
+        if off < len(data):
+            self._torn_tail = off  # an interrupted append; the next put cuts it off
 
     @staticmethod
     def key_for(
@@ -239,9 +243,12 @@ class VectorCache:
                 return self._store[key].copy()
             self._store[key] = arr.copy()
             if self.path is not None:
-                header_needed = not self.path.exists() or self.path.stat().st_size == 0
                 with open(self.path, "ab") as fh:
-                    if header_needed:
+                    if self._torn_tail is not None:
+                        # records appended after a torn one would be misaligned
+                        fh.truncate(self._torn_tail)
+                        self._torn_tail = None
+                    if fh.seek(0, os.SEEK_END) == 0:
                         fh.write(CACHE_MAGIC)
                     fh.write(struct.pack("<QI", key, arr.size))
                     fh.write(arr.astype("<f8").tobytes())
@@ -415,51 +422,49 @@ def tokenize_graph(
 
 # -- token table persistence ------------------------------------------------
 
-_SEP = "\x1f"
+_TOKEN_FORMAT = 2
 
 
 def save_tokens(table: TokenTable, path: str | Path) -> None:
-    """Write the table as named arrays; a node id or type name containing the
-    field separator ``\\x1f`` cannot be stored and raises ``EncoderError``."""
-    from .tensorcore import save_arrays
-
-    arrays: dict[str, np.ndarray] = {}
-    for nid, vec in table.node_tokens.items():
-        arrays[_entry_name("node", nid)] = vec
-    for (s, hop, t), vec in table.relation_tokens.items():
-        arrays[_entry_name("rel", s, str(hop), t)] = vec
-    save_arrays(arrays, path)
-    meta = {"dim": table.dim, "call_count": table.call_count, "cache_hits": table.cache_hits}
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
-
-
-def _entry_name(kind: str, *fields: str) -> str:
-    for f in fields:
-        if _SEP in f:
-            raise EncoderError(f"cannot store {kind} token {fields!r}: {f!r} contains \\x1f")
-    return _SEP.join((kind, *fields))
+    """Write the table as ``node`` (N, dim) and ``rel`` (M, dim) float64
+    matrices plus ``index``, a UTF-8 JSON document naming their rows in order.
+    A vector whose shape is not ``(dim,)`` raises ``EncoderError`` naming it."""
+    for key, vec in (*table.node_tokens.items(), *table.relation_tokens.items()):
+        if np.shape(vec) != (table.dim,):
+            raise EncoderError(f"cannot store token {key!r}: shape {np.shape(vec)}, not ({table.dim},)")
+    index = {
+        "format": _TOKEN_FORMAT,
+        "node_ids": list(table.node_tokens),
+        "relation_keys": list(table.relation_tokens),
+    }
+    save_arrays(
+        {
+            "node": np.array(list(table.node_tokens.values()), dtype=np.float64).reshape(-1, table.dim),
+            "rel": np.array(list(table.relation_tokens.values()), dtype=np.float64).reshape(-1, table.dim),
+            "index": np.frombuffer(json.dumps(index).encode("utf-8"), dtype=np.uint8),
+        },
+        path,
+    )
 
 
 def load_tokens(path: str | Path) -> TokenTable:
-    from .tensorcore import load_arrays
-
+    """Read a :func:`save_tokens` file. Any other layout, an older format
+    included, raises ``EncoderError`` naming the file; a truncated or padded
+    container raises ``ValueError`` naming it."""
     arrays = load_arrays(path)
-    meta_path = Path(str(path) + ".meta.json")
-    dim = None
-    if meta_path.exists():
-        dim = json.loads(meta_path.read_text(encoding="utf-8")).get("dim")
-    if not dim and not arrays:
-        raise EncoderError(f"{path}: no token entries and no {meta_path.name} to give the dimension")
-    table = TokenTable(dim=dim or next(iter(arrays.values())).size)
-    shape = (table.dim,)
-    for name, vec in arrays.items():
-        if vec.shape != shape:
-            raise EncoderError(f"{path}: token entry {name!r} has shape {vec.shape}, not {shape}")
-        parts = name.split(_SEP)
-        if parts[0] == "node" and len(parts) == 2:
-            table.node_tokens[parts[1]] = vec
-        elif parts[0] == "rel" and len(parts) == 4 and parts[2].isascii() and parts[2].isdigit():
-            table.relation_tokens[(parts[1], int(parts[2]), parts[3])] = vec
-        else:
-            raise EncoderError(f"{path}: unrecognized token entry {name!r}")
-    return table
+    try:
+        node, rel, index = arrays["node"], arrays["rel"], json.loads(arrays["index"].tobytes())
+        nodes = dict(zip(index["node_ids"], node, strict=True))
+        rels = {(s, hop, t): vec for (s, hop, t), vec in zip(index["relation_keys"], rel, strict=True)}
+        if not (
+            len(arrays) == 3
+            and index["format"] == _TOKEN_FORMAT
+            and node.ndim == rel.ndim == 2 and node.shape[1] == rel.shape[1]
+            and (len(nodes), len(rels)) == (len(node), len(rel))
+            and all(type(hop) is int for _, hop, _ in rels)
+        ):
+            raise ValueError("its index does not match its matrices")
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"not a token file of format {_TOKEN_FORMAT} ({type(exc).__name__}: {exc})"
+        raise EncoderError(f"{path}: {reason}; re-run `ella tokenize` to rebuild it") from None
+    return TokenTable(node.shape[1], nodes, rels)

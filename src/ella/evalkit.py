@@ -282,7 +282,6 @@ def profile_run(
     g: HeteroGraph,
     K: int,
     targets: list[str] | None = None,
-    backend=None,
     cache: VectorCache | None = None,
     dim: int = 16,
 ) -> EfficiencyReport:
@@ -293,9 +292,8 @@ def profile_run(
         targets = g.node_ids()
     rows = []
     for k in range(1, K + 1):
-        b = backend or MockBackend(dim=dim)
         start = time.perf_counter()
-        table = tokenize_graph(b, g, targets=targets, K=k, cache=cache)
+        table = tokenize_graph(MockBackend(dim=dim), g, targets=targets, K=k, cache=cache)
         elapsed = time.perf_counter() - start
         naive = sum(
             count_simple_paths(g, s, i) for s in targets for i in range(1, k + 1)

@@ -210,12 +210,9 @@ class HeteroGraph:
         return counts
 
 
-def typed_neighbors(g: HeteroGraph, v: str, et: str | None = None) -> list[str]:
-    """Sorted ids adjacent to ``v``, optionally restricted to one edge type."""
-    pairs = g.incident(v)
-    if et is not None:
-        pairs = [p for p in pairs if p[1] == et]
-    return sorted({nbr for nbr, _ in pairs})
+def typed_neighbors(g: HeteroGraph, v: str) -> list[str]:
+    """Sorted ids adjacent to ``v`` over any edge type."""
+    return sorted({nbr for nbr, _ in g.incident(v)})
 
 
 # -- file I/O -------------------------------------------------------------

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 CKPT_MAGIC = b"ELLACKPT v1\n"
-_DTYPE_CODES = {0: np.float64, 1: np.float32}
-_CODE_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
+_DTYPE_CODES = {0: np.float64, 1: np.float32, 2: np.uint8}
+_CODE_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1, np.dtype(np.uint8): 2}
 
 
 class ShapeError(ValueError):

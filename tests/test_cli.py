@@ -1,7 +1,9 @@
 import json
+import re
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -9,6 +11,7 @@ from ella import cli, trainer
 from ella.cli import main
 from ella.ellanet import ModelConfig, init_params
 from ella.hetgraph import load_graph_dir, save_graph, save_labels
+from ella.tensorcore import save_arrays
 
 from fixtures import complete_typed_tree, planted_node_fixture
 
@@ -225,6 +228,53 @@ def test_train_config_invalid_values(tmp_path, doc, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(click.ClickException, match=f"config.json: {message}"):
         cli._load_train_config(str(path))
+
+
+def _cut_three_bytes(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def _write_parent_format_tokens(path):
+    save_arrays({"node\x1fa": np.ones(12)}, path)
+
+
+def _write_invalid_json(path):
+    path.write_text("{not json")
+
+
+def _drop_model_config(path):
+    meta = json.loads(path.read_text())
+    del meta["model_config"]
+    path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize(
+    "command,broken,damage,message",
+    [
+        ("pretrain", "config.json", _write_invalid_json, r"config\.json: not valid JSON"),
+        ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: checkpoint truncated"),
+        ("pretrain", "tokens.bin", _write_parent_format_tokens, r"tokens\.bin: not a token file of format 2"),
+        ("evaluate", "model.ckpt.meta.json", _write_invalid_json, r"model\.ckpt\.meta\.json: not valid JSON"),
+        ("evaluate", "model.ckpt.meta.json", _drop_model_config, r"model\.ckpt\.meta\.json records no model_config"),
+    ],
+    ids=["config_not_json", "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
+         "ckpt_meta_without_model_config"],
+)
+def test_bad_input_file_ends_in_an_error_naming_it(workdir, tmp_path, command, broken, damage, message):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    (tmp_path / "config.json").write_text("{}")
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    damage(tmp_path / broken)
+    args = {
+        "pretrain": ["pretrain", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out.ckpt")],
+        "evaluate": ["evaluate", "--task", "link", "--ckpt", ckpt, "--out", str(tmp_path / "eval.csv")],
+    }[command]
+    result = CliRunner().invoke(main, args + ["--graph", graph_dir, "--tokens", tokens])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert re.search(f"Error: .*{message}", result.output), result.output
 
 
 def test_pretrain_with_zero_epochs(workdir):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ella.encoder import (
+    CACHE_MAGIC,
     EncoderError,
     EncoderTransportError,
     HttpBackend,
@@ -27,6 +28,7 @@ from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
 from ella.pathstats import hop_type_neighbors
 from ella.promptkit import TemplateId, build_relation_prompt
 from ella.pathstats import MetaPathProfile
+from ella.tensorcore import save_arrays
 
 from fixtures import complete_typed_tree, small_academic_graph
 
@@ -151,6 +153,30 @@ def test_cache_tolerates_truncated_tail(tmp_path):
     path.write_bytes(raw[:-5])
     c2 = VectorCache(path)
     assert len(c2) == 0 or c2.get(1) is None
+
+
+def test_cache_put_after_truncated_tail_keeps_records_aligned(tmp_path):
+    path = tmp_path / "cache.bin"
+    c = VectorCache(path)
+    c.put(1, np.full(4, 1.0))
+    c.put(2, np.full(4, 2.0))
+    path.write_bytes(path.read_bytes()[:-5])
+    VectorCache(path).put(3, np.full(4, 3.0))
+    c2 = VectorCache(path)
+    assert len(c2) == 2 and c2.get(2) is None
+    assert np.array_equal(c2.get(1), np.full(4, 1.0))
+    assert np.array_equal(c2.get(3), np.full(4, 3.0))
+
+
+@pytest.mark.parametrize("content", [b"", CACHE_MAGIC[:5]], ids=["zero_bytes", "cut_header"])
+def test_cache_file_without_a_whole_header_is_empty(tmp_path, content):
+    path = tmp_path / "cache.bin"
+    path.write_bytes(content)
+    c = VectorCache(path)
+    assert len(c) == 0
+    c.put(1, np.ones(4))
+    assert path.read_bytes().startswith(CACHE_MAGIC)
+    assert np.array_equal(VectorCache(path).get(1), np.ones(4))
 
 
 def test_cache_refuses_older_key_format(tmp_path):
@@ -383,51 +409,98 @@ def test_tokens_save_load_roundtrip(tmp_path):
     save_tokens(t, path)
     t2 = load_tokens(path)
     assert t2.dim == 8
-    assert set(t2.node_tokens) == set(t.node_tokens)
-    assert set(t2.relation_tokens) == set(t.relation_tokens)
+    assert list(t2.node_tokens) == list(t.node_tokens)
+    assert list(t2.relation_tokens) == list(t.relation_tokens)
     for k in t.relation_tokens:
-        assert np.array_equal(t.relation_tokens[k], t2.relation_tokens[k])
+        assert t.relation_tokens[k].tobytes() == t2.relation_tokens[k].tobytes()
+    for k in t.node_tokens:
+        assert t.node_tokens[k].tobytes() == t2.node_tokens[k].tobytes()
 
 
 @pytest.mark.parametrize(
     "node_id,rel_key",
-    [("a\x1fb", None), ("a", ("a", 1, "pa\x1fper")), ("a", ("a\x1fb", 1, "paper"))],
+    [
+        ("a\x1fb", ("a\x1fb", 1, "paper")),
+        ("caf\u00e9", ("caf\u00e9", 1, "pa\x1fper")),
+        ("\u8bba\u6587", ("a\x1fb", 2, "\u4f5c\u8005")),
+    ],
+    ids=["separator_in_node_id", "separator_in_type_name", "separator_in_relation_source"],
 )
-def test_save_tokens_rejects_separator_in_names(tmp_path, node_id, rel_key):
-    t = TokenTable(dim=2, node_tokens={node_id: np.ones(2)})
-    if rel_key is not None:
-        t.relation_tokens[rel_key] = np.ones(2)
-    with pytest.raises(EncoderError, match=r"x1f"):
-        save_tokens(t, tmp_path / "tokens.bin")
+def test_tokens_round_trip_any_id(tmp_path, node_id, rel_key):
+    t = TokenTable(dim=2, node_tokens={node_id: np.zeros(2), "plain": np.ones(2)})
+    t.relation_tokens[rel_key] = np.array([1.0, -1.0])
+    t.relation_tokens[("plain", 2, "\u4f5c\u8005")] = np.array([0.5, 0.25])
+    path = tmp_path / "tokens.bin"
+    save_tokens(t, path)
+    t2 = load_tokens(path)
+    assert list(t2.node_tokens) == list(t.node_tokens)
+    assert list(t2.relation_tokens) == list(t.relation_tokens)
+    for mine, theirs in ((t.node_tokens, t2.node_tokens), (t.relation_tokens, t2.relation_tokens)):
+        assert all(np.array_equal(vec, theirs[key]) for key, vec in mine.items())
+
+
+def test_empty_table_round_trips_its_dim(tmp_path):
+    path = tmp_path / "tokens.bin"
+    save_tokens(TokenTable(dim=4), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["tokens.bin"]
+    t = load_tokens(path)
+    assert t.dim == 4 and not t.node_tokens and not t.relation_tokens
+
+
+def _token_arrays(doc=None, **arrays):
+    """The three arrays of a valid two-node, one-relation token file, with
+    ``doc`` entries merged into its index and ``arrays`` replacing arrays."""
+    index = {"format": 2, "node_ids": ["a", "b"], "relation_keys": [["a", 1, "paper"]], **(doc or {})}
+    raw = np.frombuffer(json.dumps(index).encode("utf-8"), dtype=np.uint8)
+    return {"node": np.ones((2, 2)), "rel": np.ones((1, 2)), "index": raw, **arrays}
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        _token_arrays(index=np.frombuffer(b"{not json", dtype=np.uint8)),
+        _token_arrays({"format": 1}),
+        _token_arrays({"node_ids": ["a"]}),
+        _token_arrays({"relation_keys": []}),
+        _token_arrays({"node_ids": ["a", "a"]}),
+        _token_arrays({"relation_keys": [["a", 1, "paper"]] * 2}, rel=np.ones((2, 2))),
+        _token_arrays({"relation_keys": [["a", "1", "paper"]]}),
+        _token_arrays({"relation_keys": [["a", 1.0, "paper"]]}),
+        _token_arrays({"relation_keys": [["a", 1]]}),
+        _token_arrays(rel=np.ones((1, 3))),
+        _token_arrays(extra=np.ones(2)),
+    ],
+    ids=[
+        "not_json", "wrong_format", "node_count", "relation_count", "duplicate_node",
+        "duplicate_relation", "string_hop", "float_hop", "short_key", "mismatched_widths",
+        "extra_array",
+    ],
+)
+def test_load_tokens_rejects_malformed_index(tmp_path, arrays):
+    path = tmp_path / "tokens.bin"
+    save_arrays(_token_arrays(), path)
+    assert load_tokens(path).dim == 2
+    save_arrays(arrays, path)
+    with pytest.raises(EncoderError, match="tokens.bin: not a token file of format 2.*re-run `ella tokenize`"):
+        load_tokens(path)
 
 
 @pytest.mark.parametrize(
     "entry", ["node\x1fa\x1fb", "node", "rel\x1fa\x1f1\x1fpaper\x1fx", "rel\x1fa\x1fone\x1fpaper"]
 )
 def test_load_tokens_rejects_malformed_entry(tmp_path, entry):
-    from ella.tensorcore import save_arrays
-
+    # one named array per token is the old layout, refused whatever the names hold
     path = tmp_path / "tokens.bin"
     save_arrays({"node\x1fa": np.ones(2), entry: np.ones(2)}, path)
-    with pytest.raises(EncoderError, match="tokens.bin.*unrecognized token entry"):
-        load_tokens(path)
-
-
-def test_load_tokens_empty_file_without_meta_names_it(tmp_path):
-    path = tmp_path / "tokens.bin"
-    save_tokens(TokenTable(dim=4), path)
-    (tmp_path / "tokens.bin.meta.json").unlink()
-    with pytest.raises(EncoderError, match="tokens.bin: no token entries"):
+    with pytest.raises(EncoderError, match="tokens.bin: not a token file of format 2.*re-run `ella tokenize`"):
         load_tokens(path)
 
 
 @pytest.mark.parametrize("bad", [np.ones(5), np.ones((2, 4))])
-def test_load_tokens_rejects_vector_of_wrong_shape(tmp_path, bad):
+def test_save_tokens_rejects_vector_of_wrong_shape(tmp_path, bad):
     t = TokenTable(dim=8, node_tokens={"a": np.ones(8), "b": bad})
-    path = tmp_path / "tokens.bin"
-    save_tokens(t, path)
-    with pytest.raises(EncoderError, match=r"tokens.bin: token entry 'node.x1fb' has shape"):
-        load_tokens(path)
+    with pytest.raises(EncoderError, match=r"cannot store token 'b': shape \("):
+        save_tokens(t, tmp_path / "tokens.bin")
 
 
 def test_load_tokens_truncated_file_names_it(tmp_path):
@@ -435,8 +508,12 @@ def test_load_tokens_truncated_file_names_it(tmp_path):
     t.relation_tokens[("a", 1, "paper")] = np.ones(2)
     path = tmp_path / "tokens.bin"
     save_tokens(t, path)
-    path.write_bytes(path.read_bytes()[:-3])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-3])
     with pytest.raises(ValueError, match="tokens.bin.*truncated"):
+        load_tokens(path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="tokens.bin: 1 trailing bytes"):
         load_tokens(path)
 
 

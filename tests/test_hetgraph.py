@@ -124,8 +124,6 @@ def test_typed_neighbors_path_graph():
         [("a", "b", "writes"), ("b", "c", "cites")],
     )
     assert typed_neighbors(g, "b") == ["a", "c"]
-    assert typed_neighbors(g, "b", et="writes") == ["a"]
-    assert typed_neighbors(g, "b", et="cites") == ["c"]
 
 
 def test_typed_neighbors_star_sorted():
