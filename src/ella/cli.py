@@ -38,7 +38,7 @@ def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig]:
             raise click.ClickException(f"{meta_path} records no {key}")
     if _file_sha256(ckpt) != meta["checkpoint_sha256"]:
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
-    cfg = ModelConfig.from_dict(meta["model_config"])
+    cfg = _config_section(ModelConfig, meta["model_config"], meta_path, "model")
     return ModelParams(load_checkpoint(ckpt)), cfg
 
 
@@ -144,25 +144,30 @@ def tokenize(graph_dir, backend_name, endpoint, hops, template, cache_path, out_
     )
 
 
+def _config_section(cls, values, path: str | Path, section: str):
+    """Build the dataclass ``cls`` from the ``section`` values read from ``path``;
+    a non-object, an unknown key or an invalid value ends in an error naming the file."""
+    if not isinstance(values, dict):
+        raise click.ClickException(
+            f"{path}: {section} section: expected a JSON object, got {type(values).__name__}"
+        )
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise click.ClickException(f"{path}: unknown {section} keys: {', '.join(unknown)}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException(f"{path}: invalid {section} config: {exc}") from None
+
+
 def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.TrainConfig]:
     doc = _read_json(config_path) if config_path else {}
     if not isinstance(doc, dict):
         raise click.ClickException(f"{config_path}: expected a JSON object, got {type(doc).__name__}")
-    configs = []
-    for section, cls in (("model", ModelConfig), ("train", trainer.TrainConfig)):
-        values = doc.get(section) or {}
-        if not isinstance(values, dict):
-            raise click.ClickException(
-                f"{config_path}: {section} section: expected a JSON object, got {type(values).__name__}"
-            )
-        unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise click.ClickException(f"{config_path}: unknown {section} keys: {', '.join(unknown)}")
-        try:
-            configs.append(cls(**values))
-        except (TypeError, ValueError) as exc:
-            raise click.ClickException(f"{config_path}: invalid {section} config: {exc}") from None
-    return configs[0], configs[1]
+    return (
+        _config_section(ModelConfig, doc.get("model") or {}, config_path, "model"),
+        _config_section(trainer.TrainConfig, doc.get("train") or {}, config_path, "train"),
+    )
 
 
 @main.command()
@@ -177,7 +182,7 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     table = _load_tokens(tokens_path)
     model_cfg, train_cfg = _load_train_config(config_path)
     if model_cfg.d_llm != table.dim:
-        model_cfg = ModelConfig.from_dict({**model_cfg.to_dict(), "d_llm": table.dim})
+        model_cfg = dataclasses.replace(model_cfg, d_llm=table.dim)
     result = trainer.pretrain(g, table, model_cfg, train_cfg, seed=seed)
     run_meta = result.metadata()
     backend_info = {}

@@ -46,10 +46,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 class ModelParams:
     """Named parameter tensors; heads live under the ``head/`` prefix."""

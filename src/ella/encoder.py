@@ -13,10 +13,8 @@ import json
 import os
 import re
 import struct
-import threading
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -188,14 +186,10 @@ class HttpBackend:
 
 
 class VectorCache:
-    """Persistent, append-only embedding cache keyed by a stable 64-bit hash.
-
-    Thread-safe: concurrent inserts of the same key keep the first value.
-    """
+    """Persistent, append-only embedding cache keyed by a stable 64-bit hash."""
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
         self._store: dict[int, np.ndarray] = {}
         self._torn_tail: int | None = None
         if self.path is not None and self.path.exists():
@@ -231,32 +225,29 @@ class VectorCache:
         return stable_hash64(*parts)
 
     def get(self, key: int) -> np.ndarray | None:
-        with self._lock:
-            vec = self._store.get(key)
-            return None if vec is None else vec.copy()
+        vec = self._store.get(key)
+        return None if vec is None else vec.copy()
 
     def put(self, key: int, vec: np.ndarray) -> np.ndarray:
-        """Insert unless present; returns the stored (winning) vector."""
+        """Insert unless present; returns the stored vector."""
         arr = np.asarray(vec, dtype=np.float64)
-        with self._lock:
-            if key in self._store:
-                return self._store[key].copy()
-            self._store[key] = arr.copy()
-            if self.path is not None:
-                with open(self.path, "ab") as fh:
-                    if self._torn_tail is not None:
-                        # records appended after a torn one would be misaligned
-                        fh.truncate(self._torn_tail)
-                        self._torn_tail = None
-                    if fh.seek(0, os.SEEK_END) == 0:
-                        fh.write(CACHE_MAGIC)
-                    fh.write(struct.pack("<QI", key, arr.size))
-                    fh.write(arr.astype("<f8").tobytes())
-            return arr.copy()
+        if key in self._store:
+            return self._store[key].copy()
+        self._store[key] = arr.copy()
+        if self.path is not None:
+            with open(self.path, "ab") as fh:
+                if self._torn_tail is not None:
+                    # records appended after a torn one would be misaligned
+                    fh.truncate(self._torn_tail)
+                    self._torn_tail = None
+                if fh.seek(0, os.SEEK_END) == 0:
+                    fh.write(CACHE_MAGIC)
+                fh.write(struct.pack("<QI", key, arr.size))
+                fh.write(arr.astype("<f8").tobytes())
+        return arr.copy()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
+        return len(self._store)
 
 
 @dataclass
@@ -273,16 +264,6 @@ class TokenTable:
     call_count: int = 0
     cache_hits: int = 0
     calls_by_template: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def count_call(self, template_id: str) -> None:
-        with self._lock:
-            self.call_count += 1
-            self.calls_by_template[template_id] = self.calls_by_template.get(template_id, 0) + 1
-
-    def count_hit(self) -> None:
-        with self._lock:
-            self.cache_hits += 1
 
     def stored_per_target(self, target: str) -> int:
         n = 1 if target in self.node_tokens else 0
@@ -297,17 +278,16 @@ def _call_backend(
     table: TokenTable,
     cache: VectorCache | None,
 ) -> np.ndarray:
-    if cache is None:
-        table.count_call(template_id)
-        return backend.encode(template_id, text, placeholders)
-    key = VectorCache.key_for(f"{backend.name}:{backend.dim}", template_id, text, placeholders)
-    hit = cache.get(key)
-    if hit is not None:
-        table.count_hit()
-        return hit
-    table.count_call(template_id)
+    if cache is not None:
+        key = VectorCache.key_for(f"{backend.name}:{backend.dim}", template_id, text, placeholders)
+        hit = cache.get(key)
+        if hit is not None:
+            table.cache_hits += 1
+            return hit
+    table.call_count += 1
+    table.calls_by_template[template_id] = table.calls_by_template.get(template_id, 0) + 1
     vec = backend.encode(template_id, text, placeholders)
-    return cache.put(key, vec)
+    return vec if cache is None else cache.put(key, vec)
 
 
 def encode_text(
@@ -382,9 +362,13 @@ def tokenize_graph(
 ) -> TokenTable:
     """Produce node tokens for every node and relation tokens for all targets.
 
-    Per target the relation-token call count is bounded by |node types| * K
-    regardless of neighborhood sizes. Results are independent of ``workers``.
+    Targets run one after another in the given order, so a run inserts (and
+    ``save_tokens`` writes) its rows in the same order every time. Per target
+    the relation-token call count is bounded by |node types| * K regardless of
+    neighborhood sizes. ``workers`` must be 1.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (tokenization is serial), got {workers!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
     if targets is None:
@@ -402,7 +386,7 @@ def tokenize_graph(
         if nid not in g.node_text:
             table.node_tokens[nid] = pooled_node_token(g, nid, table)
 
-    def tokenize_target(s: str) -> None:
+    for s in targets:
         src_type = g.node_type(s)
         for hop in range(1, K + 1):
             profile = meta_path_profile(g, s, hop)
@@ -410,13 +394,6 @@ def tokenize_graph(
                 nb = hop_type_neighbors(g, s, hop, t)
                 prompt = build_relation_prompt(g.schema, src_type, t, hop, profile, template)
                 relation_token(backend, s, hop, t, table, nb, prompt, cache)
-
-    if workers <= 1:
-        for s in targets:
-            tokenize_target(s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(tokenize_target, targets))
     return table
 
 

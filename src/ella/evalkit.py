@@ -154,7 +154,6 @@ def build_splits(
     task: Task,
     seed: int = 0,
     target_type: str | None = None,
-    expected_classes: list[str] | None = None,
 ) -> SplitSpec:
     """Deterministic split construction.
 
@@ -177,9 +176,6 @@ def build_splits(
         by_class: dict[str, list[str]] = {}
         for nid, lab in sorted(scoped.items()):
             by_class.setdefault(lab, []).append(nid)
-        for cls in expected_classes or []:
-            if not by_class.get(cls):
-                raise ValueError(f"class {cls!r} has zero labeled nodes")
         for cls in sorted(by_class):
             ids = by_class[cls]
             perm = rng.permutation(len(ids))
@@ -256,7 +252,6 @@ class ProfileRow:
 class EfficiencyReport:
     rows: list[ProfileRow]
     n_targets: int
-    n_types: int
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -312,7 +307,7 @@ def profile_run(
                 cache_complete=table.call_count == 0,
             )
         )
-    return EfficiencyReport(rows=rows, n_targets=len(targets), n_types=len(g.schema.node_types))
+    return EfficiencyReport(rows=rows, n_targets=len(targets))
 
 
 # -- attention export --------------------------------------------------------------

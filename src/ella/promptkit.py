@@ -45,7 +45,6 @@ class TemplateId(str, Enum):
 class PromptInstance:
     template_id: TemplateId
     rendered_text: str
-    placeholder_roles: tuple[str, str]
     path_lines: tuple[tuple[str, float], ...]
 
 
@@ -176,7 +175,6 @@ def build_relation_prompt(
     return PromptInstance(
         template_id=task,
         rendered_text=text,
-        placeholder_roles=(src_type, dst_type),
         path_lines=path_lines,
     )
 

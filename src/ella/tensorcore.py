@@ -474,14 +474,14 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     unknown dtype code, raises ``ValueError`` naming the file."""
     data = Path(path).read_bytes()
     if not data.startswith(CKPT_MAGIC):
-        raise ValueError(f"{path}: not a checkpoint file (bad header)")
+        raise ValueError(f"{path}: not an array container (bad header)")
     off = len(CKPT_MAGIC)
 
     def take(n: int) -> int:
         """Claim the next ``n`` bytes; returns their start offset."""
         nonlocal off
         if off + n > len(data):
-            raise ValueError(f"{path}: checkpoint truncated at byte {len(data)}")
+            raise ValueError(f"{path}: container truncated at byte {len(data)}")
         off += n
         return off - n
 

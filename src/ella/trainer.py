@@ -399,7 +399,6 @@ class FinetuneResult:
     best_epoch: int
     val_micro_f1: float
     label_vocab: list[str]
-    metadata_extra: dict = field(default_factory=dict)
 
 
 def finetune(

@@ -248,17 +248,33 @@ def _drop_model_config(path):
     path.write_text(json.dumps(meta))
 
 
+def _set_model_config(value):
+    def damage(path):
+        meta = json.loads(path.read_text())
+        meta["model_config"] = value(meta["model_config"])
+        path.write_text(json.dumps(meta))
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "command,broken,damage,message",
     [
         ("pretrain", "config.json", _write_invalid_json, r"config\.json: not valid JSON"),
-        ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: checkpoint truncated"),
+        ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: container truncated"),
         ("pretrain", "tokens.bin", _write_parent_format_tokens, r"tokens\.bin: not a token file of format 2"),
         ("evaluate", "model.ckpt.meta.json", _write_invalid_json, r"model\.ckpt\.meta\.json: not valid JSON"),
         ("evaluate", "model.ckpt.meta.json", _drop_model_config, r"model\.ckpt\.meta\.json records no model_config"),
+        ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "depth": 2}),
+         r"model\.ckpt\.meta\.json: unknown model keys: depth"),
+        ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: list(cfg.values())),
+         r"model\.ckpt\.meta\.json: model section: expected a JSON object, got list"),
+        ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "d": 7, "heads": 2}),
+         r"model\.ckpt\.meta\.json: invalid model config: hidden dim 7 not divisible by 2 heads"),
     ],
     ids=["config_not_json", "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
-         "ckpt_meta_without_model_config"],
+         "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
+         "ckpt_meta_indivisible_heads"],
 )
 def test_bad_input_file_ends_in_an_error_naming_it(workdir, tmp_path, command, broken, damage, message):
     graph_dir = str(workdir / "graph")

@@ -1,6 +1,5 @@
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -128,21 +127,6 @@ def test_cache_get_after_put_bit_exact():
     stored = c.put(key, vec)
     assert np.array_equal(stored, vec)
     assert np.array_equal(c.get(key), vec)
-
-
-def test_cache_concurrent_single_winner(tmp_path):
-    c = VectorCache(tmp_path / "c.bin")
-    key = 7
-
-    def insert(i):
-        return c.put(key, np.full(4, float(i)))
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(insert, range(64)))
-    winner = c.get(key)
-    for r in results:
-        assert np.array_equal(r, winner)
-    assert len(c) == 1
 
 
 def test_cache_tolerates_truncated_tail(tmp_path):
@@ -371,15 +355,25 @@ def test_cache_keys_separate_encoder_dimensions(tmp_path):
     assert t.call_count == 0  # the second dim-8 pass reads the first one's entries
 
 
-def test_tokenize_worker_count_invariant():
+def test_tokenize_accepts_only_one_worker():
+    with pytest.raises(ValueError, match="workers must be 1"):
+        tokenize_graph(MockBackend(dim=8), small_academic_graph(), K=2, workers=4)
+
+
+def test_cold_and_warm_runs_write_identical_token_files(tmp_path):
     g = small_academic_graph()
-    t1 = tokenize_graph(MockBackend(dim=8), g, K=2, workers=1)
-    t4 = tokenize_graph(MockBackend(dim=8), g, K=2, workers=4)
-    assert set(t1.relation_tokens) == set(t4.relation_tokens)
-    for key in t1.relation_tokens:
-        assert np.array_equal(t1.relation_tokens[key], t4.relation_tokens[key])
-    for nid in t1.node_tokens:
-        assert np.array_equal(t1.node_tokens[nid], t4.node_tokens[nid])
+    tables = []
+    for run in ("cold", "warm"):
+        table = tokenize_graph(MockBackend(dim=8), g, K=2, cache=VectorCache(tmp_path / "cache.bin"))
+        save_tokens(table, tmp_path / f"{run}.bin")
+        tables.append(table)
+    cold, warm = tables
+    assert cold.call_count > 0 and warm.call_count == 0
+    assert warm.cache_hits == cold.call_count
+    assert (tmp_path / "cold.bin").read_bytes() == (tmp_path / "warm.bin").read_bytes()
+    loaded = load_tokens(tmp_path / "warm.bin")
+    assert list(loaded.node_tokens) == list(cold.node_tokens)
+    assert list(loaded.relation_tokens) == list(cold.relation_tokens)
 
 
 def test_tokenize_stage_templates_coexist_in_cache(tmp_path):

@@ -172,15 +172,6 @@ def test_node_splits_deterministic():
     assert s3.node_splits != s1.node_splits
 
 
-def test_node_splits_zero_class_errors():
-    g, labels = planted_node_fixture(seed=0, papers=30, authors=30)
-    with pytest.raises(ValueError, match="zero labeled"):
-        build_splits(
-            g, {n: "C0" for n in list(labels)[:10]}, Task.NodeClassification,
-            expected_classes=["C0", "C9"],
-        )
-
-
 def link_fixture_with_edges(n_edges=1000, seed=0):
     from fixtures import bipartite_with_edges
 
