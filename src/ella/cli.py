@@ -253,6 +253,7 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
             "lr": result.lr,
             "best_epoch": result.best_epoch,
             "val_micro_f1": result.val_micro_f1,
+            "grid": result.grid,
             "backbone_sha256": backbone_before,
         },
     )

@@ -423,9 +423,11 @@ class AdamState:
         self.v: dict[str, np.ndarray] = {}
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float | np.ndarray) -> None:
     """In-place Adam update with bias correction; parameters without a
-    gradient are treated as zero-gradient (unchanged moments still decay)."""
+    gradient are treated as zero-gradient (unchanged moments still decay).
+    An array ``lr`` broadcasts against every parameter, so stacked lanes can
+    take different rates; a lane at rate 0 with finite moments keeps its values."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step

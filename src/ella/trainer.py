@@ -4,6 +4,7 @@ frozen-backbone fine-tuning of a per-type classification head."""
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,10 +219,12 @@ def _contrastive_loss(
 
 
 def cross_entropy(logits: Tensor, onehot: Tensor) -> Tensor:
-    """Mean - sum_c y_c log p_c with softmax probabilities, clamped for logs."""
+    """Mean over rows of - sum_c y_c log p_c with softmax probabilities,
+    clamped for logs. ``(n, C)`` logits give a scalar; ``(L, n, C)`` logits,
+    one lane per stacked head, give ``L`` losses."""
     p = tc.clip(tc.softmax(logits), SIM_CLAMP, 1.0)
-    per_row = tc.tsum(tc.mul(onehot, tc.tlog(p)), axis=1)
-    return tc.scale(tc.mean(per_row), -1.0)
+    per_row = tc.tsum(tc.mul(onehot, tc.tlog(p)), axis=-1)
+    return tc.scale(tc.mean(per_row, axis=-1), -1.0)
 
 
 # -- pre-training ---------------------------------------------------------------
@@ -280,36 +283,46 @@ def _check_finite(
 
 
 def _fit(
-    step, trainable: dict[str, Tensor], lr: float, train_cfg: TrainConfig
-) -> tuple[dict[str, np.ndarray], int, int, list[float], list[float]]:
+    step, trainable: dict[str, Tensor], lr: float | np.ndarray, train_cfg: TrainConfig
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, int, list[float], list]:
     """The training policy of both stages: Adam on ``trainable``, stopping
     once the validation loss has not improved for ``patience`` epochs, and
     raising :class:`TrainingDiverged` on a non-finite loss.
 
-    ``step(epoch)`` builds one epoch's (training loss tensor, validation
-    loss). Returns the values of ``trainable`` at the lowest validation loss,
-    that epoch, the last epoch run, and the training and validation curves.
+    ``lr`` is a float, or an array of per-lane rates that broadcasts against
+    every trainable tensor (``(L, 1, 1)`` for ``L`` stacked heads); each lane
+    stops on its own patience. ``step(epoch)`` builds one epoch's training
+    loss tensor and the validation loss in the shape of ``lr``. A stopped lane
+    steps at rate 0, so its values stay as they were, and the loop ends when
+    every lane has stopped. Returns the values of ``trainable`` at each lane's
+    lowest validation loss, that loss and its epoch per lane, the last epoch
+    run, and the training and validation curves.
     """
     opt = AdamState()
+    lr = np.asarray(lr, dtype=float)
     best_values = {n: t.data.copy() for n, t in trainable.items()}
-    best_val, best_epoch, epoch = float("inf"), -1, 0
+    best_val, best_epoch = np.full(lr.shape, np.inf), np.full(lr.shape, -1)
+    live = np.ones(lr.shape, dtype=bool)
+    epoch = 0
     train_curve: list[float] = []
-    val_curve: list[float] = []
+    val_curve: list = []
     for epoch in range(train_cfg.max_epochs):
         train_loss, val_loss = step(epoch)
         _check_finite(train_loss.item(), epoch, trainable, train_cfg.dump_path)
-        _check_finite(val_loss, epoch, trainable, train_cfg.dump_path)
+        _check_finite(float(np.sum(val_loss, where=live)), epoch, trainable, train_cfg.dump_path)
         train_curve.append(train_loss.item())
         val_curve.append(val_loss)
-        if val_loss < best_val:
-            best_val, best_epoch = val_loss, epoch
-            best_values = {n: t.data.copy() for n, t in trainable.items()}
-        if epoch - best_epoch >= train_cfg.patience:
+        improved = val_loss < best_val
+        best_val = np.where(improved, val_loss, best_val)
+        best_epoch = np.where(improved, epoch, best_epoch)
+        best_values = {n: np.where(improved, t.data, best_values[n]) for n, t in trainable.items()}
+        live &= epoch - best_epoch < train_cfg.patience
+        if not live.any():
             break
         zero_grads(trainable)
         backward(train_loss)
-        adam_step(trainable, opt, lr)
-    return best_values, best_epoch, epoch, train_curve, val_curve
+        adam_step(trainable, opt, np.where(live, lr, 0.0))
+    return best_values, best_val, best_epoch, epoch, train_curve, val_curve
 
 
 def pretrain(
@@ -375,13 +388,13 @@ def pretrain(
             return train_loss, train_loss.item()
         return train_loss, _contrastive_loss(val_samples, Z, index, g.node_type, params).item()
 
-    best, best_epoch, last_epoch, train_curve, val_curve = _fit(
+    best, _, best_epoch, last_epoch, train_curve, val_curve = _fit(
         step, params.backbone(), train_cfg.lr, train_cfg
     )
     params.restore_values(best)
     return PretrainResult(
         params=params,
-        best_epoch=best_epoch,
+        best_epoch=int(best_epoch),
         last_epoch=last_epoch,
         val_curve=val_curve,
         train_curve=train_curve,
@@ -399,6 +412,7 @@ class FinetuneResult:
     best_epoch: int
     val_micro_f1: float
     label_vocab: list[str]
+    grid: list[dict]  # one {lr, best_epoch, val_micro_f1} per learning rate, in grid order
 
 
 def finetune(
@@ -414,9 +428,14 @@ def finetune(
 ) -> FinetuneResult:
     """Train only the ``head/<target_type>`` tensor on frozen-backbone
     embeddings, grid-searching the learning rate; the backbone is untouched.
-    Each learning rate trains a zero-initialized head."""
+    Each learning rate trains a zero-initialized head with its own early
+    stopping; the heads train side by side as lanes of one ``(L, d, C)``
+    tensor, one forward and one backward per epoch for the whole grid."""
     from .evalkit import micro_f1
 
+    grid = train_cfg.lr_grid
+    if not grid or not all(isinstance(lr, numbers.Real) and 0 < lr < np.inf for lr in grid):
+        raise ValueError(f"lr_grid must be finite positive learning rates, got {grid!r}")
     vocab = g.schema.class_labels.get(target_type)
     if not vocab:
         raise ValueError(f"node type {target_type!r} has no class labels declared")
@@ -436,20 +455,24 @@ def finetune(
     Zt, Y = Tensor(Z_train), Tensor(np.eye(len(vocab))[gold_train])
     val_Zt, val_Y = Tensor(Z_val), Tensor(np.eye(len(vocab))[gold_val])
 
-    results = []
-    for lr in train_cfg.lr_grid:
-        head = Tensor(np.zeros((Z_train.shape[1], len(vocab))), requires_grad=True)
+    rates = np.array(grid, dtype=float).reshape(-1, 1, 1)
+    head = Tensor(np.zeros((len(grid), Z_train.shape[1], len(vocab))), requires_grad=True)
 
-        def step(epoch: int) -> tuple[Tensor, float]:
-            loss = cross_entropy(tc.matmul(Zt, head), Y)
-            return loss, cross_entropy(tc.matmul(val_Zt, Tensor(head.data)), val_Y).item()
+    def step(epoch: int) -> tuple[Tensor, np.ndarray]:
+        # lanes are independent, so the summed loss gives each its own gradient
+        loss = tc.tsum(cross_entropy(tc.matmul(Zt, head), Y))
+        val = cross_entropy(tc.matmul(val_Zt, Tensor(head.data)), val_Y)
+        return loss, val.data.reshape(rates.shape)
 
-        best, best_epoch, _, _, val_curve = _fit(step, {"head": head}, lr, train_cfg)
-        weights = best["head"]
-        val_f1 = micro_f1((Z_val @ weights).argmax(axis=1).tolist(), gold_val.tolist())
-        results.append((val_f1, min(val_curve, default=float("inf")), lr, weights, best_epoch))
-    results.sort(key=lambda r: (-r[0], r[1]))
-    val_f1, _, lr, weights, best_epoch = results[0]
+    best, best_val, best_epochs, *_ = _fit(step, {"head": head}, rates, train_cfg)
+    preds = (Z_val @ best["head"]).argmax(axis=-1).tolist()
+    lanes = [
+        {"lr": lr, "best_epoch": int(epoch), "val_micro_f1": micro_f1(pred, gold_val.tolist())}
+        for lr, epoch, pred in zip(grid, best_epochs.flat, preds)
+    ]
+    # best val Micro-F1, then the lowest val loss, then the earlier grid entry
+    i = min(range(len(grid)), key=lambda i: (-lanes[i]["val_micro_f1"], best_val.flat[i]))
+    weights = best["head"][i]
 
     head_name = f"{HEAD_PREFIX}{target_type}"
     if head_name in params.tensors:
@@ -459,10 +482,11 @@ def finetune(
     return FinetuneResult(
         params=params,
         target_type=target_type,
-        lr=lr,
-        best_epoch=best_epoch,
-        val_micro_f1=val_f1,
+        lr=lanes[i]["lr"],
+        best_epoch=lanes[i]["best_epoch"],
+        val_micro_f1=lanes[i]["val_micro_f1"],
         label_vocab=list(vocab),
+        grid=lanes,
     )
 
 

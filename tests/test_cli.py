@@ -118,6 +118,19 @@ def test_tokenize_pretrain_finetune_evaluate(workdir):
     )
     head_meta = json.loads(Path(head_ckpt + ".meta.json").read_text())
     assert head_meta["target_type"] == "paper"
+    grid = head_meta["grid"]
+    defaults = trainer.TrainConfig()
+    assert [lane["lr"] for lane in grid] == list(defaults.lr_grid)
+    for lane in grid:
+        assert set(lane) == {"lr", "best_epoch", "val_micro_f1"}
+        assert 0 <= lane["best_epoch"] < defaults.max_epochs
+        assert 0.0 <= lane["val_micro_f1"] <= 1.0
+    chosen = [lane for lane in grid if lane["lr"] == head_meta["lr"]]
+    assert chosen == [
+        {"lr": head_meta["lr"], "best_epoch": head_meta["best_epoch"],
+         "val_micro_f1": head_meta["val_micro_f1"]}
+    ]
+    assert head_meta["val_micro_f1"] == max(lane["val_micro_f1"] for lane in grid)
 
     out_csv = workdir / "node_eval.csv"
     result = run_cli(

@@ -149,6 +149,28 @@ def test_adam_first_step_magnitude_is_lr():
         assert np.sign(p.data[0]) == -np.sign(g)
 
 
+def test_adam_lane_rates_match_scalar_steps():
+    # an array lr steps each lane of a stacked tensor as a scalar lr steps
+    # that lane alone; a lane at rate 0 keeps its bytes
+    rng = np.random.default_rng(4)
+    start = rng.standard_normal((3, 4, 2))
+    rates = np.array([1e-2, 0.0, 1e-3]).reshape(-1, 1, 1)
+    stacked = Tensor(start.copy(), requires_grad=True)
+    lanes = [Tensor(start[i].copy(), requires_grad=True) for i in range(3)]
+    state, lane_states = AdamState(), [AdamState() for _ in lanes]
+    for _ in range(5):
+        grad = rng.standard_normal(start.shape)
+        stacked.grad = grad
+        adam_step({"p": stacked}, state, rates)
+        for i, lane in enumerate(lanes):
+            lane.grad = grad[i].copy()
+            adam_step({"p": lane}, lane_states[i], float(rates[i, 0, 0]))
+    assert stacked.data[1].tobytes() == start[1].tobytes()
+    for i in (0, 2):
+        assert stacked.data[i].tobytes() == lanes[i].data.tobytes()
+        assert not np.array_equal(stacked.data[i], start[i])
+
+
 def test_adam_trajectory_deterministic():
     def run():
         rng = np.random.default_rng(11)

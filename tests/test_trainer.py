@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ella.tensorcore as tc
+from ella import trainer
 from ella.ellanet import ModelConfig, init_params
 from ella.encoder import MockBackend, PrototypeBackend, tokenize_graph
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
@@ -194,6 +196,24 @@ def test_uniform_head_gives_log_c():
     assert loss.item() == pytest.approx(math.log(3), abs=1e-12)
 
 
+def test_cross_entropy_on_stacked_lanes():
+    # (L, n, C) logits give one loss per lane, each equal to the 2-d loss
+    rng = np.random.default_rng(6)
+    logits = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
+    onehot = Tensor(np.eye(4)[rng.integers(4, size=5)])
+    losses = cross_entropy(logits, onehot)
+    assert losses.shape == (3,)
+    for i in range(3):
+        assert losses.data[i] == cross_entropy(Tensor(logits.data[i]), onehot).item()
+    err = tc.grad_check(
+        lambda: tc.tsum(tc.mul(cross_entropy(logits, onehot), Tensor([1.0, -2.0, 0.5]))),
+        {"logits": logits},
+        eps=1e-5,
+        n_samples=60,
+    )
+    assert err < 1e-4
+
+
 # -- pretrain loop ------------------------------------------------------------------
 
 
@@ -330,6 +350,69 @@ def test_finetune_divergence_aborts_with_dump(tmp_path):
             "paper", train_ids, val_ids,
         )
     assert set(tc.load_checkpoint(dump)) == {"head"}
+
+
+def paper_split():
+    g, labels, cfg, table, params = node_task_setup()
+    paper_labels = {n: l for n, l in labels.items() if g.node_type(n) == "paper"}
+    ids = sorted(paper_labels)
+    return g, paper_labels, cfg, table, params, ids[:30], ids[30:45]
+
+
+@pytest.mark.parametrize(
+    "train_cfg",
+    [TrainConfig(), TrainConfig(patience=2, lr_grid=(1.0, 1e-2, 1e-4))],
+    ids=["default", "lanes-stop-apart"],
+)
+def test_finetune_lanes_match_one_rate_runs(monkeypatch, train_cfg):
+    # each lane of the batched grid trains exactly as its learning rate alone:
+    # a lane out of patience stays frozen and no lane leaks into another
+    best, last = [], []
+    fit = trainer._fit
+
+    def recording_fit(step, trainable, lr, train_cfg):
+        out = fit(step, trainable, lr, train_cfg)
+        best.append(out[0]["head"])
+        last.append(trainable["head"].data)
+        return out
+
+    monkeypatch.setattr(trainer, "_fit", recording_fit)
+    g, paper_labels, cfg, table, params, train_ids, val_ids = paper_split()
+
+    def run(grid):
+        return finetune(
+            g, paper_labels, cfg, dataclasses.replace(train_cfg, lr_grid=grid), params, table,
+            "paper", train_ids, val_ids,
+        )
+
+    full = run(train_cfg.lr_grid)
+    if train_cfg.patience == 2:  # the 1.0 lane stops early, the others run to the cap
+        epochs = [lane["best_epoch"] for lane in full.grid]
+        assert epochs[0] + train_cfg.patience < epochs[1] == epochs[2] == train_cfg.max_epochs - 1
+    for i, lr in enumerate(train_cfg.lr_grid):
+        alone = run((lr,))
+        assert alone.grid == [full.grid[i]]
+        assert best[-1][0].tobytes() == best[0][i].tobytes()
+        assert last[-1][0].tobytes() == last[0][i].tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [(), (0.0,), (1e-3, -1e-3), (math.nan,), (math.inf,), ("1e-3",)],
+    ids=["empty", "zero", "negative", "nan", "inf", "string"],
+)
+def test_finetune_rejects_bad_lr_grid_before_embedding(monkeypatch, grid):
+    g, paper_labels, cfg, table, params, train_ids, val_ids = paper_split()
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("embedded before checking lr_grid")
+
+    monkeypatch.setattr(trainer, "forward_batch", no_forward)
+    with pytest.raises(ValueError, match="lr_grid"):
+        finetune(
+            g, paper_labels, cfg, TrainConfig(lr_grid=grid), params, table, "paper",
+            train_ids, val_ids,
+        )
 
 
 def test_finetune_unlabeled_type_errors():
