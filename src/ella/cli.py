@@ -15,7 +15,7 @@ import click
 
 from . import encoder, evalkit, trainer
 from .ellanet import AttentionCapture, ModelConfig, ModelParams, forward_batch
-from .hetgraph import load_graph, load_graph_dir, load_labels, save_graph
+from .hetgraph import HeteroGraph, load_graph, load_graph_dir, load_labels, save_graph
 from .promptkit import TemplateId
 from .tensorcore import load_checkpoint, save_checkpoint
 
@@ -55,11 +55,30 @@ def _read_json(path: str | Path):
         raise click.ClickException(f"{path}: not valid JSON ({exc})") from None
 
 
-def _load_tokens(path: str) -> encoder.TokenTable:
+def _load(loader, *paths):
+    """``loader(*paths)``; a missing or malformed input file ends in a
+    ``ClickException`` whose message names it, instead of a traceback."""
     try:
-        return encoder.load_tokens(path)
-    except (encoder.EncoderError, ValueError) as exc:
+        return loader(*paths)
+    except (encoder.EncoderError, OSError, ValueError) as exc:
         raise click.ClickException(str(exc)) from None
+
+
+def _node_labels(g: HeteroGraph, labels_path: str, target_type: str) -> dict[str, str]:
+    """The labels in ``labels_path``, checked against ``g`` and ``target_type``."""
+    vocab = g.schema.class_labels.get(target_type)
+    if not vocab:
+        labelled = ", ".join(sorted(g.schema.class_labels)) or "none"
+        raise click.ClickException(
+            f"--target-type {target_type!r} has no class labels (labelled types: {labelled})"
+        )
+    labels = _load(load_labels, labels_path)
+    for nid, label in labels.items():
+        if nid not in g:
+            raise click.ClickException(f"{labels_path}: unknown node {nid!r}")
+        if g.node_type(nid) == target_type and label not in vocab:
+            raise click.ClickException(f"{labels_path}: node {nid!r} has label {label!r}, not one of {vocab}")
+    return labels
 
 
 @click.group()
@@ -75,7 +94,7 @@ def main() -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def ingest(nodes_path: str, edges_path: str, schema_path: str, out_dir: str) -> None:
     """Validate raw node/edge/schema files and write a normalized graph dir."""
-    g = load_graph(nodes_path, edges_path, schema_path)
+    g = _load(load_graph, nodes_path, edges_path, schema_path)
     save_graph(g, out_dir)
     counts = g.type_counts()
     for ntype in g.schema.node_types:
@@ -99,15 +118,15 @@ def ingest(nodes_path: str, edges_path: str, schema_path: str, out_dir: str) -> 
 @click.option("--graph", "graph_dir", required=True, type=click.Path(exists=True))
 @click.option("--backend", "backend_name", type=click.Choice(["mock", "http"]), default="mock")
 @click.option("--endpoint", default=None, help="HTTP backend base URL")
-@click.option("--hops", type=int, default=3)
+@click.option("--hops", type=click.IntRange(min=1), default=3)
 @click.option("--template", type=click.Choice(sorted(TEMPLATES)), default="pretrain")
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--dim", type=int, default=64, help="mock backend dimension")
+@click.option("--dim", type=click.IntRange(min=1), default=64, help="mock backend dimension")
 @click.option("--pooling", type=click.Choice(["last", "mean"]), default="mean")
 def tokenize(graph_dir, backend_name, endpoint, hops, template, cache_path, out_path, dim, pooling):
     """Build node and relation tokens for every node of a graph."""
-    g = load_graph_dir(graph_dir)
+    g = _load(load_graph_dir, graph_dir)
     if backend_name == "http":
         if not endpoint:
             raise click.ClickException("--endpoint is required for the http backend")
@@ -178,8 +197,8 @@ def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.Tr
 @click.option("--out", "out_path", required=True, type=click.Path())
 def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     """Contrastive pre-training over per-relation-type edge samples."""
-    g = load_graph_dir(graph_dir)
-    table = _load_tokens(tokens_path)
+    g = _load(load_graph_dir, graph_dir)
+    table = _load(encoder.load_tokens, tokens_path)
     model_cfg, train_cfg = _load_train_config(config_path)
     if model_cfg.d_llm != table.dim:
         model_cfg = dataclasses.replace(model_cfg, d_llm=table.dim)
@@ -221,9 +240,9 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, out_path):
     """Train the classification head on a frozen pre-trained backbone."""
-    g = load_graph_dir(graph_dir)
-    table = _load_tokens(tokens_path)
-    labels = load_labels(labels_path)
+    g = _load(load_graph_dir, graph_dir)
+    table = _load(encoder.load_tokens, tokens_path)
+    labels = _node_labels(g, labels_path, target_type)
     params, model_cfg = _load_params(ckpt_path)
     splits = evalkit.build_splits(
         g, labels, evalkit.Task.NodeClassification, seed=seed, target_type=target_type
@@ -271,14 +290,14 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
 @click.option("--target-type", default=None)
 def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, labels_path, target_type):
     """Score the held-out test split of the chosen task."""
-    g = load_graph_dir(graph_dir)
-    table = _load_tokens(tokens_path)
+    g = _load(load_graph_dir, graph_dir)
+    table = _load(encoder.load_tokens, tokens_path)
     params, model_cfg = _load_params(ckpt_path)
     rows: list[tuple[str, str, float]] = []
     if task == "node":
         if not labels_path or not target_type:
             raise click.ClickException("node task needs --labels and --target-type")
-        labels = load_labels(labels_path)
+        labels = _node_labels(g, labels_path, target_type)
         splits = evalkit.build_splits(
             g, labels, evalkit.Task.NodeClassification, seed=splits_seed, target_type=target_type
         )
@@ -316,13 +335,13 @@ def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, lab
 
 @main.command()
 @click.option("--graph", "graph_dir", required=True, type=click.Path(exists=True))
-@click.option("--hops", type=int, default=3)
+@click.option("--hops", type=click.IntRange(min=1), default=3)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
-@click.option("--dim", type=int, default=16)
+@click.option("--dim", type=click.IntRange(min=1), default=16)
 def profile(graph_dir, hops, out_path, cache_path, dim):
     """Backend-call and stored-vector accounting versus the naive per-path cost."""
-    g = load_graph_dir(graph_dir)
+    g = _load(load_graph_dir, graph_dir)
     cache = encoder.VectorCache(cache_path) if cache_path else None
     report = evalkit.profile_run(g, K=hops, cache=cache, dim=dim)
     report.to_csv(out_path)
@@ -345,8 +364,8 @@ def profile(graph_dir, hops, out_path, cache_path, dim):
 @click.option("--tokens", "tokens_path", required=True, type=click.Path(exists=True))
 def export_attention(ckpt_path, out_dir, graph_dir, tokens_path):
     """Dump type-level and hop-level attention distributions as CSV."""
-    g = load_graph_dir(graph_dir)
-    table = _load_tokens(tokens_path)
+    g = _load(load_graph_dir, graph_dir)
+    table = _load(encoder.load_tokens, tokens_path)
     params, model_cfg = _load_params(ckpt_path)
     capture = AttentionCapture()
     forward_batch(g.node_ids(), table, params, model_cfg, capture)

@@ -313,13 +313,9 @@ def profile_run(
 # -- attention export --------------------------------------------------------------
 
 
-def export_attention(
-    capture: AttentionCapture | None, g: HeteroGraph, out_dir: str | Path
-) -> dict[str, Path]:
+def export_attention(capture: AttentionCapture, g: HeteroGraph, out_dir: str | Path) -> dict[str, Path]:
     """Write per-(target-type, hop, relation-type) alpha statistics and
     per-(target-type, hop) gamma statistics as CSV."""
-    if capture is None:
-        raise ValueError("attention capture disabled; run forward with a capture")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

@@ -242,10 +242,11 @@ def _read_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
 def load_schema(schema_path: str | Path) -> SchemaDef:
     with open(schema_path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return SchemaDef.from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{schema_path}: invalid JSON ({exc.msg})") from exc
-    return SchemaDef.from_dict(doc)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{schema_path}: {exc}") from exc
 
 
 def load_graph(
@@ -286,7 +287,10 @@ def load_graph(
             )
         edges.append((src, dst, ename))
 
-    return HeteroGraph(schema, nodes, edges, node_text)
+    try:
+        return HeteroGraph(schema, nodes, edges, node_text)
+    except GraphFormatError as exc:  # an edge against its type's declared endpoints
+        raise GraphFormatError(f"{edges_path}: {exc}") from exc
 
 
 def save_graph(g: HeteroGraph, out_dir: str | Path) -> Path:

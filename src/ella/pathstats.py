@@ -15,7 +15,7 @@ DEFAULT_MAX_WALKS = 10**6
 
 
 class WalkExplosionError(RuntimeError):
-    """Walk count exceeded the configured cap; refusing to sample silently."""
+    """``enumerate_walks`` would build more walks than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,11 @@ def enumerate_walks(
     return walks
 
 
-def meta_path_profile(
-    g: HeteroGraph, s: str, i: int, max_walks: int = DEFAULT_MAX_WALKS
-) -> MetaPathProfile:
+def meta_path_profile(g: HeteroGraph, s: str, i: int) -> MetaPathProfile:
     """Count hop-``i`` walks from ``s`` per node-type sequence.
 
     Counting composes adjacency level by level (no explicit enumeration), so
-    it stays cheap even when individual neighborhoods are large.
+    its cost follows (prefix, node) pairs, not walks: counts are exact, uncapped.
     """
     _check_node(g, s)
     if i < 1:
@@ -109,14 +107,10 @@ def meta_path_profile(
         frontier = nxt
 
     patterns_count: dict[tuple[str, ...], int] = {}
-    total = 0
     for pattern, counts in frontier.items():
         c = sum(cnt for node, cnt in counts.items() if node != s)
         if c > 0:
             patterns_count[pattern] = c
-            total += c
-    if total > max_walks:
-        raise WalkExplosionError(f"more than {max_walks} walks at hop {i} from {s!r}")
 
     by_endpoint: dict[str, int] = {}
     for pattern, c in patterns_count.items():
@@ -135,20 +129,23 @@ def hop_type_neighbors(g: HeteroGraph, s: str, i: int, t: str) -> HopTypeNeighbo
         raise KeyError(f"unknown node type {t!r}")
     if i < 1:
         raise ValueError("hop must be >= 1")
-    frontier = {s}
-    for _ in range(i):
-        frontier = {v for u in frontier for v, _et in g.incident(u)}
-    members = {v for v in frontier if v != s and g.node_type(v) == t}
+    members = {v for v in _hop_endpoints(g, s, i) if g.node_type(v) == t}
     return HopTypeNeighborhood(target=s, hop=i, type=t, members=members)
 
 
 def hop_types_present(g: HeteroGraph, s: str, i: int) -> list[str]:
     """Node types that occur as hop-``i`` walk endpoints of ``s``, sorted."""
     _check_node(g, s)
+    return sorted({g.node_type(v) for v in _hop_endpoints(g, s, i)})
+
+
+def _hop_endpoints(g: HeteroGraph, s: str, i: int) -> set[str]:
+    """Nodes that end some hop-``i`` walk from ``s``, ``s`` excluded."""
     frontier = {s}
     for _ in range(i):
         frontier = {v for u in frontier for v, _et in g.incident(u)}
-    return sorted({g.node_type(v) for v in frontier if v != s})
+    frontier.discard(s)
+    return frontier
 
 
 def count_simple_paths(g: HeteroGraph, s: str, i: int) -> int:

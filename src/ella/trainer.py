@@ -377,9 +377,6 @@ def pretrain(
             neg = sample_negatives(
                 g, ename, pos, train_cfg.neg_ratio * len(pos), rng, forbidden
             )
-            for s, t in neg:  # exhaustive per-epoch invariant check (desk scale)
-                if (s, t, ename) in forbidden or (t, s, ename) in forbidden:
-                    raise SamplingError(f"negative ({s}, {t}, {ename}) collides with an edge")
             epoch_samples.by_type[ename] = EdgeSample(positives=pos, negatives=neg)
 
         Z = forward_batch(needed, table, params, model_cfg)

@@ -167,6 +167,23 @@ def bipartite_with_edges(n_edges: int = 1000, seed: int = 0, users: int = 120, i
     return HeteroGraph(schema, nodes, edges, text)
 
 
+def complete_bipartite(n: int) -> HeteroGraph:
+    """Users u000.. and items i000.., every user reviewing every item."""
+    schema = SchemaDef(node_types=["user", "item"], edge_types=[EdgeType("reviews", "user", "item")])
+    users, items = [f"u{i:03d}" for i in range(n)], [f"i{i:03d}" for i in range(n)]
+    nodes = [(u, "user") for u in users] + [(i, "item") for i in items]
+    edges = [(u, i, "reviews") for u in users for i in items]
+    return HeteroGraph(schema, nodes, edges, {nid: f"{ntype} {nid}" for nid, ntype in nodes})
+
+
+def star(leaves: int) -> HeteroGraph:
+    """Hub ``h`` linked to ``leaves`` leaf nodes l0000..; text on every node."""
+    schema = SchemaDef(node_types=["hub", "leaf"], edge_types=[EdgeType("spoke", "hub", "leaf")])
+    nodes = [("h", "hub")] + [(f"l{i:04d}", "leaf") for i in range(leaves)]
+    edges = [("h", nid, "spoke") for nid, _ in nodes[1:]]
+    return HeteroGraph(schema, nodes, edges, {nid: f"{ntype} {nid}" for nid, ntype in nodes})
+
+
 # -- oracle -----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import click
@@ -270,9 +271,39 @@ def _set_model_config(value):
     return damage
 
 
+def _append(line):
+    def damage(path):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+    return damage
+
+
+def _label_unknown_type(path):
+    schema = json.loads(path.read_text())
+    schema["class_labels"]["venue"] = ["C0"]
+    path.write_text(json.dumps(schema))
+
+
+def _delete(path):
+    path.unlink()
+
+
 @pytest.mark.parametrize(
     "command,broken,damage,message",
     [
+        ("ingest", "graph/nodes.jsonl", _append("{not json"), r"nodes\.jsonl line \d+: invalid JSON"),
+        ("tokenize", "graph/edges.jsonl", _append('{"src": "ghost", "dst": "ghost", "etype": "writes"}'),
+         r"edges\.jsonl line \d+: unknown node id 'ghost'"),
+        ("tokenize", "graph/edges.jsonl", _append('{"src": "paper0000", "dst": "paper0001", "etype": "writes"}'),
+         r"edges\.jsonl: edge \('paper0000', 'paper0001'\) of type 'writes' joins paper/paper"),
+        ("pretrain", "graph/schema.json", _label_unknown_type,
+         r"schema\.json: class_labels for unknown node type 'venue'"),
+        ("evaluate", "graph/edges.jsonl", _delete, r"No such file or directory: .*edges\.jsonl"),
+        ("finetune", "labels.csv", _append("ghost,C0"), r"labels\.csv: unknown node 'ghost'"),
+        ("evaluate_node", "labels.csv", _append("ghost,C0"), r"labels\.csv: unknown node 'ghost'"),
+        ("finetune", "labels.csv", _append("paper0000,C9"), r"labels\.csv: node 'paper0000' has label 'C9'"),
+        ("finetune", "labels.csv", _write_invalid_json, r"labels\.csv: expected 'id,label' header"),
         ("pretrain", "config.json", _write_invalid_json, r"config\.json: not valid JSON"),
         ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: container truncated"),
         ("pretrain", "tokens.bin", _write_parent_format_tokens, r"tokens\.bin: not a token file of format 2"),
@@ -285,25 +316,67 @@ def _set_model_config(value):
         ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "d": 7, "heads": 2}),
          r"model\.ckpt\.meta\.json: invalid model config: hidden dim 7 not divisible by 2 heads"),
     ],
-    ids=["config_not_json", "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
+    ids=["nodes_not_json", "edge_to_unknown_node", "edge_against_its_type", "schema_labels_unknown_type",
+         "graph_missing_edges_file", "finetune_label_for_unknown_node", "evaluate_label_for_unknown_node",
+         "label_outside_vocabulary", "labels_without_header", "config_not_json", "truncated_tokens",
+         "parent_format_tokens", "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
          "ckpt_meta_indivisible_heads"],
 )
 def test_bad_input_file_ends_in_an_error_naming_it(workdir, tmp_path, command, broken, damage, message):
-    graph_dir = str(workdir / "graph")
+    graph_dir = str(shutil.copytree(workdir / "graph", tmp_path / "graph"))
+    labels = str(shutil.copy(workdir / "labels.csv", tmp_path / "labels.csv"))
     tokens = str(tmp_path / "tokens.bin")
     run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
     (tmp_path / "config.json").write_text("{}")
     ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
     damage(tmp_path / broken)
+    inputs = ["--graph", graph_dir, "--tokens", tokens]
+    node_task = ["--labels", labels, "--target-type", "paper", "--ckpt", ckpt, "--out", str(tmp_path / "out")]
     args = {
-        "pretrain": ["pretrain", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out.ckpt")],
-        "evaluate": ["evaluate", "--task", "link", "--ckpt", ckpt, "--out", str(tmp_path / "eval.csv")],
+        "ingest": ["ingest", "--nodes", f"{graph_dir}/nodes.jsonl", "--edges", f"{graph_dir}/edges.jsonl",
+                   "--schema", f"{graph_dir}/schema.json", "--out", str(tmp_path / "ingested")],
+        "tokenize": ["tokenize", "--graph", graph_dir, "--out", tokens],
+        "pretrain": ["pretrain", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out.ckpt")]
+        + inputs,
+        "finetune": ["finetune", *inputs, *node_task],
+        "evaluate": ["evaluate", "--task", "link", "--ckpt", ckpt, "--out", str(tmp_path / "eval.csv"), *inputs],
+        "evaluate_node": ["evaluate", "--task", "node", *inputs, *node_task],
     }[command]
-    result = CliRunner().invoke(main, args + ["--graph", graph_dir, "--tokens", tokens])
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert re.search(f"Error: .*{message}", result.output), result.output
+
+
+@pytest.mark.parametrize("command", ["finetune", "evaluate"])
+def test_target_type_without_labels_lists_the_labelled_types(workdir, tmp_path, command):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    task = ["--task", "node"] if command == "evaluate" else []
+    result = CliRunner().invoke(
+        main,
+        [
+            command, *task, "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt,
+            "--labels", str(workdir / "labels.csv"), "--target-type", "bogus", "--out", str(tmp_path / "out"),
+        ],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Error: --target-type 'bogus' has no class labels (labelled types: author, paper)" in result.output
+
+
+@pytest.mark.parametrize("command", ["tokenize", "profile"])
+@pytest.mark.parametrize("option", ["--hops", "--dim"])
+def test_hops_and_dim_must_be_positive(workdir, tmp_path, command, option):
+    out = tmp_path / "out"
+    args = [command, "--graph", str(workdir / "graph"), "--out", str(out), option, "0"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}': 0 is not in the range x>=1" in result.output
+    assert not out.exists()
 
 
 def test_pretrain_with_zero_epochs(workdir):

@@ -29,7 +29,7 @@ from ella.promptkit import TemplateId, build_relation_prompt
 from ella.pathstats import MetaPathProfile
 from ella.tensorcore import save_arrays
 
-from fixtures import complete_typed_tree, small_academic_graph
+from fixtures import complete_bipartite, complete_typed_tree, small_academic_graph, star
 
 
 def table(dim=16):
@@ -326,6 +326,21 @@ def test_tokenize_tree_linear_calls():
     assert t.stored_per_target("n0") <= 1 + n_types * 3
     # walk endpoints by hop: {lvl1}, {lvl2}, {lvl1, lvl3}
     assert t.stored_per_target("n0") == 1 + 4
+
+
+def test_tokenize_dense_bipartite_past_a_million_walks():
+    # u000 has 101^3 hop-3 walks; one relation call per (hop, endpoint type)
+    g = complete_bipartite(101)
+    t = tokenize_graph(MockBackend(dim=8), g, targets=["u000"], K=3)
+    assert t.calls_by_template[TemplateId.PretrainLink.value] == 3 <= len(g.schema.node_types) * 3
+    assert set(t.relation_tokens) == {("u000", 1, "item"), ("u000", 2, "user"), ("u000", 3, "item")}
+
+
+def test_tokenize_star_hub_past_a_million_walks():
+    # the hub has 1001^2 hop-3 walks (hub-leaf-hub-leaf)
+    g = star(1001)
+    t = tokenize_graph(MockBackend(dim=8), g, targets=["h"], K=3)
+    assert set(t.relation_tokens) == {("h", 1, "leaf"), ("h", 3, "leaf")}
 
 
 def test_tokenize_warm_cache_zero_calls(tmp_path):

@@ -302,12 +302,6 @@ def test_export_single_type_hop_alpha_is_one(tmp_path):
         assert float(row["std_alpha"]) == pytest.approx(0.0)
 
 
-def test_export_requires_capture(tmp_path):
-    g, _ = capture_for_fixture()
-    with pytest.raises(ValueError, match="capture"):
-        export_attention(None, g, tmp_path)
-
-
 def test_write_metadata(tmp_path):
     out = tmp_path / "results.csv"
     out.write_text("metric,value\n")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
 from ella.pathstats import (
+    PatternStat,
     WalkExplosionError,
     count_simple_paths,
     enumerate_walks,
@@ -14,6 +15,7 @@ from ella.pathstats import (
 )
 
 from fixtures import (
+    complete_bipartite,
     complete_typed_tree,
     oracle_hop_type_members,
     oracle_pattern_counts,
@@ -176,8 +178,13 @@ def test_walk_cap_aborts():
     g = complete_typed_tree(b=5, depth=3)
     with pytest.raises(WalkExplosionError):
         enumerate_walks(g, "n0", 3, max_walks=10)
-    with pytest.raises(WalkExplosionError):
-        meta_path_profile(g, "n0", 3, max_walks=10)
+
+
+def test_profile_counts_past_a_million_walks():
+    # 101 x 101 complete bipartite: u000 has 101^3 = 1,030,301 hop-3 walks
+    g = complete_bipartite(101)
+    prof = meta_path_profile(g, "u000", 3)
+    assert prof.patterns == {("user", "item", "user", "item"): PatternStat(1_030_301, 1.0)}
 
 
 @settings(max_examples=30, deadline=None)

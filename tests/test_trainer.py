@@ -21,6 +21,7 @@ from ella.trainer import (
     pretrain,
     pretrain_loss,
     sample_edges,
+    sample_negatives,
     similarity,
 )
 
@@ -275,6 +276,29 @@ def test_pretrain_heads_untouched():
     head_before = params["head/user"].data.copy()
     pretrain(g, table, cfg, TrainConfig(max_epochs=3), seed=2, params=params)
     assert np.array_equal(params["head/user"].data, head_before)
+
+
+def test_held_out_pretrain_draws_no_forbidden_negative(monkeypatch):
+    g, cfg, _ = small_link_setup()
+    held = set(g.edges[::5])
+    g_train = HeteroGraph(g.schema, g.nodes, [e for e in g.edges if e not in held], g.node_text)
+    table = tokenize_graph(MockBackend(dim=8), g_train, K=2)
+    train_pos, val = trainer._holdout_split(sample_edges(g_train, 1, seed=0), 0.1, seed=0)
+    forbidden = set(g.edges)
+    drawn = []
+
+    def recording_sample_negatives(*args, **kwargs):
+        negatives = sample_negatives(*args, **kwargs)
+        drawn.extend((s, t, args[1]) for s, t in negatives)
+        return negatives
+
+    monkeypatch.setattr(trainer, "sample_negatives", recording_sample_negatives)
+    train_cfg = TrainConfig(max_epochs=5)
+    result = pretrain(g_train, table, cfg, train_cfg, seed=0,
+                      train_positives=train_pos, val_samples=val, forbidden=forbidden)
+    epochs = result.last_epoch + 1
+    assert len(drawn) == epochs * train_cfg.neg_ratio * sum(len(pos) for pos in train_pos.values())
+    assert not any((s, t, e) in forbidden or (t, s, e) in forbidden for s, t, e in drawn)
 
 
 # -- finetune -----------------------------------------------------------------------
