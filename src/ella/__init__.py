@@ -41,9 +41,11 @@ from .ellanet import (
     AttentionCapture,
     ModelConfig,
     ModelParams,
+    TokenBatch,
     forward,
     forward_batch,
     init_params,
+    pad_tokens,
 )
 from .trainer import (
     EdgeSampleSet,
@@ -62,10 +64,10 @@ __all__ = [
     "AttentionCapture", "BoundPrompt", "EdgeSampleSet", "EdgeType", "HeteroGraph",
     "HopTypeNeighborhood", "HttpBackend", "MetaPathProfile", "MockBackend", "ModelConfig",
     "ModelParams", "PromptInstance", "PrototypeBackend", "SchemaDef", "SplitSpec",
-    "SynthConfig", "Task", "TemplateId", "TokenTable", "TrainConfig", "VectorCache",
+    "SynthConfig", "Task", "TemplateId", "TokenBatch", "TokenTable", "TrainConfig", "VectorCache",
     "ap", "auc", "bind_placeholders", "build_relation_prompt", "build_splits",
     "encode_text", "enumerate_walks", "finetune", "forward", "forward_batch", "hop_type_neighbors",
-    "init_params", "load_graph", "macro_f1", "meta_path_profile", "micro_f1",
+    "init_params", "load_graph", "macro_f1", "meta_path_profile", "micro_f1", "pad_tokens",
     "pooled_node_token", "pretrain", "pretrain_loss", "profile_run", "relation_token",
     "sample_edges", "save_graph", "similarity", "synth_generate", "tokenize_graph",
     "typed_neighbors",

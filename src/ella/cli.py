@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import encoder, evalkit, trainer
-from .ellanet import AttentionCapture, ModelConfig, ModelParams, forward_batch
+from .ellanet import AttentionCapture, ModelConfig, ModelParams, forward_batch, pad_tokens
 from .hetgraph import HeteroGraph, load_graph, load_graph_dir, load_labels, save_graph
 from .promptkit import TemplateId
 from .tensorcore import load_checkpoint, save_checkpoint
@@ -368,7 +368,7 @@ def export_attention(ckpt_path, out_dir, graph_dir, tokens_path):
     table = _load(encoder.load_tokens, tokens_path)
     params, model_cfg = _load_params(ckpt_path)
     capture = AttentionCapture()
-    forward_batch(g.node_ids(), table, params, model_cfg, capture)
+    forward_batch(pad_tokens(g.node_ids(), table, model_cfg.hops), params, model_cfg, capture)
     written = evalkit.export_attention(capture, g, out_dir)
     evalkit.write_metadata(
         Path(out_dir) / "attention",

@@ -7,14 +7,16 @@ through a second transformer (hop block), and combine them through a gated
 readout into the final embedding.
 
 Targets are embedded together: their relation tokens are padded into one
-(B, K, T) batch of token sets with a mask, so a training epoch is a single
-forward and backward pass rather than one small tape per node.
+(B, K, T) batch of token sets with a mask (:func:`pad_tokens`, once per node
+set), so a training epoch is a single forward and backward pass rather than
+one small tape per node.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -279,13 +281,22 @@ def hop_readout(
     return tc.add(h0, tc.matmul(gamma, rest)), gamma.data
 
 
-def _padded_tokens(
-    ids: list[str], table: TokenTable, K: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[list[str]]]]:
-    """Node tokens (B, d_llm), relation tokens (B, K, T, d_llm) with the
-    present types of each (node, hop) in sorted order from slot 0, their mask
-    (B, K, T), and the type names per (node, hop). T is the largest type
-    count at any hop in the batch, and at least 1."""
+class TokenBatch(NamedTuple):
+    """The tokens of the target nodes ``ids``, padded for :func:`forward_batch`."""
+
+    ids: list[str]
+    node: np.ndarray  # (B, d_llm) node tokens
+    rel: np.ndarray  # (B, K, T, d_llm), the present types of each (node, hop) sorted from slot 0
+    keep: np.ndarray  # (B, K, T), True on the real slots
+    names: list[list[list[str]]]  # the type names per (node, hop)
+
+
+def pad_tokens(ids: list[str], table: TokenTable, K: int) -> TokenBatch:
+    """The tokens of ``ids`` in ``table`` over hops 1..K, padded to T slots,
+    the largest type count at any hop in the batch and at least 1. A caller
+    that embeds the same nodes again reuses the batch."""
+    if not ids:
+        raise ValueError("pad_tokens needs at least one node id")
     for s in ids:
         if s not in table.node_tokens:
             raise KeyError(f"no node token for {s!r}")
@@ -308,28 +319,24 @@ def _padded_tokens(
                 rel[b, k, i] = table.relation_tokens[(s, k + 1, t)]
             keep[b, k, : len(types)] = True
     node = np.stack([table.node_tokens[s] for s in ids])
-    return node, rel, keep, names
+    return TokenBatch(list(ids), node, rel, keep, names)
 
 
 def forward_batch(
-    ids: list[str],
-    table: TokenTable,
+    batch: TokenBatch,
     params: ModelParams,
     cfg: ModelConfig,
     capture: AttentionCapture | None = None,
 ) -> Tensor:
-    """Embed the target nodes ``ids`` in one pass; returns Z as a (B, d) tensor.
+    """Embed the target nodes of ``batch`` in one pass; returns Z as a (B, d) tensor.
 
-    Relation tokens are padded to (B, K, T) sets; padded type slots and
-    absent hops are masked out, so each row equals the node's embedding on
-    its own up to floating-point rounding that depends on the batch size,
-    and an isolated node collapses to the projected node token passing
-    through the hop block alone.
+    Padded type slots and absent hops are masked out, so each row equals the
+    node's embedding on its own up to floating-point rounding that depends on
+    the batch size, and an isolated node collapses to the projected node token
+    passing through the hop block alone.
     """
-    if not ids:
-        raise ValueError("forward_batch needs at least one node id")
-    node, rel, keep, names = _padded_tokens(ids, table, cfg.hops)
-    B, K, d = len(ids), cfg.hops, cfg.d
+    ids, node, rel, keep, names = batch
+    B, K, d = len(ids), keep.shape[1], cfg.d
     u_proj = tc.reshape(project(params, Tensor(node)), (B, 1, d))
     U_hat = type_block(params, project(params, Tensor(rel)), cfg, capture, keep)
     h, alpha = type_readout(tc.reshape(u_proj, (B, 1, 1, d)), U_hat, keep)  # (B, K, 1, d)
@@ -361,4 +368,4 @@ def forward(
 ) -> Tensor:
     """Embed one target node; returns z as a (1, d) tensor (row 0 of
     :func:`forward_batch` over ``[s]``)."""
-    return forward_batch([s], table, params, cfg, capture)
+    return forward_batch(pad_tokens([s], table, cfg.hops), params, cfg, capture)

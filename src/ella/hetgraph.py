@@ -7,6 +7,7 @@ rendering relation sentences) but are traversable in both directions.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -122,6 +123,7 @@ class HeteroGraph:
         for nid in self.node_text:
             if nid not in self._type_of:
                 raise GraphFormatError(f"node_text for unknown node {nid!r}")
+        self._of_type = {t: sorted(n for n, nt in self.nodes if nt == t) for t in schema.node_types}
 
         etypes = {et.name: et for et in schema.edge_types}
         seen: set[tuple[str, str, str]] = set()
@@ -188,9 +190,9 @@ class HeteroGraph:
         return sorted(self._type_of)
 
     def nodes_of_type(self, ntype: str) -> list[str]:
-        if ntype not in self.schema.node_types:
+        if ntype not in self._of_type:
             raise KeyError(f"unknown node type {ntype!r}")
-        return sorted(nid for nid, t in self.nodes if t == ntype)
+        return list(self._of_type[ntype])
 
     def has_edge(self, src: str, dst: str, etype: str) -> bool:
         """Membership irrespective of record orientation."""
@@ -218,35 +220,45 @@ def typed_neighbors(g: HeteroGraph, v: str) -> list[str]:
 # -- file I/O -------------------------------------------------------------
 
 
+def _read_text(path: str | Path) -> io.StringIO:
+    """The UTF-8 text of ``path``, read as lines the way ``open`` reads them;
+    bytes that are not UTF-8 raise a GraphFormatError naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise GraphFormatError(f"{path} line {lineno}: record is not an object")
-            for key in required:
-                if key not in rec:
-                    raise GraphFormatError(f"{path} line {lineno}: missing field {key!r}")
-            rec["_line"] = lineno
-            records.append(rec)
+    for lineno, line in enumerate(_read_text(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict):
+            raise GraphFormatError(f"{path} line {lineno}: record is not an object")
+        for key in required:
+            if key not in rec:
+                raise GraphFormatError(f"{path} line {lineno}: missing field {key!r}")
+        rec["_line"] = lineno
+        records.append(rec)
     return records
 
 
 def load_schema(schema_path: str | Path) -> SchemaDef:
-    with open(schema_path, encoding="utf-8") as fh:
-        try:
-            return SchemaDef.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{schema_path}: invalid JSON ({exc.msg})") from exc
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"{schema_path}: {exc}") from exc
+    text = _read_text(schema_path)
+    try:
+        return SchemaDef.from_dict(json.load(text))
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"{schema_path}: invalid JSON ({exc.msg})") from exc
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{schema_path}: {exc}") from exc
 
 
 def load_graph(
@@ -320,18 +332,17 @@ def load_graph_dir(graph_dir: str | Path) -> HeteroGraph:
 def load_labels(path: str | Path) -> dict[str, str]:
     """Read a two-column CSV (id,label) with a one-line header."""
     labels: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.lower().startswith("id,"):
-            raise GraphFormatError(f"{path}: expected 'id,label' header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",", 1)
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path} line {lineno}: expected 'id,label'")
-            labels[parts[0]] = parts[1]
+    fh = _read_text(path)
+    if not fh.readline().lower().startswith("id,"):
+        raise GraphFormatError(f"{path}: expected 'id,label' header")
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",", 1)
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path} line {lineno}: expected 'id,label'")
+        labels[parts[0]] = parts[1]
     return labels
 
 
@@ -385,7 +396,6 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[HeteroGraph, dict[str, 
     node_text: dict[str, str] = {}
     labels: dict[str, str] = {}
     ids_by_type: dict[str, list[str]] = {}
-    cls_by_id: dict[str, int] = {}
     for ntype in cfg.schema.node_types:
         n = cfg.type_sizes.get(ntype, 0)
         ids = [f"{ntype}{i:04d}" for i in range(n)]
@@ -393,7 +403,6 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[HeteroGraph, dict[str, 
         for i, nid in enumerate(ids):
             cls = i % cfg.classes
             nodes.append((nid, ntype))
-            cls_by_id[nid] = cls
             labels[nid] = f"C{cls}"
             node_text[nid] = cfg.text_template.format(ntype=ntype, nid=nid, cls=cls)
 
@@ -406,14 +415,14 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[HeteroGraph, dict[str, 
         dst_ids = ids_by_type.get(et.dst, [])
         if not src_ids or not dst_ids:
             continue
+        # candidate pairs by index, one draw each: a < b within one type,
+        # row-major across two; a node's class is its index mod ``classes``
         if et.src == et.dst:
-            pairs = [(a, b) for i, a in enumerate(src_ids) for b in src_ids[i + 1 :]]
+            a, b = np.triu_indices(len(src_ids), k=1)
         else:
-            pairs = [(a, b) for a in src_ids for b in dst_ids]
-        draws = rng.random(len(pairs))
-        for (a, b), u in zip(pairs, draws):
-            p = p_intra if cls_by_id[a] == cls_by_id[b] else p_inter
-            if u < p:
-                edges.append((a, b, et.name))
+            a, b = (x.ravel() for x in np.indices((len(src_ids), len(dst_ids))))
+        draws = rng.random(len(a))
+        hit = draws < np.where(a % cfg.classes == b % cfg.classes, p_intra, p_inter)
+        edges.extend((src_ids[i], dst_ids[j], et.name) for i, j in zip(a[hit], b[hit]))
 
     return HeteroGraph(cfg.schema, nodes, edges, node_text), labels

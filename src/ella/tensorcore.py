@@ -47,9 +47,10 @@ class Tensor:
     def accumulate(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # a copy: ``g`` may be a view of another gradient
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -109,8 +110,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
 
     def backward(out):
-        a.accumulate(_unbroadcast(out.grad * b.data, a.shape))
-        b.accumulate(_unbroadcast(out.grad * a.data, b.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(out.grad * b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(out.grad * a.data, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -138,8 +141,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(out):
             g = out.grad.reshape(-1, m)
-            a.accumulate((g @ b.data.T).reshape(a.shape))
-            b.accumulate(a.data.reshape(-1, k).T @ g)
+            if a.requires_grad:
+                a.accumulate((g @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b.accumulate(a.data.reshape(-1, k).T @ g)
 
         return _result(data, (a, b), backward)
     try:
@@ -148,8 +153,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
 
     def backward(out):
-        a.accumulate(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2), a.shape))
-        b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad, b.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -212,11 +219,8 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     count = a.data.size if axis is None else a.shape[axis]
 
     def backward(out):
-        g = out.grad
-        if axis is None:
-            a.accumulate(np.full_like(a.data, g / count))
-        else:
-            a.accumulate(np.broadcast_to(np.expand_dims(g, axis) / count, a.shape).copy())
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
+        a.accumulate(np.broadcast_to(g / count, a.shape))
 
     return _result(data, (a,), backward)
 
@@ -225,11 +229,8 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     data = a.data.sum(axis=axis)
 
     def backward(out):
-        g = out.grad
-        if axis is None:
-            a.accumulate(np.full_like(a.data, g))
-        else:
-            a.accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
+        a.accumulate(np.broadcast_to(g, a.shape))
 
     return _result(data, (a,), backward)
 

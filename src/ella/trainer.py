@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorcore as tc
-from .ellanet import HEAD_PREFIX, ModelConfig, ModelParams, forward_batch, init_params
+from .ellanet import HEAD_PREFIX, ModelConfig, ModelParams, forward_batch, init_params, pad_tokens
 from .encoder import TokenTable
 from .hetgraph import HeteroGraph
 from .tensorcore import AdamState, Tensor, adam_step, backward, zero_grads
@@ -358,7 +358,7 @@ def pretrain(
     # Every endpoint an epoch can draw: the node pools of the trained
     # relations plus the validation endpoints. Embedding this fixed set each
     # epoch makes the validation loss a function of the parameters alone,
-    # not of which negatives happened to be drawn.
+    # not of which negatives happened to be drawn, and pads its tokens once.
     needed = set(val_samples.endpoints())
     for ename, pos in train_positives.items():
         if pos:
@@ -366,6 +366,7 @@ def pretrain(
             needed |= set(g.nodes_of_type(et.src)) | set(g.nodes_of_type(et.dst))
     needed = sorted(needed)
     index = {n: i for i, n in enumerate(needed)}
+    batch = pad_tokens(needed, table, model_cfg.hops)
 
     def step(epoch: int) -> tuple[Tensor, float]:
         epoch_samples = EdgeSampleSet()
@@ -379,7 +380,7 @@ def pretrain(
             )
             epoch_samples.by_type[ename] = EdgeSample(positives=pos, negatives=neg)
 
-        Z = forward_batch(needed, table, params, model_cfg)
+        Z = forward_batch(batch, params, model_cfg)
         train_loss = _contrastive_loss(epoch_samples, Z, index, g.node_type, params)
         if not val_samples.by_type:
             return train_loss, train_loss.item()
@@ -444,7 +445,7 @@ def finetune(
     label_index = {lab: i for i, lab in enumerate(vocab)}
 
     def embed(ids: list[str]) -> np.ndarray:
-        return forward_batch(ids, table, params, model_cfg).data
+        return forward_batch(pad_tokens(ids, table, model_cfg.hops), params, model_cfg).data
 
     Z_train, Z_val = embed(train_ids), embed(val_ids)
     gold_train = np.array([label_index[labels[n]] for n in train_ids])
@@ -497,7 +498,7 @@ def classify(
 ) -> list[str]:
     """Predict labels for ``ids`` with the fine-tuned head."""
     head = params[f"{HEAD_PREFIX}{target_type}"].data
-    Z = forward_batch(ids, table, params, model_cfg).data
+    Z = forward_batch(pad_tokens(ids, table, model_cfg.hops), params, model_cfg).data
     return [vocab[i] for i in (Z @ head).argmax(axis=1)]
 
 
@@ -514,7 +515,7 @@ def score_pairs(
         return scores
     nodes = sorted({n for pair in pairs for n in pair})
     index = {n: i for i, n in enumerate(nodes)}
-    Z = forward_batch(nodes, table, params, model_cfg)
+    Z = forward_batch(pad_tokens(nodes, table, model_cfg.hops), params, model_cfg)
     by_types: dict[tuple[str, str], list[int]] = {}
     for i, (s, t) in enumerate(pairs):
         by_types.setdefault((type_of(s), type_of(t)), []).append(i)

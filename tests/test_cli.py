@@ -279,6 +279,14 @@ def _append(line):
     return damage
 
 
+def _append_bytes(raw):
+    def damage(path):
+        with open(path, "ab") as fh:
+            fh.write(raw)
+
+    return damage
+
+
 def _label_unknown_type(path):
     schema = json.loads(path.read_text())
     schema["class_labels"]["venue"] = ["C0"]
@@ -293,6 +301,8 @@ def _delete(path):
     "command,broken,damage,message",
     [
         ("ingest", "graph/nodes.jsonl", _append("{not json"), r"nodes\.jsonl line \d+: invalid JSON"),
+        ("tokenize", "graph/nodes.jsonl", _append_bytes(b"\xff\xfe"), r"nodes\.jsonl line \d+: not UTF-8"),
+        ("pretrain", "graph/schema.json", _append_bytes(b"\xff\xfe"), r"schema\.json line \d+: not UTF-8"),
         ("tokenize", "graph/edges.jsonl", _append('{"src": "ghost", "dst": "ghost", "etype": "writes"}'),
          r"edges\.jsonl line \d+: unknown node id 'ghost'"),
         ("tokenize", "graph/edges.jsonl", _append('{"src": "paper0000", "dst": "paper0001", "etype": "writes"}'),
@@ -304,6 +314,7 @@ def _delete(path):
         ("evaluate_node", "labels.csv", _append("ghost,C0"), r"labels\.csv: unknown node 'ghost'"),
         ("finetune", "labels.csv", _append("paper0000,C9"), r"labels\.csv: node 'paper0000' has label 'C9'"),
         ("finetune", "labels.csv", _write_invalid_json, r"labels\.csv: expected 'id,label' header"),
+        ("finetune", "labels.csv", _append_bytes(b"\xff\xfe"), r"labels\.csv line \d+: not UTF-8"),
         ("pretrain", "config.json", _write_invalid_json, r"config\.json: not valid JSON"),
         ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: container truncated"),
         ("pretrain", "tokens.bin", _write_parent_format_tokens, r"tokens\.bin: not a token file of format 2"),
@@ -316,10 +327,11 @@ def _delete(path):
         ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "d": 7, "heads": 2}),
          r"model\.ckpt\.meta\.json: invalid model config: hidden dim 7 not divisible by 2 heads"),
     ],
-    ids=["nodes_not_json", "edge_to_unknown_node", "edge_against_its_type", "schema_labels_unknown_type",
+    ids=["nodes_not_json", "nodes_not_utf8", "schema_not_utf8", "edge_to_unknown_node",
+         "edge_against_its_type", "schema_labels_unknown_type",
          "graph_missing_edges_file", "finetune_label_for_unknown_node", "evaluate_label_for_unknown_node",
-         "label_outside_vocabulary", "labels_without_header", "config_not_json", "truncated_tokens",
-         "parent_format_tokens", "ckpt_meta_not_json",
+         "label_outside_vocabulary", "labels_without_header", "labels_not_utf8", "config_not_json",
+         "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
          "ckpt_meta_indivisible_heads"],
 )

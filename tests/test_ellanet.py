@@ -10,6 +10,7 @@ from ella.ellanet import (
     hop_block,
     hop_readout,
     init_params,
+    pad_tokens,
     project,
     type_block,
     type_readout,
@@ -396,7 +397,7 @@ def test_forward_batch_matches_reference_on_mixed_batch():
     p = params_for(cfg, seed=31)
     table, ids = mixed_table()
     cap = AttentionCapture()
-    Z = forward_batch(ids, table, p, cfg, cap).data
+    Z = forward_batch(pad_tokens(ids, table, cfg.hops), p, cfg, cap).data
     assert Z.shape == (len(ids), cfg.d)
     for i, s in enumerate(ids):
         z, alphas, gamma = ref_forward(s, table, p, cfg)
@@ -417,7 +418,7 @@ def test_forward_batch_repeated_id_gets_its_own_tokens():
     cfg = small_cfg(hops=3)
     p = params_for(cfg, seed=35)
     table, ids = mixed_table(seed=36)
-    Z = forward_batch(ids + ids[::-1], table, p, cfg).data
+    Z = forward_batch(pad_tokens(ids + ids[::-1], table, cfg.hops), p, cfg).data
     assert np.max(np.abs(Z[len(ids):] - Z[len(ids) - 1::-1])) < 1e-12
 
 
@@ -431,7 +432,7 @@ def test_forward_batch_padding_carries_no_gradient():
 
     def grads(rows):
         tc.zero_grads(p.tensors)
-        Z = forward_batch(rows, table, p, cfg)
+        Z = forward_batch(pad_tokens(rows, table, cfg.hops), p, cfg)
         tc.backward(tc.tsum(tc.mul(Z, Tensor(mix[[ids.index(s) for s in rows]]))))
         return {n: t.grad.copy() for n, t in p.tensors.items() if t.grad is not None}
 

@@ -86,6 +86,25 @@ def test_load_malformed_line(tmp_path):
         load_graph(*paths)
 
 
+def test_undecodable_bytes_name_the_file_and_line(tmp_path):
+    paths = write_graph_files(tmp_path, [{"id": "m1", "type": "movie"}], [], IMDB_SCHEMA)
+    paths[0].write_bytes(b'{"id": "m1", "type": "movie"}\r\n{"id": "m\xff2", "type": "movie"}\n')
+    with pytest.raises(GraphFormatError, match=r"nodes\.jsonl line 2: not UTF-8"):
+        load_graph(*paths)
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"id,label\nm1,action\nm2,\xfe\n")
+    with pytest.raises(GraphFormatError, match=r"labels\.csv line 3: not UTF-8"):
+        load_labels(labels)
+
+
+def test_load_reads_every_line_ending(tmp_path):
+    paths = write_graph_files(tmp_path, [], [], IMDB_SCHEMA)
+    paths[0].write_bytes(
+        b'{"id": "m1", "type": "movie"}\r{"id": "a1", "type": "actor"}\r\n{"id": "d1", "type": "director"}'
+    )
+    assert load_graph(*paths).node_ids() == ["a1", "d1", "m1"]
+
+
 def test_unknown_type_names_offender(tmp_path):
     nodes = [{"id": "x1", "type": "spaceship"}]
     paths = write_graph_files(tmp_path, nodes, [], IMDB_SCHEMA)

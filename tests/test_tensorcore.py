@@ -116,6 +116,43 @@ def test_grad_accumulates_across_shared_use():
     assert np.allclose(x.grad, 2.0)
 
 
+def test_first_gradient_is_a_copy_of_a_view():
+    # reshape, transpose and concat pass views of their output's gradient;
+    # a later contribution must add into the input's own buffer
+    up = Tensor(np.zeros((2, 3)), requires_grad=True)
+    up.grad = np.arange(6.0).reshape(2, 3)
+    x = Tensor(np.zeros(6), requires_grad=True)
+    x.accumulate(up.grad.reshape(6))
+    x.accumulate(np.ones(6))
+    assert np.array_equal(up.grad, np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(x.grad, np.arange(6.0) + 1.0)
+
+
+@pytest.mark.parametrize("view_first", [True, False])
+def test_view_gradient_leaves_its_source_unchanged(view_first):
+    x = Tensor(np.ones(6), requires_grad=True)
+    y = tc.reshape(x, (2, 3))
+    terms = [tc.tsum(tc.scale(y, 3.0)), tc.tsum(tc.scale(x, 2.0))]
+    backward(tc.add(*(terms if view_first else terms[::-1])))
+    assert np.array_equal(y.grad, np.full((2, 3), 3.0))
+    assert np.array_equal(x.grad, np.full(6, 5.0))
+
+
+def test_constant_operand_is_offered_no_gradient(monkeypatch):
+    # a product's backward skips the operand that needs no gradient
+    rng = np.random.default_rng(4)
+    offered = []
+    accumulate = Tensor.accumulate
+    monkeypatch.setattr(Tensor, "accumulate", lambda t, g: (offered.append(t), accumulate(t, g)))
+    const = randt(rng, 2, 3, 4, requires_grad=False)
+    v, w, lanes = randt(rng, 2, 3, 4), randt(rng, 4, 5), randt(rng, 2, 4, 5)
+    for out in (tc.mul(const, v), tc.matmul(const, w), tc.matmul(const, lanes)):
+        backward(tc.tsum(out))
+    assert const.grad is None and not any(t is const for t in offered)
+    assert np.array_equal(v.grad, const.data)
+    assert w.grad.shape == w.shape and lanes.grad.shape == lanes.shape
+
+
 def test_forward_replay_bit_stable():
     rng = np.random.default_rng(3)
     a = randt(rng, 4, 4)

@@ -6,7 +6,7 @@ import pytest
 
 import ella.tensorcore as tc
 from ella import trainer
-from ella.ellanet import ModelConfig, init_params
+from ella.ellanet import ModelConfig, forward_batch, init_params, pad_tokens
 from ella.encoder import MockBackend, PrototypeBackend, tokenize_graph
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
 from ella.tensorcore import Tensor, backward, zero_grads
@@ -301,6 +301,68 @@ def test_held_out_pretrain_draws_no_forbidden_negative(monkeypatch):
     assert not any((s, t, e) in forbidden or (t, s, e) in forbidden for s, t, e in drawn)
 
 
+def test_held_out_pretrain_pads_once_and_embeds_once_per_epoch(monkeypatch):
+    g, cfg, table = small_link_setup()
+    train_pos, val = trainer._holdout_split(sample_edges(g, 1, seed=0), 0.1, seed=0)
+    calls = {"pad_tokens": 0, "forward_batch": 0}
+    for name in calls:
+        def counting(*args, fn=getattr(trainer, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counting)
+    result = pretrain(g, table, cfg, TrainConfig(max_epochs=5), seed=0,
+                      train_positives=train_pos, val_samples=val)
+    assert len(result.train_curve) == 5
+    assert calls == {"pad_tokens": 1, "forward_batch": 5}
+
+
+def tape_of(out):
+    """Every tensor ``out`` was computed from, ``out`` included."""
+    seen, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def offered_gradients(monkeypatch):
+    """The tensors that ``Tensor.accumulate`` is called on from now on."""
+    offered = []
+    accumulate = Tensor.accumulate
+
+    def recording(t, g):
+        offered.append(t)
+        accumulate(t, g)
+
+    monkeypatch.setattr(Tensor, "accumulate", recording)
+    return offered
+
+
+def test_contrastive_backward_fills_each_gradient_in_its_shape(monkeypatch):
+    g, cfg, table = small_link_setup()
+    params = init_params(cfg, g.schema.node_types, {}, seed=0)
+    samples = sample_edges(g, 1, seed=0)
+    nodes = sorted(samples.endpoints())
+    batch = pad_tokens(nodes, table, cfg.hops)
+    Z = forward_batch(batch, params, cfg)
+    loss = trainer._contrastive_loss(samples, Z, {n: i for i, n in enumerate(nodes)}, g.node_type, params)
+    tape = tape_of(loss)
+    offered = offered_gradients(monkeypatch)
+    backward(loss)
+    for t in tape:
+        if t.requires_grad:
+            assert t.grad is not None and t.grad.shape == t.shape, t
+        else:
+            assert t.grad is None, t
+    assert all(params[n].grad.shape == params[n].shape for n in params.backbone())
+    # the raw tokens are constants: no product is formed for them
+    rel = [t for t in tape if t.data is batch.rel]
+    assert len(rel) == 1 and not any(t is rel[0] for t in offered)
+
+
 # -- finetune -----------------------------------------------------------------------
 
 
@@ -437,6 +499,25 @@ def test_finetune_rejects_bad_lr_grid_before_embedding(monkeypatch, grid):
             g, paper_labels, cfg, TrainConfig(lr_grid=grid), params, table, "paper",
             train_ids, val_ids,
         )
+
+
+def test_finetune_embeddings_are_offered_no_gradient(monkeypatch):
+    g, paper_labels, cfg, table, params, train_ids, val_ids = paper_split()
+    heads_applied_to = []
+    matmul = tc.matmul
+
+    def recording_matmul(a, b):
+        if b.requires_grad and not b._parents and b.data.ndim == 3:  # the stacked head lanes
+            heads_applied_to.append(a)
+        return matmul(a, b)
+
+    monkeypatch.setattr(tc, "matmul", recording_matmul)
+    offered = offered_gradients(monkeypatch)
+    finetune(g, paper_labels, cfg, TrainConfig(max_epochs=3), params, table, "paper", train_ids, val_ids)
+    Zt = heads_applied_to[0]
+    assert len(heads_applied_to) == 3 and all(a is Zt for a in heads_applied_to)
+    assert Zt.shape == (len(train_ids), cfg.d) and Zt.grad is None
+    assert not any(t is Zt for t in offered)
 
 
 def test_finetune_unlabeled_type_errors():
