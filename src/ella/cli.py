@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+from contextlib import nullcontext
 from pathlib import Path
 
 import click
@@ -53,6 +54,11 @@ def _read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise click.ClickException(f"{path}: not valid JSON ({exc})") from None
+
+
+def _open_cache(cache_path: str | None):
+    """A ``with`` block's vector cache at ``cache_path``, or None without a path."""
+    return encoder.VectorCache(cache_path) if cache_path else nullcontext()
 
 
 def _load(loader, *paths):
@@ -133,15 +139,15 @@ def tokenize(graph_dir, backend_name, endpoint, hops, template, cache_path, out_
         backend = encoder.HttpBackend(endpoint, pooling=pooling)
     else:
         backend = encoder.MockBackend(dim=dim)
-    cache = encoder.VectorCache(cache_path) if cache_path else None
-    targets = None
-    if TEMPLATES[template] is TemplateId.FinetuneClassify:
-        # classification prompts need a label vocabulary for the source type
-        targets = [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
-        click.echo(f"finetune template: tokenizing {len(targets)} labeled-type nodes")
-    table = encoder.tokenize_graph(
-        backend, g, targets=targets, K=hops, template=TEMPLATES[template], cache=cache
-    )
+    with _open_cache(cache_path) as cache:
+        targets = None
+        if TEMPLATES[template] is TemplateId.FinetuneClassify:
+            # classification prompts need a label vocabulary for the source type
+            targets = [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
+            click.echo(f"finetune template: tokenizing {len(targets)} labeled-type nodes")
+        table = encoder.tokenize_graph(
+            backend, g, targets=targets, K=hops, template=TEMPLATES[template], cache=cache
+        )
     encoder.save_tokens(table, out_path)
     click.echo(
         f"tokens written: {len(table.node_tokens)} node, "
@@ -342,8 +348,8 @@ def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, lab
 def profile(graph_dir, hops, out_path, cache_path, dim):
     """Backend-call and stored-vector accounting versus the naive per-path cost."""
     g = _load(load_graph_dir, graph_dir)
-    cache = encoder.VectorCache(cache_path) if cache_path else None
-    report = evalkit.profile_run(g, K=hops, cache=cache, dim=dim)
+    with _open_cache(cache_path) as cache:
+        report = evalkit.profile_run(g, K=hops, cache=cache, dim=dim)
     report.to_csv(out_path)
     evalkit.write_metadata(
         out_path,

@@ -311,13 +311,18 @@ def pad_tokens(ids: list[str], table: TokenTable, K: int) -> TokenBatch:
     names = [by_node[s] for s in ids]
     T = max([1] + [len(types) for per_node in by_node.values() for types in per_node])
     B, d_llm = len(ids), table.dim
-    rel = np.zeros((B, K, T, d_llm))
-    keep = np.zeros((B, K, T), dtype=bool)
+    slots, vecs = [], []
     for b, s in enumerate(ids):
         for k, types in enumerate(names[b]):
             for i, t in enumerate(types):
-                rel[b, k, i] = table.relation_tokens[(s, k + 1, t)]
-            keep[b, k, : len(types)] = True
+                slots.append((b, k, i))
+                vecs.append(table.relation_tokens[(s, k + 1, t)])
+    rel = np.zeros((B, K, T, d_llm))
+    keep = np.zeros((B, K, T), dtype=bool)
+    if slots:
+        at = tuple(np.array(slots, dtype=np.intp).T)
+        rel[at] = vecs
+        keep[at] = True
     node = np.stack([table.node_tokens[s] for s in ids])
     return TokenBatch(list(ids), node, rel, keep, names)
 

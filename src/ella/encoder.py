@@ -17,6 +17,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -186,7 +187,14 @@ class HttpBackend:
 
 
 class VectorCache:
-    """Persistent, append-only embedding cache keyed by a stable 64-bit hash."""
+    """Persistent, append-only embedding cache keyed by a stable 64-bit hash.
+
+    A file-backed cache appends through one handle, opened on the first miss
+    and released by :meth:`close`, at the end of a ``with`` block, or when
+    the cache is collected.
+    """
+
+    _fh: BinaryIO | None = None
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
@@ -229,22 +237,41 @@ class VectorCache:
         return None if vec is None else vec.copy()
 
     def put(self, key: int, vec: np.ndarray) -> np.ndarray:
-        """Insert unless present; returns the stored vector."""
+        """Insert unless present; returns the stored vector. A new record is
+        in the file before this returns."""
         arr = np.asarray(vec, dtype=np.float64)
         if key in self._store:
             return self._store[key].copy()
         self._store[key] = arr.copy()
         if self.path is not None:
-            with open(self.path, "ab") as fh:
-                if self._torn_tail is not None:
-                    # records appended after a torn one would be misaligned
-                    fh.truncate(self._torn_tail)
-                    self._torn_tail = None
-                if fh.seek(0, os.SEEK_END) == 0:
-                    fh.write(CACHE_MAGIC)
-                fh.write(struct.pack("<QI", key, arr.size))
-                fh.write(arr.astype("<f8").tobytes())
+            self._append(struct.pack("<QI", key, arr.size) + arr.astype("<f8").tobytes())
         return arr.copy()
+
+    def _append(self, record: bytes) -> None:
+        if self._fh is None:
+            self._fh = open(self.path, "ab")
+            if self._torn_tail is not None:
+                # records appended after a torn one would be misaligned
+                self._fh.truncate(self._torn_tail)
+                self._torn_tail = None
+            if self._fh.seek(0, os.SEEK_END) == 0:
+                record = CACHE_MAGIC + record
+        self._fh.write(record)
+        self._fh.flush()
+
+    def close(self) -> None:
+        """Release the append handle; a later put opens it again."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self) -> VectorCache:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    __del__ = close
 
     def __len__(self) -> int:
         return len(self._store)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,23 +156,39 @@ def similarity(z_s: Tensor, z_t: Tensor, type_s: str, type_t: str, params: Model
     return tc.sigmoid(tc.matmul(a, tc.transpose(b)))
 
 
+class PairRows(NamedTuple):
+    """Node pairs as rows of an embedding matrix ``Z``, all with the same
+    source and target types."""
+
+    src: np.ndarray  # (P,) rows of the source nodes
+    dst: np.ndarray  # (P,) rows of the target nodes
+    src_type: str
+    dst_type: str
+
+
+def _pair_rows(pairs: list[tuple[str, str]], index: dict[str, int], type_of) -> PairRows | None:
+    """``pairs`` as rows named by ``index``, typed by the first pair; None if empty."""
+    if not pairs:
+        return None
+    rows = np.fromiter(map(index.__getitem__, chain.from_iterable(pairs)), np.intp, 2 * len(pairs))
+    return PairRows(rows[0::2], rows[1::2], type_of(pairs[0][0]), type_of(pairs[0][1]))
+
+
 def _batched_sims(
-    pairs: list[tuple[str, str]],
+    src_rows: np.ndarray,
+    dst_rows: np.ndarray,
+    src_type: str,
+    dst_type: str,
     Z: Tensor,
-    index: dict[str, int],
-    type_of,
     params: ModelParams,
 ) -> Tensor:
-    """Sigmoid dot-product similarities for pairs sharing endpoint types."""
-    src_type = type_of(pairs[0][0])
-    dst_type = type_of(pairs[0][1])
+    """Sigmoid dot-product similarities of the rows ``src_rows`` and
+    ``dst_rows`` of ``Z``, whose nodes have types ``src_type`` and ``dst_type``."""
     for ntype in (src_type, dst_type):
         if f"sim/{ntype}" not in params.tensors:
             raise KeyError(f"no similarity projection for node type {ntype!r}")
-    S = tc.select_rows(Z, [index[s] for s, _ in pairs])
-    T = tc.select_rows(Z, [index[t] for _, t in pairs])
-    A = tc.matmul(S, params[f"sim/{src_type}"])
-    B = tc.matmul(T, params[f"sim/{dst_type}"])
+    A = tc.matmul(tc.select_rows(Z, src_rows), params[f"sim/{src_type}"])
+    B = tc.matmul(tc.select_rows(Z, dst_rows), params[f"sim/{dst_type}"])
     return tc.sigmoid(tc.tsum(tc.mul(A, B), axis=1))
 
 
@@ -188,27 +206,34 @@ def pretrain_loss(
         raise KeyError(f"embeddings missing for sampled endpoints: {missing[:5]}")
     index = {n: i for i, n in enumerate(nodes)}
     Z = tc.concat([embeddings[n] for n in nodes], axis=0)
-    return _contrastive_loss(samples, Z, index, type_of, params)
+    return _contrastive_loss(_sample_rows(samples, index, type_of), Z, params)
+
+
+def _sample_rows(
+    samples: EdgeSampleSet, index: dict[str, int], type_of
+) -> list[tuple[PairRows | None, PairRows | None]]:
+    """The positives and negatives of each relation type of ``samples``, in
+    name order, as rows named by ``index``."""
+    return [
+        (_pair_rows(s.positives, index, type_of), _pair_rows(s.negatives, index, type_of))
+        for _, s in sorted(samples.by_type.items())
+    ]
 
 
 def _contrastive_loss(
-    samples: EdgeSampleSet,
-    Z: Tensor,
-    index: dict[str, int],
-    type_of,
-    params: ModelParams,
+    samples: list[tuple[PairRows | None, PairRows | None]], Z: Tensor, params: ModelParams
 ) -> Tensor:
-    """:func:`pretrain_loss` over the rows of ``Z`` named by ``index``."""
+    """:func:`pretrain_loss` over (positives, negatives) per relation type,
+    given as rows of ``Z``."""
     total: Tensor | None = None
     one = Tensor(1.0)
-    for ename in sorted(samples.by_type):
-        sample = samples.by_type[ename]
+    for positives, negatives in samples:
         terms = []
-        if sample.positives:
-            sims = _batched_sims(sample.positives, Z, index, type_of, params)
+        if positives is not None:
+            sims = _batched_sims(*positives, Z, params)
             terms.append(tc.scale(tc.tsum(tc.tlog(tc.clip(sims, SIM_CLAMP, 1 - SIM_CLAMP))), -1.0))
-        if sample.negatives:
-            sims = _batched_sims(sample.negatives, Z, index, type_of, params)
+        if negatives is not None:
+            sims = _batched_sims(*negatives, Z, params)
             comp = tc.clip(tc.sub(one, sims), SIM_CLAMP, 1 - SIM_CLAMP)
             terms.append(tc.scale(tc.tsum(tc.tlog(comp)), -1.0))
         for t in terms:
@@ -367,24 +392,26 @@ def pretrain(
     needed = sorted(needed)
     index = {n: i for i, n in enumerate(needed)}
     batch = pad_tokens(needed, table, model_cfg.hops)
+    # only the negatives change between epochs; the rest is mapped to rows once
+    train_names = sorted(e for e, pos in train_positives.items() if pos)
+    train_rows = [_pair_rows(train_positives[e], index, g.node_type) for e in train_names]
+    val_rows = _sample_rows(val_samples, index, g.node_type)
 
     def step(epoch: int) -> tuple[Tensor, float]:
-        epoch_samples = EdgeSampleSet()
         rng = np.random.default_rng([seed, epoch])
-        for ename in sorted(train_positives):
+        epoch_rows = []
+        for ename, pos_rows in zip(train_names, train_rows):
             pos = train_positives[ename]
-            if not pos:
-                continue
             neg = sample_negatives(
                 g, ename, pos, train_cfg.neg_ratio * len(pos), rng, forbidden
             )
-            epoch_samples.by_type[ename] = EdgeSample(positives=pos, negatives=neg)
+            epoch_rows.append((pos_rows, _pair_rows(neg, index, g.node_type)))
 
         Z = forward_batch(batch, params, model_cfg)
-        train_loss = _contrastive_loss(epoch_samples, Z, index, g.node_type, params)
-        if not val_samples.by_type:
+        train_loss = _contrastive_loss(epoch_rows, Z, params)
+        if not val_rows:
             return train_loss, train_loss.item()
-        return train_loss, _contrastive_loss(val_samples, Z, index, g.node_type, params).item()
+        return train_loss, _contrastive_loss(val_rows, Z, params).item()
 
     best, _, best_epoch, last_epoch, train_curve, val_curve = _fit(
         step, params.backbone(), train_cfg.lr, train_cfg
@@ -509,16 +536,28 @@ def score_pairs(
     model_cfg: ModelConfig,
     type_of,
 ) -> np.ndarray:
-    """Similarity scores for arbitrary node pairs (evaluation path)."""
+    """Similarity scores for arbitrary node pairs (evaluation path).
+
+    The pair endpoints are embedded in one pass and each pair is mapped to
+    its two rows of ``Z`` once. Pairs are grouped by (source type, target
+    type), with one type lookup per node, and each group is scored in one
+    batch of rows in pair order; groups share nothing, so the scores do not
+    depend on the order the groups are taken in.
+    """
     scores = np.zeros(len(pairs))
     if not pairs:
         return scores
-    nodes = sorted({n for pair in pairs for n in pair})
+    # no gradient is read here: the parameters wrapped as constants record no
+    # tape, so each group's temporaries are freed as soon as they are used
+    params = ModelParams({n: Tensor(t.data) for n, t in params.tensors.items()})
+    nodes = sorted(set(chain.from_iterable(pairs)))
     index = {n: i for i, n in enumerate(nodes)}
+    src, dst, *_ = _pair_rows(pairs, index, type_of)
+    types, type_code = np.unique([type_of(n) for n in nodes], return_inverse=True)
+    pair_code = type_code[src] * len(types) + type_code[dst]
     Z = forward_batch(pad_tokens(nodes, table, model_cfg.hops), params, model_cfg)
-    by_types: dict[tuple[str, str], list[int]] = {}
-    for i, (s, t) in enumerate(pairs):
-        by_types.setdefault((type_of(s), type_of(t)), []).append(i)
-    for rows in by_types.values():
-        scores[rows] = _batched_sims([pairs[i] for i in rows], Z, index, type_of, params).data
+    for code in np.unique(pair_code).tolist():
+        sel = np.flatnonzero(pair_code == code)
+        src_type, dst_type = (str(types[c]) for c in divmod(code, len(types)))
+        scores[sel] = _batched_sims(src[sel], dst[sel], src_type, dst_type, Z, params).data
     return scores

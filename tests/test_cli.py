@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ella import cli, trainer
+from ella import cli, encoder, trainer
 from ella.cli import main
 from ella.ellanet import ModelConfig, init_params
 from ella.hetgraph import load_graph_dir, save_graph, save_labels
@@ -180,6 +180,18 @@ def test_profile_command(tmp_path):
     assert len(lines) == 4  # header + K rows
 
 
+
+
+@pytest.mark.parametrize("command", ["tokenize", "profile"])
+def test_cache_building_commands_close_their_cache(workdir, tmp_path, monkeypatch, command):
+    closed = []
+    close = encoder.VectorCache.close
+    monkeypatch.setattr(encoder.VectorCache, "close", lambda c: closed.append(c.path) or close(c))
+    cache = tmp_path / "cache.bin"
+    run_cli([command, "--graph", str(workdir / "graph"), "--hops", "1", "--dim", "12",
+             "--cache", str(cache), "--out", str(tmp_path / "out")])
+    assert closed == [cache]
+    assert len(encoder.VectorCache(cache)) > 0
 
 
 def _untrained_checkpoint(graph_dir, out, hops=1, d_llm=12):

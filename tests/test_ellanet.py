@@ -422,6 +422,37 @@ def test_forward_batch_repeated_id_gets_its_own_tokens():
     assert np.max(np.abs(Z[len(ids):] - Z[len(ids) - 1::-1])) < 1e-12
 
 
+def naive_pad(ids, table, K):
+    """pad_tokens written slot by slot, straight from its definition."""
+    names = [
+        [sorted(t for (n, h, t) in table.relation_tokens if n == s and h == hop) for hop in range(1, K + 1)]
+        for s in ids
+    ]
+    T = max([1] + [len(types) for per_node in names for types in per_node])
+    rel = np.zeros((len(ids), K, T, table.dim))
+    keep = np.zeros((len(ids), K, T), dtype=bool)
+    for b, s in enumerate(ids):
+        for k in range(K):
+            for i, t in enumerate(names[b][k]):
+                rel[b, k, i] = table.relation_tokens[(s, k + 1, t)]
+                keep[b, k, i] = True
+    return rel, keep, names
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("pick", [None, ["iso"], ["many", "iso", "gap", "many"]], ids=["all", "iso", "repeats"])
+def test_pad_tokens_matches_a_per_slot_loop(K, pick):
+    # absent hops ("gap" at 2, every hop of "iso"), uneven type counts per hop
+    table, ids = mixed_table(seed=37)
+    ids = pick or ids
+    batch = pad_tokens(ids, table, K)
+    rel, keep, names = naive_pad(ids, table, K)
+    assert batch.rel.shape == rel.shape and batch.rel.tobytes() == rel.tobytes()
+    assert batch.keep.shape == keep.shape and batch.keep.tobytes() == keep.tobytes()
+    assert batch.names == names and batch.ids == ids
+    assert batch.node.tobytes() == np.stack([table.node_tokens[s] for s in ids]).tobytes()
+
+
 def test_forward_batch_padding_carries_no_gradient():
     # the batch gradient equals the sum of per-node gradients: padded type
     # slots and absent hops contribute nothing, and nothing is NaN

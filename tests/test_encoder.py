@@ -1,4 +1,5 @@
 import json
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -161,6 +162,19 @@ def test_cache_file_without_a_whole_header_is_empty(tmp_path, content):
     c.put(1, np.ones(4))
     assert path.read_bytes().startswith(CACHE_MAGIC)
     assert np.array_equal(VectorCache(path).get(1), np.ones(4))
+
+
+def test_cache_record_is_in_the_file_before_put_returns_and_close_reopens(tmp_path):
+    path = tmp_path / "cache.bin"
+    with VectorCache(path) as c:
+        c.put(1, np.full(4, 1.0))
+        assert np.array_equal(VectorCache(path).get(1), np.full(4, 1.0))
+        c.put(1, np.full(4, 9.0))  # present: nothing is appended
+    c.put(2, np.full(4, 2.0))  # a put after close opens the file again
+    c.close()
+    c.close()
+    records = [struct.pack("<QI", k, 4) + np.full(4, float(k)).astype("<f8").tobytes() for k in (1, 2)]
+    assert path.read_bytes() == CACHE_MAGIC + b"".join(records)
 
 
 def test_cache_refuses_older_key_format(tmp_path):

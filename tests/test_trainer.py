@@ -6,7 +6,7 @@ import pytest
 
 import ella.tensorcore as tc
 from ella import trainer
-from ella.ellanet import ModelConfig, forward_batch, init_params, pad_tokens
+from ella.ellanet import ModelConfig, forward, forward_batch, init_params, pad_tokens
 from ella.encoder import MockBackend, PrototypeBackend, tokenize_graph
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
 from ella.tensorcore import Tensor, backward, zero_grads
@@ -348,7 +348,8 @@ def test_contrastive_backward_fills_each_gradient_in_its_shape(monkeypatch):
     nodes = sorted(samples.endpoints())
     batch = pad_tokens(nodes, table, cfg.hops)
     Z = forward_batch(batch, params, cfg)
-    loss = trainer._contrastive_loss(samples, Z, {n: i for i, n in enumerate(nodes)}, g.node_type, params)
+    rows = trainer._sample_rows(samples, {n: i for i, n in enumerate(nodes)}, g.node_type)
+    loss = trainer._contrastive_loss(rows, Z, params)
     tape = tape_of(loss)
     offered = offered_gradients(monkeypatch)
     backward(loss)
@@ -372,6 +373,61 @@ def node_task_setup(seed=0, papers=60, authors=60):
     table = tokenize_graph(PrototypeBackend(dim=16, noise=0.5), g, K=2)
     params = init_params(cfg, g.schema.node_types, {"paper": 3, "author": 3}, seed=seed)
     return g, labels, cfg, table, params
+
+
+def mixed_pairs(g):
+    a, p = g.nodes_of_type("author"), g.nodes_of_type("paper")
+    return [
+        (a[0], p[0]), (p[1], a[2]), (p[3], p[4]), (a[5], p[6]), (p[1], a[2]),  # a repeated pair
+        (p[7], p[7]), (a[8], a[8]), (p[9], a[0]), (a[3], p[0]),  # nodes paired with themselves
+    ]
+
+
+def test_score_pairs_matches_per_pair_similarity_and_each_group_alone():
+    g, _, cfg, table, params = node_task_setup(papers=12, authors=12)
+    pairs = mixed_pairs(g)
+    scores = trainer.score_pairs(pairs, params, table, cfg, g.node_type)
+    assert scores.shape == (len(pairs),)
+    for (s, t), score in zip(pairs, scores):
+        z_s, z_t = forward(s, table, params, cfg), forward(t, table, params, cfg)
+        assert abs(score - similarity(z_s, z_t, g.node_type(s), g.node_type(t), params).item()) < 1e-12
+    assert scores[1] == scores[4]
+    # each type group scored alone, from the same embeddings, gives the same bits
+    nodes = sorted({n for pair in pairs for n in pair})
+    Z = forward_batch(pad_tokens(nodes, table, cfg.hops), params, cfg)
+    groups = {}
+    for i, (s, t) in enumerate(pairs):
+        groups.setdefault((g.node_type(s), g.node_type(t)), []).append(i)
+    assert len(groups) == 4
+    for (src_type, dst_type), rows in groups.items():
+        src = [nodes.index(pairs[i][0]) for i in rows]
+        dst = [nodes.index(pairs[i][1]) for i in rows]
+        alone = trainer._batched_sims(src, dst, src_type, dst_type, Z, params).data
+        assert scores[rows].tobytes() == alone.tobytes()
+
+
+def test_score_pairs_records_no_tape(monkeypatch):
+    g, _, cfg, table, params = node_task_setup(papers=12, authors=12)
+    sims = []
+    batched_sims = trainer._batched_sims
+    monkeypatch.setattr(trainer, "_batched_sims", lambda *args: sims.append(batched_sims(*args)) or sims[-1])
+    trainer.score_pairs(mixed_pairs(g), params, table, cfg, g.node_type)
+    assert len(sims) == 4
+    assert not any(s.requires_grad or s._parents for s in sims)
+    assert all(t.requires_grad and t.grad is None for t in params.tensors.values())
+
+
+def test_score_pairs_of_no_pairs_is_empty():
+    g, _, cfg, table, params = node_task_setup(papers=12, authors=12)
+    scores = trainer.score_pairs([], params, table, cfg, g.node_type)
+    assert isinstance(scores, np.ndarray) and scores.shape == (0,)
+
+
+def test_score_pairs_type_without_projection_names_it():
+    g, _, cfg, table, params = node_task_setup(papers=12, authors=12)
+    del params.tensors["sim/author"]
+    with pytest.raises(KeyError, match="no similarity projection for node type 'author'"):
+        trainer.score_pairs(mixed_pairs(g), params, table, cfg, g.node_type)
 
 
 def test_finetune_touches_only_head():
