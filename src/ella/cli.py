@@ -254,17 +254,20 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
         g, labels, evalkit.Task.NodeClassification, seed=seed, target_type=target_type
     )
     backbone_before = params.content_hash(sorted(params.backbone()))
-    result = trainer.finetune(
-        g,
-        labels,
-        model_cfg,
-        trainer.TrainConfig(),
-        params,
-        table,
-        target_type,
-        splits.node_part("train"),
-        splits.node_part("val"),
-    )
+    try:
+        result = trainer.finetune(
+            g,
+            labels,
+            model_cfg,
+            trainer.TrainConfig(),
+            params,
+            table,
+            target_type,
+            splits.node_part("train"),
+            splits.node_part("val"),
+        )
+    except ValueError as exc:  # such as labels that leave no train or val node
+        raise click.ClickException(f"{labels_path}: {exc}") from None
     if params.content_hash(sorted(params.backbone())) != backbone_before:
         raise click.ClickException("fine-tuning changed the frozen backbone")
     _save_params(
@@ -304,6 +307,14 @@ def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, lab
         if not labels_path or not target_type:
             raise click.ClickException("node task needs --labels and --target-type")
         labels = _node_labels(g, labels_path, target_type)
+        meta_path = Path(ckpt_path + ".meta.json")
+        meta = _read_json(meta_path)
+        trained = (meta.get("command"), meta.get("target_type"))
+        if trained != ("finetune", target_type):
+            raise click.ClickException(
+                f"{meta_path} records command {trained[0]!r} and target_type {trained[1]!r};"
+                f" --task node needs a head fine-tuned for {target_type!r} by 'ella finetune'"
+            )
         splits = evalkit.build_splits(
             g, labels, evalkit.Task.NodeClassification, seed=splits_seed, target_type=target_type
         )
@@ -374,7 +385,7 @@ def export_attention(ckpt_path, out_dir, graph_dir, tokens_path):
     table = _load(encoder.load_tokens, tokens_path)
     params, model_cfg = _load_params(ckpt_path)
     capture = AttentionCapture()
-    forward_batch(pad_tokens(g.node_ids(), table, model_cfg.hops), params, model_cfg, capture)
+    forward_batch(pad_tokens(g.node_ids(), table, model_cfg.hops), params.constants(), model_cfg, capture)
     written = evalkit.export_attention(capture, g, out_dir)
     evalkit.write_metadata(
         Path(out_dir) / "attention",

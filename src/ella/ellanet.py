@@ -75,6 +75,11 @@ class ModelParams:
         for n, arr in values.items():
             self.tensors[n].data[...] = arr
 
+    def constants(self) -> ModelParams:
+        """The same arrays as tensors that need no gradient: a forward pass on
+        them records no autodiff tape, and in-place updates still show."""
+        return ModelParams({n: Tensor(t.data) for n, t in self.tensors.items()})
+
 
 def _layer_names(prefix: str, cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     d, f = cfg.d, cfg.d * cfg.ffn_mult

@@ -246,10 +246,24 @@ def _contrastive_loss(
 def cross_entropy(logits: Tensor, onehot: Tensor) -> Tensor:
     """Mean over rows of - sum_c y_c log p_c with softmax probabilities,
     clamped for logs. ``(n, C)`` logits give a scalar; ``(L, n, C)`` logits,
-    one lane per stacked head, give ``L`` losses."""
-    p = tc.clip(tc.softmax(logits), SIM_CLAMP, 1.0)
-    per_row = tc.tsum(tc.mul(onehot, tc.tlog(p)), axis=-1)
-    return tc.scale(tc.mean(per_row, axis=-1), -1.0)
+    one lane per stacked head, give ``L`` losses.
+
+    One tape op on finite logits; ``onehot`` is a constant. Its backward takes
+    the floating-point steps of the composed softmax, clip, log, mul, sum,
+    mean and scale backwards, so the logits gradient is the same to the bit.
+    """
+    x, y = logits.data, onehot.data
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    clipped = np.maximum(p, SIM_CLAMP)  # a softmax never exceeds 1
+    n = x.shape[-2]
+    loss = -(np.add.reduce(np.add.reduce(y * np.log(clipped), axis=-1), axis=-1) / n)
+
+    def backward(out):
+        dp = (-1.0 * out.grad)[..., None, None] / n * y / clipped * ((p > SIM_CLAMP) & (p < 1.0))
+        logits.accumulate(p * (dp - (dp * p).sum(axis=-1, keepdims=True)))
+
+    return tc._result(loss, (logits,), backward)
 
 
 # -- pre-training ---------------------------------------------------------------
@@ -396,6 +410,7 @@ def pretrain(
     train_names = sorted(e for e, pos in train_positives.items() if pos)
     train_rows = [_pair_rows(train_positives[e], index, g.node_type) for e in train_names]
     val_rows = _sample_rows(val_samples, index, g.node_type)
+    frozen = params.constants()  # the validation loss reads no gradient
 
     def step(epoch: int) -> tuple[Tensor, float]:
         rng = np.random.default_rng([seed, epoch])
@@ -411,7 +426,7 @@ def pretrain(
         train_loss = _contrastive_loss(epoch_rows, Z, params)
         if not val_rows:
             return train_loss, train_loss.item()
-        return train_loss, _contrastive_loss(val_rows, Z, params).item()
+        return train_loss, _contrastive_loss(val_rows, Tensor(Z.data), frozen).item()
 
     best, _, best_epoch, last_epoch, train_curve, val_curve = _fit(
         step, params.backbone(), train_cfg.lr, train_cfg
@@ -464,6 +479,11 @@ def finetune(
     vocab = g.schema.class_labels.get(target_type)
     if not vocab:
         raise ValueError(f"node type {target_type!r} has no class labels declared")
+    if not train_ids or not val_ids:
+        raise ValueError(
+            f"node type {target_type!r} needs labelled train and val nodes to fine-tune,"
+            f" got {len(train_ids)} train and {len(val_ids)} val"
+        )
     for nid in train_ids + val_ids:
         if nid not in labels:
             raise ValueError(f"node {nid!r} has no label")
@@ -472,7 +492,7 @@ def finetune(
     label_index = {lab: i for i, lab in enumerate(vocab)}
 
     def embed(ids: list[str]) -> np.ndarray:
-        return forward_batch(pad_tokens(ids, table, model_cfg.hops), params, model_cfg).data
+        return forward_batch(pad_tokens(ids, table, model_cfg.hops), params.constants(), model_cfg).data
 
     Z_train, Z_val = embed(train_ids), embed(val_ids)
     gold_train = np.array([label_index[labels[n]] for n in train_ids])
@@ -525,7 +545,7 @@ def classify(
 ) -> list[str]:
     """Predict labels for ``ids`` with the fine-tuned head."""
     head = params[f"{HEAD_PREFIX}{target_type}"].data
-    Z = forward_batch(pad_tokens(ids, table, model_cfg.hops), params, model_cfg).data
+    Z = forward_batch(pad_tokens(ids, table, model_cfg.hops), params.constants(), model_cfg).data
     return [vocab[i] for i in (Z @ head).argmax(axis=1)]
 
 
@@ -547,9 +567,9 @@ def score_pairs(
     scores = np.zeros(len(pairs))
     if not pairs:
         return scores
-    # no gradient is read here: the parameters wrapped as constants record no
-    # tape, so each group's temporaries are freed as soon as they are used
-    params = ModelParams({n: Tensor(t.data) for n, t in params.tensors.items()})
+    # no gradient is read here: constants record no tape, so each group's
+    # temporaries are freed as soon as they are used
+    params = params.constants()
     nodes = sorted(set(chain.from_iterable(pairs)))
     index = {n: i for i, n in enumerate(nodes)}
     src, dst, *_ = _pair_rows(pairs, index, type_of)

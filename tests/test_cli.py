@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from ella import cli, encoder, trainer
 from ella.cli import main
 from ella.ellanet import ModelConfig, init_params
-from ella.hetgraph import load_graph_dir, save_graph, save_labels
+from ella.hetgraph import load_graph_dir, load_labels, save_graph, save_labels
 from ella.tensorcore import save_arrays
 
 from fixtures import complete_typed_tree, planted_node_fixture
@@ -390,6 +390,81 @@ def test_target_type_without_labels_lists_the_labelled_types(workdir, tmp_path, 
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert "Error: --target-type 'bogus' has no class labels (labelled types: author, paper)" in result.output
+
+
+@pytest.mark.parametrize(
+    "recorded,message",
+    [
+        ({}, "records command None and target_type None"),
+        ({"command": "pretrain"}, "records command 'pretrain' and target_type None"),
+        ({"command": "finetune", "target_type": "author"}, "records command 'finetune' and target_type 'author'"),
+    ],
+    ids=["untrained", "pretrained", "other_target_type"],
+)
+def test_evaluate_node_refuses_a_head_not_fine_tuned_for_the_target(workdir, tmp_path, recorded, message):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    g = load_graph_dir(graph_dir)
+    cfg = ModelConfig(d=8, heads=2, type_layers=1, hop_layers=1, hops=1, d_llm=12)
+    params = init_params(cfg, g.schema.node_types, {t: len(v) for t, v in g.schema.class_labels.items()})
+    ckpt = str(tmp_path / "model.ckpt")
+    cli._save_params(params, cfg, ckpt, recorded)
+    out = tmp_path / "eval.csv"
+    result = CliRunner().invoke(
+        main,
+        [
+            "evaluate", "--task", "node", "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt,
+            "--labels", str(workdir / "labels.csv"), "--target-type", "paper", "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {ckpt}.meta.json {message}; --task node needs a head fine-tuned for 'paper'" in result.output
+    assert not out.exists()
+
+
+def test_export_attention_records_no_tape(workdir, tmp_path, monkeypatch):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    outputs = []
+    forward_batch = cli.forward_batch
+    monkeypatch.setattr(cli, "forward_batch", lambda *args: outputs.append(forward_batch(*args)) or outputs[-1])
+    run_cli(["export-attention", "--ckpt", ckpt, "--out", str(tmp_path / "attn"), "--graph", graph_dir,
+             "--tokens", tokens])
+    assert len(outputs) == 1 and not (outputs[0].requires_grad or outputs[0]._parents)
+    assert (tmp_path / "attn" / "type_attention.csv").exists()
+
+
+def test_finetune_with_too_few_labels_names_the_labels_file(workdir, tmp_path):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    g = load_graph_dir(graph_dir)
+    by_class = {}
+    for n, label in sorted(load_labels(workdir / "labels.csv").items()):
+        if g.node_type(n) == "paper":
+            by_class.setdefault(label, []).append(n)
+    labels = tmp_path / "two_per_class.csv"
+    save_labels({n: label for label, ids in by_class.items() for n in ids[:2]}, labels)
+    out = tmp_path / "head.ckpt"
+    result = CliRunner().invoke(
+        main,
+        [
+            "finetune", "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt,
+            "--labels", str(labels), "--target-type", "paper", "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert (
+        f"Error: {labels}: node type 'paper' needs labelled train and val nodes to fine-tune,"
+        " got 0 train and 0 val" in result.output
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["tokenize", "profile"])

@@ -8,6 +8,7 @@ import ella.tensorcore as tc
 from ella import trainer
 from ella.ellanet import ModelConfig, forward, forward_batch, init_params, pad_tokens
 from ella.encoder import MockBackend, PrototypeBackend, tokenize_graph
+from ella.evalkit import Task, build_splits
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
 from ella.tensorcore import Tensor, backward, zero_grads
 from ella.trainer import (
@@ -213,6 +214,53 @@ def test_cross_entropy_on_stacked_lanes():
         n_samples=60,
     )
     assert err < 1e-4
+
+
+def composed_cross_entropy(logits, onehot):
+    """The chain of seven tape ops that ``cross_entropy`` fuses, kept as its oracle."""
+    p = tc.clip(tc.softmax(logits), trainer.SIM_CLAMP, 1.0)
+    per_row = tc.tsum(tc.mul(onehot, tc.tlog(p)), axis=-1)
+    return tc.scale(tc.mean(per_row, axis=-1), -1.0)
+
+
+def loss_and_logits_grad(loss_fn, logits, onehot, weights):
+    """The loss bytes and the logits gradient of ``sum(weights * loss)``."""
+    x = Tensor(logits.copy(), requires_grad=True)
+    loss = loss_fn(x, Tensor(onehot))
+    backward(tc.tsum(tc.mul(loss, Tensor(weights))))
+    return loss.data.tobytes(), x.grad
+
+
+@pytest.mark.parametrize("lanes", [None, 3], ids=["2d", "stacked_lanes"])
+def test_cross_entropy_matches_the_composed_ops_bit_for_bit(lanes):
+    rng = np.random.default_rng(12)
+    shape = (6, 4) if lanes is None else (lanes, 6, 4)
+    logits = rng.standard_normal(shape) * 3.0
+    # the gold class of row 0 falls below the clamp and that of row 2 underflows
+    # to 0; the top (gold) class of row 1 rounds to exactly 1.0
+    logits[..., 0, :] = [0.0, -40.0, 1.0, 0.5]
+    logits[..., 1, :] = [40.0, 0.0, 0.0, -1.0]
+    logits[..., 2, :] = [0.0, 0.0, -800.0, 0.0]
+    gold = np.array([1, 0, 2, 3, 1, 2])
+    onehot = np.eye(4)[gold]
+    p = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+    assert (0 < p[..., 0, 1]).all() and (p[..., 0, 1] < trainer.SIM_CLAMP).all()
+    assert (p[..., 1, 0] == 1.0).all() and (p[..., 2, 2] == 0.0).all()
+    weights = np.array(1.5) if lanes is None else np.array([1.0, -2.0, 0.5])
+
+    loss, grad = loss_and_logits_grad(cross_entropy, logits, onehot, weights)
+    want_loss, want_grad = loss_and_logits_grad(composed_cross_entropy, logits, onehot, weights)
+    assert loss == want_loss
+    assert grad.shape == shape and grad.tobytes() == want_grad.tobytes()
+    # the clip mask zeroes these rows: the gold probability is clamped or exactly 1
+    assert not grad[..., :3, :].any() and grad[..., 3:, :].all()
+
+
+def test_cross_entropy_is_one_tape_op_on_the_logits():
+    logits = Tensor(np.zeros((2, 5, 3)), requires_grad=True)
+    loss = cross_entropy(logits, Tensor(np.eye(3)[[0, 1, 2, 0, 1]]))
+    assert loss.requires_grad and loss._parents == (logits,)
+    assert not cross_entropy(Tensor(logits.data), Tensor(np.eye(3)[[0, 1, 2, 0, 1]])).requires_grad
 
 
 # -- pretrain loop ------------------------------------------------------------------
@@ -574,6 +622,72 @@ def test_finetune_embeddings_are_offered_no_gradient(monkeypatch):
     assert len(heads_applied_to) == 3 and all(a is Zt for a in heads_applied_to)
     assert Zt.shape == (len(train_ids), cfg.d) and Zt.grad is None
     assert not any(t is Zt for t in offered)
+
+
+def test_finetune_matches_the_composed_loss(monkeypatch):
+    def run():
+        g, paper_labels, cfg, table, params, train_ids, val_ids = paper_split()
+        result = finetune(g, paper_labels, cfg, TrainConfig(), params, table, "paper", train_ids, val_ids)
+        return dataclasses.replace(result, params=None), params["head/paper"].data.tobytes()
+
+    fused = run()
+    monkeypatch.setattr(trainer, "cross_entropy", composed_cross_entropy)
+    assert run() == fused
+
+
+def recorded_forward_batches(monkeypatch):
+    """The outputs of every ``trainer.forward_batch`` call from now on."""
+    outputs = []
+    forward = trainer.forward_batch
+    monkeypatch.setattr(trainer, "forward_batch", lambda *args: outputs.append(forward(*args)) or outputs[-1])
+    return outputs
+
+
+def test_classify_records_no_tape(monkeypatch):
+    g, paper_labels, cfg, table, params, train_ids, val_ids = paper_split()
+    outputs = recorded_forward_batches(monkeypatch)
+    trainer.classify(val_ids, params, table, cfg, "paper", g.schema.class_labels["paper"])
+    assert len(outputs) == 1
+    assert not any(Z.requires_grad or Z._parents for Z in outputs)
+    assert all(t.requires_grad and t.grad is None for t in params.tensors.values())
+
+
+def test_finetune_embeds_without_a_tape(monkeypatch):
+    g, paper_labels, cfg, table, params, train_ids, val_ids = paper_split()
+    outputs = recorded_forward_batches(monkeypatch)
+    finetune(g, paper_labels, cfg, TrainConfig(max_epochs=3), params, table, "paper", train_ids, val_ids)
+    assert len(outputs) == 2
+    assert not any(Z.requires_grad or Z._parents for Z in outputs)
+    assert all(t.requires_grad and t.grad is None for t in params.tensors.values())
+
+
+def test_constants_share_the_arrays():
+    params = node_task_setup(papers=6, authors=6)[-1]
+    frozen = params.constants()
+    assert frozen.tensors.keys() == params.tensors.keys()
+    for name, t in frozen.tensors.items():
+        assert t.data is params[name].data and not t.requires_grad
+
+
+@pytest.mark.parametrize("per_class", [1, 2])
+def test_finetune_needs_train_and_val_nodes(monkeypatch, per_class):
+    g, labels, cfg, table, params = node_task_setup()
+    by_class = {}
+    for n, l in sorted(labels.items()):
+        if g.node_type(n) == "paper":
+            by_class.setdefault(l, []).append(n)
+    few = {n: l for l, ids in by_class.items() for n in ids[:per_class]}
+    splits = build_splits(g, few, Task.NodeClassification, seed=0, target_type="paper")
+    train_ids, val_ids = splits.node_part("train"), splits.node_part("val")
+    assert train_ids == val_ids == []
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("embedded before checking the splits")
+
+    monkeypatch.setattr(trainer, "forward_batch", no_forward)
+    with pytest.raises(ValueError, match="node type 'paper' needs labelled train and val nodes to "
+                       "fine-tune, got 0 train and 0 val"):
+        finetune(g, few, cfg, TrainConfig(), params, table, "paper", train_ids, val_ids)
 
 
 def test_finetune_unlabeled_type_errors():
