@@ -15,6 +15,7 @@ import re
 import struct
 import urllib.error
 import urllib.request
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
@@ -41,11 +42,9 @@ class EncoderTransportError(EncoderError):
 
 def stable_hash64(*parts: str | bytes) -> int:
     """64-bit stable hash of the given strings or bytes (order-sensitive)."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(part.encode("utf-8") if isinstance(part, str) else part)
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "little")
+    # blake2b streams: one update over the joined parts equals one update per part
+    data = b"\x1f".join(p.encode("utf-8") if isinstance(p, str) else p for p in parts) + b"\x1f"
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -229,7 +228,7 @@ class VectorCache:
         parts: list[str | bytes] = [backend_name, template_id, text]
         for p in placeholders:
             # equal rounded values have equal bytes, so near-equal placeholders share a key
-            parts.append(np.round(np.asarray(p, dtype=np.float64), 6).astype("<f8").tobytes())
+            parts.append(np.round(np.asarray(p, dtype="<f8"), 6).tobytes())
         return stable_hash64(*parts)
 
     def get(self, key: int) -> np.ndarray | None:
@@ -293,8 +292,12 @@ class TokenTable:
     calls_by_template: dict[str, int] = field(default_factory=dict)
 
     def stored_per_target(self, target: str) -> int:
-        n = 1 if target in self.node_tokens else 0
-        return n + sum(1 for (s, _, _) in self.relation_tokens if s == target)
+        return self.stored_counts([target])[0]
+
+    def stored_counts(self, targets: list[str]) -> list[int]:
+        """Stored vectors of each target, from one pass over the relation keys."""
+        rel = Counter(s for s, _, _ in self.relation_tokens)
+        return [rel[s] + (s in self.node_tokens) for s in targets]
 
 
 def _call_backend(
@@ -362,7 +365,8 @@ def relation_token(
     if missing:
         raise EncoderError(f"members of ({s!r}, hop {hop}, {t!r}) lack node tokens: {missing[:5]}")
     if members:
-        pooled = np.mean([table.node_tokens[v] for v in members], axis=0)
+        # the two steps np.mean takes (sum along the axis, divide by the count): same bits
+        pooled = np.add.reduce([table.node_tokens[v] for v in members], axis=0) / len(members)
     else:
         pooled = np.zeros(table.dim)
     bound = bind_placeholders(prompt, [table.node_tokens[s], pooled])

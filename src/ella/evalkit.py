@@ -293,7 +293,7 @@ def profile_run(
         naive = sum(
             count_simple_paths(g, s, i) for s in targets for i in range(1, k + 1)
         )
-        stored = [table.stored_per_target(s) for s in targets]
+        stored = table.stored_counts(targets)
         rows.append(
             ProfileRow(
                 hops=k,

@@ -3,10 +3,18 @@
 A walk of hop ``i`` is a sequence of ``i`` edges starting at the target node.
 Node revisits and immediate backtracking are allowed; only walks that
 *terminate* at the target are excluded. Patterns are node-type sequences.
+
+``meta_path_profile``, ``hop_types_present`` and ``hop_type_neighbors`` are
+views on one level-by-level walk per target, memoized for the last (graph,
+target) asked about, since tokenizing a target asks for all three at every
+hop. The memo is sound: a ``HeteroGraph`` is immutable and hashes by
+identity, and the memo's strong reference keeps its id from being reused.
+Every view returns fresh objects, so a caller may mutate them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .hetgraph import HeteroGraph
@@ -93,33 +101,8 @@ def meta_path_profile(g: HeteroGraph, s: str, i: int) -> MetaPathProfile:
     _check_node(g, s)
     if i < 1:
         raise ValueError("hop must be >= 1")
-
-    # frontier: type-sequence prefix -> {node at frontier: walk count}
-    frontier: dict[tuple[str, ...], dict[str, int]] = {(g.node_type(s),): {s: 1}}
-    for _ in range(i):
-        nxt: dict[tuple[str, ...], dict[str, int]] = {}
-        for prefix, counts in frontier.items():
-            for u, c in counts.items():
-                for v, _et in g.incident(u):
-                    key = prefix + (g.node_type(v),)
-                    bucket = nxt.setdefault(key, {})
-                    bucket[v] = bucket.get(v, 0) + c
-        frontier = nxt
-
-    patterns_count: dict[tuple[str, ...], int] = {}
-    for pattern, counts in frontier.items():
-        c = sum(cnt for node, cnt in counts.items() if node != s)
-        if c > 0:
-            patterns_count[pattern] = c
-
-    by_endpoint: dict[str, int] = {}
-    for pattern, c in patterns_count.items():
-        by_endpoint[pattern[-1]] = by_endpoint.get(pattern[-1], 0) + c
-    patterns = {
-        pattern: PatternStat(c, c / by_endpoint[pattern[-1]])
-        for pattern, c in sorted(patterns_count.items())
-    }
-    return MetaPathProfile(target=s, hop=i, patterns=patterns)
+    patterns, _members = _walk(g, s).level(i)
+    return MetaPathProfile(target=s, hop=i, patterns=dict(patterns))
 
 
 def hop_type_neighbors(g: HeteroGraph, s: str, i: int, t: str) -> HopTypeNeighborhood:
@@ -129,23 +112,61 @@ def hop_type_neighbors(g: HeteroGraph, s: str, i: int, t: str) -> HopTypeNeighbo
         raise KeyError(f"unknown node type {t!r}")
     if i < 1:
         raise ValueError("hop must be >= 1")
-    members = {v for v in _hop_endpoints(g, s, i) if g.node_type(v) == t}
+    members = set(_walk(g, s).level(i)[1].get(t, ()))
     return HopTypeNeighborhood(target=s, hop=i, type=t, members=members)
 
 
 def hop_types_present(g: HeteroGraph, s: str, i: int) -> list[str]:
     """Node types that occur as hop-``i`` walk endpoints of ``s``, sorted."""
     _check_node(g, s)
-    return sorted({g.node_type(v) for v in _hop_endpoints(g, s, i)})
+    return list(_walk(g, s).level(i)[1]) if i >= 1 else []
 
 
-def _hop_endpoints(g: HeteroGraph, s: str, i: int) -> set[str]:
-    """Nodes that end some hop-``i`` walk from ``s``, ``s`` excluded."""
-    frontier = {s}
-    for _ in range(i):
-        frontier = {v for u in frontier for v, _et in g.incident(u)}
-    frontier.discard(s)
-    return frontier
+class _Walk:
+    """All walks from one target, counted one level (hop) at a time, on demand.
+
+    ``frontier`` maps each type-sequence prefix to {node at its end: walk
+    count}; ``levels[i - 1]`` keeps what hop ``i`` yields: its pattern stats,
+    and its endpoints by type (sorted by type, the target excluded).
+    """
+
+    def __init__(self, g: HeteroGraph, s: str) -> None:
+        self.g, self.s = g, s
+        self.frontier: dict[tuple[str, ...], dict[str, int]] = {(g.node_type(s),): {s: 1}}
+        self.levels: list[tuple[dict[tuple[str, ...], PatternStat], dict[str, set[str]]]] = []
+
+    def level(self, i: int) -> tuple[dict[tuple[str, ...], PatternStat], dict[str, set[str]]]:
+        while len(self.levels) < i:
+            self._extend()
+        return self.levels[i - 1]
+
+    def _extend(self) -> None:
+        g, s = self.g, self.s
+        nxt: dict[tuple[str, ...], dict[str, int]] = {}
+        for prefix, counts in self.frontier.items():
+            reach: dict[str, int] = {}
+            for u, c in counts.items():
+                for v, _et in g.incident(u):
+                    reach[v] = reach.get(v, 0) + c
+            for v, c in reach.items():
+                nxt.setdefault(prefix + (g.node_type(v),), {})[v] = c
+        self.frontier = nxt
+        pattern_counts: dict[tuple[str, ...], int] = {}
+        by_endpoint: dict[str, int] = {}
+        members: dict[str, set[str]] = {}
+        for pattern, counts in sorted(nxt.items()):
+            c = sum(counts.values()) - counts.get(s, 0)
+            if c > 0:
+                pattern_counts[pattern] = c
+                by_endpoint[pattern[-1]] = by_endpoint.get(pattern[-1], 0) + c
+                members.setdefault(pattern[-1], set()).update(counts.keys() - {s})
+        patterns = {p: PatternStat(c, c / by_endpoint[p[-1]]) for p, c in pattern_counts.items()}
+        self.levels.append((patterns, dict(sorted(members.items()))))
+
+
+@functools.lru_cache(maxsize=1)
+def _walk(g: HeteroGraph, s: str) -> _Walk:
+    return _Walk(g, s)
 
 
 def count_simple_paths(g: HeteroGraph, s: str, i: int) -> int:

@@ -8,13 +8,14 @@ link-similarity (pre-training) and classification (fine-tuning) stages.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .hetgraph import SchemaDef
+from .hetgraph import EdgeType, SchemaDef
 from .pathstats import MetaPathProfile
 
 PLACEHOLDER = "[PH]"
@@ -72,11 +73,18 @@ def _oxford_join(items: list[str], conj: str) -> str:
 
 def schema_preamble(schema: SchemaDef) -> str:
     """The shared prompt opening describing the domain, node types, and relations."""
-    types = _oxford_join(list(schema.node_types), "and")
-    rels = ", ".join(f"[{et.src} {et.name} {et.dst}]" for et in schema.edge_types)
+    return _preamble(tuple(schema.node_types), tuple(schema.edge_types), schema.domain_blurb)
+
+
+@functools.lru_cache(maxsize=8)
+def _preamble(node_types: tuple[str, ...], edge_types: tuple[EdgeType, ...], domain_blurb: str) -> str:
+    # keyed on the schema's content, not its identity: a schema changed in place
+    # gets a new preamble
+    types = _oxford_join(list(node_types), "and")
+    rels = ", ".join(f"[{et.src} {et.name} {et.dst}]" for et in edge_types)
     return (
-        f"Given a heterogeneous graph about {schema.domain_blurb}, there are "
-        f"{_number_word(len(schema.node_types))} types of nodes: {types}. "
+        f"Given a heterogeneous graph about {domain_blurb}, there are "
+        f"{_number_word(len(node_types))} types of nodes: {types}. "
         f"The relationships between different nodes include: {rels}."
     )
 
@@ -140,14 +148,10 @@ def build_relation_prompt(
     if profile.hop != hop:
         raise ValueError(f"profile is for hop {profile.hop}, prompt requested hop {hop}")
 
-    restricted = profile.restricted_to(dst_type)
+    restricted = sorted(profile.restricted_to(dst_type).items())
     if restricted:
-        path_lines = tuple(
-            (("-".join(p)), round(stat.proportion, 2)) for p, stat in sorted(restricted.items())
-        )
-        rendered_lines = [
-            render_path_line(p, stat.proportion) for p, stat in sorted(restricted.items())
-        ]
+        path_lines = tuple(("-".join(p), round(stat.proportion, 2)) for p, stat in restricted)
+        rendered_lines = [render_path_line(p, stat.proportion) for p, stat in restricted]
     else:
         pattern = fallback_pattern(schema, src_type, dst_type, hop)
         path_lines = (("-".join(pattern), 0.0),)

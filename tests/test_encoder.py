@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import threading
@@ -24,13 +25,19 @@ from ella.encoder import (
     stable_hash64,
     tokenize_graph,
 )
-from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
+from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef, SynthConfig, synth_generate
 from ella.pathstats import hop_type_neighbors
 from ella.promptkit import TemplateId, build_relation_prompt
 from ella.pathstats import MetaPathProfile
 from ella.tensorcore import save_arrays
 
-from fixtures import complete_bipartite, complete_typed_tree, small_academic_graph, star
+from fixtures import (
+    academic_schema,
+    complete_bipartite,
+    complete_typed_tree,
+    small_academic_graph,
+    star,
+)
 
 
 def table(dim=16):
@@ -188,6 +195,15 @@ def test_cache_key_rounds_placeholders():
     a = VectorCache.key_for("m", "t", "x", [np.array([0.123456749])])
     b = VectorCache.key_for("m", "t", "x", [np.array([0.123456751])])
     assert a == b
+
+
+def test_cache_keys_are_pinned():
+    # existing cache files hold these keys; a key that moves orphans every record
+    ph = [np.array([0.1, -2.0, 3.5]), np.array([1 / 3, 0.0, -0.0])]
+    assert VectorCache.key_for("mock:8", "node_text", "paper p1", []) == 13876955396902487640
+    assert VectorCache.key_for("mock:3", "pretrain_link", "a prompt [PH] [PH]", ph) == 93799397423031782
+    f32 = [np.arange(3, dtype=np.float32)]
+    assert VectorCache.key_for("prototype:64", "finetune_classify", "héllo", f32) == 14737503092216256510
 
 
 # -- pooled node tokens ----------------------------------------------------------
@@ -382,6 +398,43 @@ def test_cache_keys_separate_encoder_dimensions(tmp_path):
             for key, vec in want.items():
                 assert np.array_equal(tokens[key], vec)
     assert t.call_count == 0  # the second dim-8 pass reads the first one's entries
+
+
+# sha256 over the node tokens, relation tokens (in insertion order) and counts
+# below; any change to walks, prompts, pooling, hashing or cache keys moves it
+PINNED_TOKEN_DIGEST = "625cf0f3800673feba2e346d196b988cefa2e3ae554fb4b6b3b4cb0f36809ff3"
+
+
+def test_tokens_of_a_seeded_graph_are_pinned_to_the_bit():
+    cfg = SynthConfig(
+        schema=academic_schema(),
+        type_sizes={"paper": 30, "author": 30, "organization": 6},
+        classes=3,
+        edge_probs={"writes": (0.12, 0.01), "cites": (0.08, 0.01), "belongs": (0.4, 0.05)},
+    )
+    g, _ = synth_generate(cfg, seed=13)
+    targets = [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
+    h = hashlib.sha256()
+    cache = VectorCache()
+    for template in (TemplateId.PretrainLink, TemplateId.FinetuneClassify):
+        t = tokenize_graph(MockBackend(dim=8), g, targets=targets, K=3, template=template, cache=cache)
+        for nid, vec in t.node_tokens.items():
+            h.update(nid.encode() + b"\x00" + vec.astype("<f8").tobytes())
+        for key, vec in t.relation_tokens.items():
+            h.update(repr(key).encode() + b"\x00" + vec.astype("<f8").tobytes())
+        h.update(f"{t.call_count} {t.cache_hits} {len(t.relation_tokens)}".encode())
+    assert h.hexdigest() == PINNED_TOKEN_DIGEST
+
+
+def test_stored_counts_count_each_target_once_per_vector():
+    g = small_academic_graph()
+    t = tokenize_graph(MockBackend(dim=8), g, targets=["a1", "p2"], K=2)
+    targets = ["a1", "p2", "o1"]
+    expected = [
+        (s in t.node_tokens) + sum(1 for key in t.relation_tokens if key[0] == s) for s in targets
+    ]
+    assert t.stored_counts(targets) == expected
+    assert expected[2] == 1  # a node token, no relation tokens
 
 
 def test_tokenize_accepts_only_one_worker():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
+from ella import pathstats
 from ella.pathstats import (
     PatternStat,
     WalkExplosionError,
@@ -222,3 +223,45 @@ def test_hop_types_present_matches_oracle():
                 {g.node_type(w[-1]) for w in oracle_walks(g, node, hop)}
             )
             assert hop_types_present(g, node, hop) == expected
+
+
+def test_walk_memo_never_answers_for_another_graph_or_target():
+    # same node ids, different edges: a memo keyed on anything but the graph's
+    # identity would serve one graph's walks for the other
+    g1 = small_academic_graph()
+    g2 = HeteroGraph(
+        g1.schema,
+        g1.nodes,
+        [("a1", "p3", "writes"), ("a2", "p1", "writes"), ("a1", "p2", "writes"),
+         ("p1", "p3", "cites"), ("a2", "o1", "belongs")],
+        g1.node_text,
+    )
+    types = g1.schema.node_types
+
+    def views(g, s, hop):
+        return (
+            meta_path_profile(g, s, hop),
+            hop_types_present(g, s, hop),
+            [hop_type_neighbors(g, s, hop, t) for t in types],
+        )
+
+    fresh = {}
+    for g in (g1, g2):
+        for s in g.node_ids():
+            for hop in (1, 2, 3):
+                pathstats._walk.cache_clear()
+                fresh[id(g), s, hop] = views(g, s, hop)
+                counts = {p: st.count for p, st in fresh[id(g), s, hop][0].patterns.items()}
+                assert counts == oracle_pattern_counts(g, s, hop)
+
+    order = [(g, s, hop) for s in g1.node_ids() for g in (g1, g2) for hop in (3, 1, 2)]
+    order += [(g, s, hop) for hop in (3, 1, 2) for s in g1.node_ids() for g in (g1, g2)]
+    for g, s, hop in order:
+        profile, present, neighborhoods = views(g, s, hop)
+        assert (profile, present, neighborhoods) == fresh[id(g), s, hop]
+        # what a caller does to a returned object never reaches a later answer
+        profile.patterns.clear()
+        present.append("spaceship")
+        for nb in neighborhoods:
+            nb.members.add("zz")
+        assert views(g, s, hop) == fresh[id(g), s, hop]

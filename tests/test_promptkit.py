@@ -42,6 +42,16 @@ def test_preamble_matches_schema():
     assert "[author writes paper]" in text
 
 
+def test_preamble_follows_a_schema_changed_in_place():
+    schema = academic_schema()
+    before = schema_preamble(schema)
+    schema.node_types.append("venue")
+    after = schema_preamble(schema)
+    assert "four types of nodes: paper, author, organization, and venue." in after
+    schema.node_types.pop()
+    assert schema_preamble(schema) == before != after
+
+
 def test_zero_proportion_prompt_table6_case():
     p = build_relation_prompt(
         academic_schema(), "author", "author", 3, empty_profile(3), TemplateId.PretrainLink
