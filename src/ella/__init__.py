@@ -20,10 +20,8 @@ from .pathstats import (
     meta_path_profile,
 )
 from .promptkit import (
-    BoundPrompt,
     PromptInstance,
     TemplateId,
-    bind_placeholders,
     build_relation_prompt,
 )
 from .encoder import (
@@ -61,14 +59,13 @@ from .evalkit import SplitSpec, Task, ap, auc, build_splits, macro_f1, micro_f1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionCapture", "BoundPrompt", "EdgeSampleSet", "EdgeType", "HeteroGraph",
-    "HopTypeNeighborhood", "HttpBackend", "MetaPathProfile", "MockBackend", "ModelConfig",
-    "ModelParams", "PromptInstance", "PrototypeBackend", "SchemaDef", "SplitSpec",
-    "SynthConfig", "Task", "TemplateId", "TokenBatch", "TokenTable", "TrainConfig", "VectorCache",
-    "ap", "auc", "bind_placeholders", "build_relation_prompt", "build_splits",
-    "encode_text", "enumerate_walks", "finetune", "forward", "forward_batch", "hop_type_neighbors",
-    "init_params", "load_graph", "macro_f1", "meta_path_profile", "micro_f1", "pad_tokens",
-    "pooled_node_token", "pretrain", "pretrain_loss", "profile_run", "relation_token",
+    "AttentionCapture", "EdgeSampleSet", "EdgeType", "HeteroGraph", "HopTypeNeighborhood",
+    "HttpBackend", "MetaPathProfile", "MockBackend", "ModelConfig", "ModelParams", "PromptInstance",
+    "PrototypeBackend", "SchemaDef", "SplitSpec", "SynthConfig", "Task", "TemplateId", "TokenBatch",
+    "TokenTable", "TrainConfig", "VectorCache", "ap", "auc", "build_relation_prompt",
+    "build_splits", "encode_text", "enumerate_walks", "finetune", "forward", "forward_batch",
+    "hop_type_neighbors", "init_params", "load_graph", "macro_f1", "meta_path_profile", "micro_f1",
+    "pad_tokens", "pooled_node_token", "pretrain", "pretrain_loss", "profile_run", "relation_token",
     "sample_edges", "save_graph", "similarity", "synth_generate", "tokenize_graph",
     "typed_neighbors",
 ]

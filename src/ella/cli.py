@@ -29,7 +29,9 @@ def _file_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig]:
+def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig, dict]:
+    """The checkpoint's parameters, model config and metadata, once its
+    ``.meta.json`` is read and its ``checkpoint_sha256`` verified."""
     meta_path = Path(ckpt + ".meta.json")
     if not meta_path.exists():
         raise click.ClickException(f"missing checkpoint metadata {meta_path}")
@@ -40,7 +42,7 @@ def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig]:
     if _file_sha256(ckpt) != meta["checkpoint_sha256"]:
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
     cfg = _config_section(ModelConfig, meta["model_config"], meta_path, "model")
-    return ModelParams(load_checkpoint(ckpt)), cfg
+    return ModelParams(load_checkpoint(ckpt)), cfg, meta
 
 
 def _save_params(params: ModelParams, cfg: ModelConfig, out: str, extra: dict) -> None:
@@ -249,7 +251,7 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
     g = _load(load_graph_dir, graph_dir)
     table = _load(encoder.load_tokens, tokens_path)
     labels = _node_labels(g, labels_path, target_type)
-    params, model_cfg = _load_params(ckpt_path)
+    params, model_cfg, _ = _load_params(ckpt_path)
     splits = evalkit.build_splits(
         g, labels, evalkit.Task.NodeClassification, seed=seed, target_type=target_type
     )
@@ -301,18 +303,17 @@ def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, lab
     """Score the held-out test split of the chosen task."""
     g = _load(load_graph_dir, graph_dir)
     table = _load(encoder.load_tokens, tokens_path)
-    params, model_cfg = _load_params(ckpt_path)
+    params, model_cfg, meta = _load_params(ckpt_path)
     rows: list[tuple[str, str, float]] = []
     if task == "node":
         if not labels_path or not target_type:
             raise click.ClickException("node task needs --labels and --target-type")
         labels = _node_labels(g, labels_path, target_type)
-        meta_path = Path(ckpt_path + ".meta.json")
-        meta = _read_json(meta_path)
         trained = (meta.get("command"), meta.get("target_type"))
         if trained != ("finetune", target_type):
             raise click.ClickException(
-                f"{meta_path} records command {trained[0]!r} and target_type {trained[1]!r};"
+                f"{Path(ckpt_path + '.meta.json')} records command {trained[0]!r}"
+                f" and target_type {trained[1]!r};"
                 f" --task node needs a head fine-tuned for {target_type!r} by 'ella finetune'"
             )
         splits = evalkit.build_splits(
@@ -343,7 +344,7 @@ def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, lab
             "command": "evaluate",
             "task": task,
             "splits_seed": splits_seed,
-            "checkpoint_sha256": _file_sha256(ckpt_path),
+            "checkpoint_sha256": meta["checkpoint_sha256"],
         },
     )
     for metric, split, value in rows:
@@ -383,13 +384,13 @@ def export_attention(ckpt_path, out_dir, graph_dir, tokens_path):
     """Dump type-level and hop-level attention distributions as CSV."""
     g = _load(load_graph_dir, graph_dir)
     table = _load(encoder.load_tokens, tokens_path)
-    params, model_cfg = _load_params(ckpt_path)
+    params, model_cfg, meta = _load_params(ckpt_path)
     capture = AttentionCapture()
     forward_batch(pad_tokens(g.node_ids(), table, model_cfg.hops), params.constants(), model_cfg, capture)
     written = evalkit.export_attention(capture, g, out_dir)
     evalkit.write_metadata(
         Path(out_dir) / "attention",
-        {"command": "export-attention", "checkpoint_sha256": _file_sha256(ckpt_path)},
+        {"command": "export-attention", "checkpoint_sha256": meta["checkpoint_sha256"]},
     )
     for name, path in written.items():
         click.echo(f"{name}: {path}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .hetgraph import HeteroGraph, typed_neighbors
 from .pathstats import HopTypeNeighborhood, hop_type_neighbors, hop_types_present, meta_path_profile
-from .promptkit import PromptInstance, TemplateId, bind_placeholders, build_relation_prompt
+from .promptkit import PromptInstance, TemplateId, build_relation_prompt
 from .tensorcore import load_arrays, save_arrays
 
 NODE_TEXT_TEMPLATE_ID = "node_text"
@@ -151,7 +151,7 @@ class HttpBackend:
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
             raise EncoderTransportError(f"GET {url} failed: {exc}") from exc
 
-    def encode(self, template_id, text, placeholders=None, pooling=None):
+    def encode(self, template_id, text, placeholders=None):
         if not text:
             raise EncoderError("cannot encode empty text")
         body = json.dumps(
@@ -159,7 +159,7 @@ class HttpBackend:
                 "template_id": template_id,
                 "text": text,
                 "placeholders": [np.asarray(p, dtype=float).tolist() for p in (placeholders or [])],
-                "pooling": pooling or self.pooling,
+                "pooling": self.pooling,
             }
         ).encode("utf-8")
         req = urllib.request.Request(
@@ -309,7 +309,10 @@ def _call_backend(
     cache: VectorCache | None,
 ) -> np.ndarray:
     if cache is not None:
-        key = VectorCache.key_for(f"{backend.name}:{backend.dim}", template_id, text, placeholders)
+        owner = f"{backend.name}:{backend.dim}"
+        if isinstance(backend, HttpBackend):  # its vectors follow the pooling it asks for
+            owner += f":{backend.pooling}"
+        key = VectorCache.key_for(owner, template_id, text, placeholders)
         hit = cache.get(key)
         if hit is not None:
             table.cache_hits += 1
@@ -369,14 +372,9 @@ def relation_token(
         pooled = np.add.reduce([table.node_tokens[v] for v in members], axis=0) / len(members)
     else:
         pooled = np.zeros(table.dim)
-    bound = bind_placeholders(prompt, [table.node_tokens[s], pooled])
     vec = _call_backend(
-        backend,
-        prompt.template_id.value,
-        prompt.rendered_text,
-        list(bound.placeholder_vectors),
-        table,
-        cache,
+        backend, prompt.template_id.value, prompt.rendered_text, [table.node_tokens[s], pooled],
+        table, cache,
     )
     table.relation_tokens[(s, hop, t)] = vec
     return vec

@@ -209,7 +209,7 @@ def build_splits(
         "val": positives[n_train : n_train + n_val],
         "test": positives[n_train + n_val :],
     }
-    used: set[tuple[str, str, str]] = set(g.edges)
+    used: set[tuple[str, str, str]] = set()  # negatives drawn so far; edges are rejected anyway
     for part_name in ("train", "val", "test"):
         part_pos = parts[part_name]
         by_type: dict[str, list[tuple[str, str]]] = {}

@@ -21,6 +21,15 @@ log = logging.getLogger(__name__)
 class GraphFormatError(ValueError):
     """Raised for malformed or inconsistent graph input files."""
 
+    # ("nodes" or "edges", index) of the HeteroGraph input record at fault
+    _record: tuple[str, int] | None = None
+
+
+def _record_error(kind: str, index: int, message: str) -> GraphFormatError:
+    exc = GraphFormatError(message)
+    exc._record = (kind, index)
+    return exc
+
 
 @dataclass(frozen=True)
 class EdgeType:
@@ -114,11 +123,11 @@ class HeteroGraph:
 
         self._type_of: dict[str, str] = {}
         declared_nt = set(schema.node_types)
-        for nid, ntype in self.nodes:
+        for i, (nid, ntype) in enumerate(self.nodes):
             if ntype not in declared_nt:
-                raise GraphFormatError(f"node {nid!r} has undeclared type {ntype!r}")
+                raise _record_error("nodes", i, f"node {nid!r} has undeclared type {ntype!r}")
             if nid in self._type_of:
-                raise GraphFormatError(f"duplicate node id {nid!r}")
+                raise _record_error("nodes", i, f"duplicate node id {nid!r}")
             self._type_of[nid] = ntype
         for nid in self.node_text:
             if nid not in self._type_of:
@@ -129,14 +138,13 @@ class HeteroGraph:
         seen: set[tuple[str, str, str]] = set()
         self.edges: list[tuple[str, str, str]] = []
         self.duplicates_collapsed = 0
-        for src, dst, ename in edges:
-            if src not in self._type_of:
-                raise GraphFormatError(f"edge references unknown node {src!r}")
-            if dst not in self._type_of:
-                raise GraphFormatError(f"edge references unknown node {dst!r}")
+        for i, (src, dst, ename) in enumerate(edges):
+            for nid in (src, dst):
+                if nid not in self._type_of:
+                    raise _record_error("edges", i, f"unknown node id {nid!r}")
             et = etypes.get(ename)
             if et is None:
-                raise GraphFormatError(f"edge has undeclared type {ename!r}")
+                raise _record_error("edges", i, f"undeclared edge type {ename!r}")
             st, dt = self._type_of[src], self._type_of[dst]
             if (st, dt) == (et.src, et.dst):
                 canon = (src, dst, ename)
@@ -144,9 +152,10 @@ class HeteroGraph:
                 # the record is written against the declared direction
                 canon = (dst, src, ename)
             else:
-                raise GraphFormatError(
+                raise _record_error(
+                    "edges", i,
                     f"edge ({src!r}, {dst!r}) of type {ename!r} joins {st}/{dt}, "
-                    f"schema declares {et.src}/{et.dst}"
+                    f"schema declares {et.src}/{et.dst}",
                 )
             if canon in seen:
                 self.duplicates_collapsed += 1
@@ -269,40 +278,15 @@ def load_graph(
     node_recs = _read_jsonl(nodes_path, required=("id", "type"))
     edge_recs = _read_jsonl(edges_path, required=("src", "dst", "etype"))
 
-    nodes: list[tuple[str, str]] = []
-    node_text: dict[str, str] = {}
-    known: set[str] = set()
-    for rec in node_recs:
-        nid, ntype = str(rec["id"]), str(rec["type"])
-        if ntype not in schema.node_types:
-            raise GraphFormatError(
-                f"{nodes_path} line {rec['_line']}: undeclared node type {ntype!r}"
-            )
-        if nid in known:
-            raise GraphFormatError(f"{nodes_path} line {rec['_line']}: duplicate node id {nid!r}")
-        known.add(nid)
-        nodes.append((nid, ntype))
-        if rec.get("text"):
-            node_text[nid] = str(rec["text"])
-
-    edges: list[tuple[str, str, str]] = []
-    etype_names = {et.name for et in schema.edge_types}
-    for rec in edge_recs:
-        src, dst, ename = str(rec["src"]), str(rec["dst"]), str(rec["etype"])
-        if src not in known:
-            raise GraphFormatError(f"{edges_path} line {rec['_line']}: unknown node id {src!r}")
-        if dst not in known:
-            raise GraphFormatError(f"{edges_path} line {rec['_line']}: unknown node id {dst!r}")
-        if ename not in etype_names:
-            raise GraphFormatError(
-                f"{edges_path} line {rec['_line']}: undeclared edge type {ename!r}"
-            )
-        edges.append((src, dst, ename))
-
+    nodes = [(str(rec["id"]), str(rec["type"])) for rec in node_recs]
+    node_text = {str(rec["id"]): str(rec["text"]) for rec in node_recs if rec.get("text")}
+    edges = [(str(rec["src"]), str(rec["dst"]), str(rec["etype"])) for rec in edge_recs]
     try:
         return HeteroGraph(schema, nodes, edges, node_text)
-    except GraphFormatError as exc:  # an edge against its type's declared endpoints
-        raise GraphFormatError(f"{edges_path}: {exc}") from exc
+    except GraphFormatError as exc:  # every error these records can cause names one of them
+        kind, i = exc._record
+        path, recs = (nodes_path, node_recs) if kind == "nodes" else (edges_path, edge_recs)
+        raise GraphFormatError(f"{path} line {recs[i]['_line']}: {exc}") from exc
 
 
 def save_graph(g: HeteroGraph, out_dir: str | Path) -> Path:

@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .hetgraph import EdgeType, SchemaDef
 from .pathstats import MetaPathProfile
 
@@ -46,13 +44,6 @@ class TemplateId(str, Enum):
 class PromptInstance:
     template_id: TemplateId
     rendered_text: str
-    path_lines: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class BoundPrompt:
-    prompt: PromptInstance
-    placeholder_vectors: tuple[np.ndarray, np.ndarray]
 
 
 def _article(noun: str) -> str:
@@ -150,12 +141,9 @@ def build_relation_prompt(
 
     restricted = sorted(profile.restricted_to(dst_type).items())
     if restricted:
-        path_lines = tuple(("-".join(p), round(stat.proportion, 2)) for p, stat in restricted)
         rendered_lines = [render_path_line(p, stat.proportion) for p, stat in restricted]
     else:
-        pattern = fallback_pattern(schema, src_type, dst_type, hop)
-        path_lines = (("-".join(pattern), 0.0),)
-        rendered_lines = [render_zero_path_line(pattern)]
+        rendered_lines = [render_zero_path_line(fallback_pattern(schema, src_type, dst_type, hop))]
 
     if task is TemplateId.PretrainLink:
         task_clause = "calculate the similarity"
@@ -176,20 +164,7 @@ def build_relation_prompt(
         f"based on these paths: {', '.join(rendered_lines)}."
     )
     text = f"{schema_preamble(schema)} {entity} {steps}"
-    return PromptInstance(
-        template_id=task,
-        rendered_text=text,
-        path_lines=path_lines,
-    )
-
-
-def bind_placeholders(p: PromptInstance, vecs: list[np.ndarray]) -> BoundPrompt:
-    """Pair a prompt with its two placeholder vectors, in marker order."""
-    marker_count = p.rendered_text.count(PLACEHOLDER)
-    if len(vecs) != marker_count:
-        raise ValueError(f"expected {marker_count} placeholder vectors, got {len(vecs)}")
-    arrs = [np.asarray(v, dtype=np.float64) for v in vecs]
-    dims = {a.shape for a in arrs}
-    if len(dims) > 1 or any(a.ndim != 1 for a in arrs):
-        raise ValueError(f"placeholder vectors disagree in dimension: {[a.shape for a in arrs]}")
-    return BoundPrompt(prompt=p, placeholder_vectors=(arrs[0], arrs[1]))
+    if text.count(PLACEHOLDER) != 2:
+        raise ValueError(f"prompt holds {text.count(PLACEHOLDER)} {PLACEHOLDER} markers, not 2;"
+                         " a schema string contains the marker")
+    return PromptInstance(template_id=task, rendered_text=text)

@@ -379,7 +379,7 @@ def pretrain(
 
     Positives default to all edges with a 10% held-out validation slice;
     negatives are resampled every epoch from an epoch-derived seed, always
-    rejecting ``forbidden`` (the graph's own edges by default; pass the full
+    rejecting the graph's own edges and any ``forbidden`` one (pass the full
     edge set when training on a held-out-edge subgraph). Deterministic given
     (inputs, seed).
     """
@@ -391,8 +391,6 @@ def pretrain(
     if train_positives is None:
         base = sample_edges(g, train_cfg.neg_ratio, seed)
         train_positives, val_samples = _holdout_split(base, train_cfg.val_fraction, seed)
-    if forbidden is None:
-        forbidden = {(s, t, e) for s, t, e in g.edges}
 
     # Every endpoint an epoch can draw: the node pools of the trained
     # relations plus the validation endpoints. Embedding this fixed set each

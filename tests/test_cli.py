@@ -204,8 +204,9 @@ def _untrained_checkpoint(graph_dir, out, hops=1, d_llm=12):
 
 def test_load_params_checks_checkpoint_hash(workdir):
     ckpt = _untrained_checkpoint(workdir / "graph", str(workdir / "hashed.ckpt"))
-    params, _ = cli._load_params(ckpt)
+    params, _, meta = cli._load_params(ckpt)
     assert "proj/W" in params.tensors
+    assert meta == json.loads(Path(ckpt + ".meta.json").read_text())
 
     data = bytearray(Path(ckpt).read_bytes())
     data[-1] ^= 0x01
@@ -318,7 +319,7 @@ def _delete(path):
         ("tokenize", "graph/edges.jsonl", _append('{"src": "ghost", "dst": "ghost", "etype": "writes"}'),
          r"edges\.jsonl line \d+: unknown node id 'ghost'"),
         ("tokenize", "graph/edges.jsonl", _append('{"src": "paper0000", "dst": "paper0001", "etype": "writes"}'),
-         r"edges\.jsonl: edge \('paper0000', 'paper0001'\) of type 'writes' joins paper/paper"),
+         r"edges\.jsonl line \d+: edge \('paper0000', 'paper0001'\) of type 'writes' joins paper/paper"),
         ("pretrain", "graph/schema.json", _label_unknown_type,
          r"schema\.json: class_labels for unknown node type 'venue'"),
         ("evaluate", "graph/edges.jsonl", _delete, r"No such file or directory: .*edges\.jsonl"),
@@ -436,6 +437,31 @@ def test_export_attention_records_no_tape(workdir, tmp_path, monkeypatch):
              "--tokens", tokens])
     assert len(outputs) == 1 and not (outputs[0].requires_grad or outputs[0]._parents)
     assert (tmp_path / "attn" / "type_attention.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate_link", "evaluate_node", "export-attention"])
+def test_a_checkpoint_is_hashed_and_its_metadata_read_once(workdir, tmp_path, monkeypatch, command):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    meta = json.loads(Path(ckpt + ".meta.json").read_text())
+    Path(ckpt + ".meta.json").write_text(json.dumps({**meta, "command": "finetune", "target_type": "paper"}))
+    reads = []
+    for name in ("_file_sha256", "_read_json"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda path, real=real: reads.append(str(path)) or real(path))
+    inputs = ["--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt]
+    out = tmp_path / "out"
+    run_cli({
+        "evaluate_link": ["evaluate", "--task", "link", *inputs, "--out", str(out)],
+        "evaluate_node": ["evaluate", "--task", "node", *inputs, "--out", str(out),
+                          "--labels", str(workdir / "labels.csv"), "--target-type", "paper"],
+        "export-attention": ["export-attention", *inputs, "--out", str(out)],
+    }[command])
+    assert sorted(reads) == [ckpt, ckpt + ".meta.json"]
+    written = out / "attention.meta.json" if command == "export-attention" else Path(f"{out}.meta.json")
+    assert json.loads(written.read_text())["checkpoint_sha256"] == meta["checkpoint_sha256"]
 
 
 def test_finetune_with_too_few_labels_names_the_labels_file(workdir, tmp_path):

@@ -598,6 +598,7 @@ def test_load_tokens_truncated_file_names_it(tmp_path):
 
 class _MockHandler(BaseHTTPRequestHandler):
     inner = MockBackend(dim=12)
+    poolings: list[str] = []  # the pooling of every encode request served
 
     def log_message(self, *args):
         pass
@@ -622,6 +623,7 @@ class _MockHandler(BaseHTTPRequestHandler):
             return
         length = int(self.headers["Content-Length"])
         req = json.loads(self.rfile.read(length))
+        self.poolings.append(req["pooling"])
         vec = self.inner.encode(
             req["template_id"],
             req["text"],
@@ -656,6 +658,22 @@ def test_http_backend_tokenizes_graph(http_server):
     g = small_academic_graph()
     t = tokenize_graph(HttpBackend(http_server), g, targets=["a1"], K=1)
     assert t.stored_per_target("a1") >= 1 + 1
+
+
+def test_http_cache_serves_only_the_pooling_it_was_filled_with(http_server, tmp_path):
+    g = small_academic_graph()
+    served = _MockHandler.poolings
+    tables = []
+    for pooling in ("mean", "last", "mean", "last"):
+        before = len(served)
+        with VectorCache(tmp_path / "cache.bin") as cache:
+            backend = HttpBackend(http_server, pooling=pooling)
+            tables.append(tokenize_graph(backend, g, targets=["a1"], K=1, cache=cache))
+        assert served[before:] == [pooling] * tables[-1].call_count
+    cold_mean, cold_last, warm_mean, warm_last = tables
+    assert cold_last.call_count == cold_mean.call_count > 0
+    assert cold_last.cache_hits == 0
+    assert warm_mean.call_count == warm_last.call_count == 0
 
 
 def test_http_backend_unreachable_is_transport_error():

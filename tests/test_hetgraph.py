@@ -69,14 +69,43 @@ def test_load_reports_declared_counts(tmp_path):
 
 
 def test_load_error_names_line(tmp_path):
-    nodes = [{"id": "m1", "type": "movie"}]
+    nodes = [{"id": "m1", "type": "movie"}, {"id": "a1", "type": "actor"}]
     edges = [
-        {"src": "m1", "dst": "m1", "etype": "acts_in"},
+        {"src": "a1", "dst": "m1", "etype": "acts_in"},
         {"src": "ghost", "dst": "m1", "etype": "acts_in"},
     ]
     paths = write_graph_files(tmp_path, nodes, edges, IMDB_SCHEMA)
-    with pytest.raises(GraphFormatError, match="line 2.*ghost"):
+    with pytest.raises(GraphFormatError, match=r"edges\.jsonl line 2: unknown node id 'ghost'$"):
         load_graph(*paths)
+    # the first bad record is the one named, whatever is wrong with it
+    edges[0] = {"src": "m1", "dst": "m1", "etype": "acts_in"}
+    paths = write_graph_files(tmp_path, nodes, edges, IMDB_SCHEMA)
+    with pytest.raises(GraphFormatError, match=r"edges\.jsonl line 1: edge \('m1', 'm1'\) of type 'acts_in' joins"):
+        load_graph(*paths)
+
+
+@pytest.mark.parametrize(
+    "nodes,edges,message",
+    [
+        ([{"id": "m1", "type": "movie"}, {"id": "x1", "type": "spaceship"}], [],
+         r"nodes\.jsonl line 2: node 'x1' has undeclared type 'spaceship'$"),
+        ([{"id": "m1", "type": "movie"}, {"id": "a1", "type": "actor"}, {"id": "m1", "type": "movie"}], [],
+         r"nodes\.jsonl line 3: duplicate node id 'm1'$"),
+        ([{"id": "m1", "type": "movie"}], [{"src": "m1", "dst": "nobody", "etype": "acts_in"}],
+         r"edges\.jsonl line 1: unknown node id 'nobody'$"),
+        ([{"id": "m1", "type": "movie"}, {"id": "a1", "type": "actor"}],
+         [{"src": "a1", "dst": "m1", "etype": "acts_in"}, {"src": "a1", "dst": "m1", "etype": "sings"}],
+         r"edges\.jsonl line 2: undeclared edge type 'sings'$"),
+        ([{"id": "m1", "type": "movie"}, {"id": "a1", "type": "actor"}, {"id": "d1", "type": "director"}],
+         [{"src": "a1", "dst": "m1", "etype": "acts_in"}, {"src": "d1", "dst": "a1", "etype": "directs"}],
+         r"edges\.jsonl line 2: edge \('d1', 'a1'\) of type 'directs' joins director/actor, "
+         r"schema declares director/movie$"),
+    ],
+    ids=["undeclared_node_type", "duplicate_node", "unknown_endpoint", "undeclared_edge_type", "against_its_type"],
+)
+def test_every_bad_record_names_its_file_and_line(tmp_path, nodes, edges, message):
+    with pytest.raises(GraphFormatError, match=message):
+        load_graph(*write_graph_files(tmp_path, nodes, edges, IMDB_SCHEMA))
 
 
 def test_load_malformed_line(tmp_path):

@@ -1,6 +1,5 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +9,6 @@ from ella.promptkit import (
     PLACEHOLDER,
     SIMILARITY_STEPS,
     TemplateId,
-    bind_placeholders,
     build_relation_prompt,
     fallback_pattern,
     parse_path_line,
@@ -59,7 +57,7 @@ def test_zero_proportion_prompt_table6_case():
     assert "author-paper-paper-author (Proportion of paths: 0.00)" in p.rendered_text
     assert SIMILARITY_STEPS in p.rendered_text
     assert p.rendered_text.count(PLACEHOLDER) == 2
-    assert p.path_lines == (("author-paper-paper-author", 0.0),)
+    assert "based on these paths: author-paper-paper-author (Proportion of paths: 0.00). Steps:" in p.rendered_text
 
 
 def test_hop1_prompt_table1_case():
@@ -71,7 +69,7 @@ def test_hop1_prompt_table1_case():
     assert "calculate the similarity based on these paths: "
     assert "paper-author (proportion of paths: 1.00)" in p.rendered_text
     assert SIMILARITY_STEPS in p.rendered_text
-    assert len(p.path_lines) == 1
+    assert "based on these paths: paper-author (proportion of paths: 1.00). Steps:" in p.rendered_text
 
 
 def test_finetune_prompt_lists_labels():
@@ -141,14 +139,17 @@ def test_path_line_roundtrip(prop, hop):
 
 def test_rendered_lines_parse_back():
     g = small_academic_graph()
-    prof = meta_path_profile(g, "p1", 2)
-    p = build_relation_prompt(
-        academic_schema(), "paper", "author", 2, prof, TemplateId.PretrainLink
-    )
-    segment = p.rendered_text.split("based on these paths: ")[1]
-    listed = segment.split(". Steps:")[0]
-    for line, (pattern, prop) in zip(listed.split(", "), p.path_lines):
-        assert parse_path_line(line) == (pattern, prop)
+    for hop in (2, 3):  # one line, three lines
+        prof = meta_path_profile(g, "p1", hop)
+        p = build_relation_prompt(
+            academic_schema(), "paper", "author", hop, prof, TemplateId.PretrainLink
+        )
+        segment = p.rendered_text.split("based on these paths: ")[1]
+        listed = segment.split(". Steps:")[0]
+        expected = sorted(prof.restricted_to("author").items())
+        assert [parse_path_line(line) for line in listed.split(", ")] == [
+            ("-".join(pattern), round(stat.proportion, 2)) for pattern, stat in expected
+        ]
 
 
 def test_fallback_pattern_lexicographic():
@@ -159,18 +160,15 @@ def test_fallback_pattern_lexicographic():
         fallback_pattern(academic_schema(), "organization", "organization", 1)
 
 
-def test_bind_placeholders():
-    p = build_relation_prompt(
-        academic_schema(), "paper", "author", 1, empty_profile(1), TemplateId.PretrainLink
-    )
-    v = np.zeros(8)
-    bound = bind_placeholders(p, [v, v])
-    assert len(bound.placeholder_vectors) == 2
-    assert all(vec.shape == (8,) for vec in bound.placeholder_vectors)
-    with pytest.raises(ValueError):
-        bind_placeholders(p, [v])
-    with pytest.raises(ValueError):
-        bind_placeholders(p, [np.zeros(8), np.zeros(16)])
+@pytest.mark.parametrize(
+    "field,value",
+    [("domain_blurb", "a [PH] network"), ("node_types", ["paper", "author", "organization", "x[PH]"])],
+)
+def test_schema_string_holding_the_marker_is_refused(field, value):
+    schema = academic_schema()
+    setattr(schema, field, value)
+    with pytest.raises(ValueError, match=r"3 \[PH\] markers, not 2"):
+        build_relation_prompt(schema, "paper", "author", 1, empty_profile(1), TemplateId.PretrainLink)
 
 
 @pytest.mark.parametrize(
