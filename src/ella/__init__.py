@@ -13,14 +13,12 @@ from .hetgraph import (
     typed_neighbors,
 )
 from .pathstats import (
-    HopTypeNeighborhood,
     MetaPathProfile,
     enumerate_walks,
     hop_type_neighbors,
     meta_path_profile,
 )
 from .promptkit import (
-    PromptInstance,
     TemplateId,
     build_relation_prompt,
 )
@@ -59,13 +57,13 @@ from .evalkit import SplitSpec, Task, ap, auc, build_splits, macro_f1, micro_f1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionCapture", "EdgeSampleSet", "EdgeType", "HeteroGraph", "HopTypeNeighborhood",
-    "HttpBackend", "MetaPathProfile", "MockBackend", "ModelConfig", "ModelParams", "PromptInstance",
-    "PrototypeBackend", "SchemaDef", "SplitSpec", "SynthConfig", "Task", "TemplateId", "TokenBatch",
-    "TokenTable", "TrainConfig", "VectorCache", "ap", "auc", "build_relation_prompt",
-    "build_splits", "encode_text", "enumerate_walks", "finetune", "forward", "forward_batch",
-    "hop_type_neighbors", "init_params", "load_graph", "macro_f1", "meta_path_profile", "micro_f1",
-    "pad_tokens", "pooled_node_token", "pretrain", "pretrain_loss", "profile_run", "relation_token",
-    "sample_edges", "save_graph", "similarity", "synth_generate", "tokenize_graph",
-    "typed_neighbors",
+    "AttentionCapture", "EdgeSampleSet", "EdgeType", "HeteroGraph", "HttpBackend",
+    "MetaPathProfile", "MockBackend", "ModelConfig", "ModelParams", "PrototypeBackend",
+    "SchemaDef", "SplitSpec", "SynthConfig", "Task", "TemplateId", "TokenBatch", "TokenTable",
+    "TrainConfig", "VectorCache", "ap", "auc", "build_relation_prompt", "build_splits",
+    "encode_text", "enumerate_walks", "finetune", "forward", "forward_batch",
+    "hop_type_neighbors", "init_params", "load_graph", "macro_f1", "meta_path_profile",
+    "micro_f1", "pad_tokens", "pooled_node_token", "pretrain", "pretrain_loss", "profile_run",
+    "relation_token", "sample_edges", "save_graph", "similarity", "synth_generate",
+    "tokenize_graph", "typed_neighbors",
 ]

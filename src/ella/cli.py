@@ -31,7 +31,8 @@ def _file_sha256(path: str | Path) -> str:
 
 def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig, dict]:
     """The checkpoint's parameters, model config and metadata, once its
-    ``.meta.json`` is read and its ``checkpoint_sha256`` verified."""
+    ``.meta.json`` is read and its ``checkpoint_sha256`` verified. The
+    checkpoint is read once: the bytes that are hashed are the bytes parsed."""
     meta_path = Path(ckpt + ".meta.json")
     if not meta_path.exists():
         raise click.ClickException(f"missing checkpoint metadata {meta_path}")
@@ -39,10 +40,11 @@ def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig, dict]:
     for key in ("checkpoint_sha256", "model_config"):
         if not isinstance(meta, dict) or key not in meta:
             raise click.ClickException(f"{meta_path} records no {key}")
-    if _file_sha256(ckpt) != meta["checkpoint_sha256"]:
+    data = Path(ckpt).read_bytes()
+    if hashlib.sha256(data).hexdigest() != meta["checkpoint_sha256"]:
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
     cfg = _config_section(ModelConfig, meta["model_config"], meta_path, "model")
-    return ModelParams(load_checkpoint(ckpt)), cfg, meta
+    return ModelParams(load_checkpoint(ckpt, data)), cfg, meta
 
 
 def _save_params(params: ModelParams, cfg: ModelConfig, out: str, extra: dict) -> None:
@@ -210,13 +212,15 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     model_cfg, train_cfg = _load_train_config(config_path)
     if model_cfg.d_llm != table.dim:
         model_cfg = dataclasses.replace(model_cfg, d_llm=table.dim)
-    result = trainer.pretrain(g, table, model_cfg, train_cfg, seed=seed)
-    run_meta = result.metadata()
     backend_info = {}
     tokens_meta = Path(tokens_path + ".meta.json")
     if tokens_meta.exists():
         doc = _read_json(tokens_meta)
+        if not isinstance(doc, dict):
+            raise click.ClickException(f"{tokens_meta}: expected a JSON object, got {type(doc).__name__}")
         backend_info = {"backend": doc.get("backend"), "pooling": doc.get("pooling")}
+    result = trainer.pretrain(g, table, model_cfg, train_cfg, seed=seed)
+    run_meta = result.metadata()
     _save_params(
         result.params,
         model_cfg,

@@ -23,8 +23,8 @@ from typing import BinaryIO
 import numpy as np
 
 from .hetgraph import HeteroGraph, typed_neighbors
-from .pathstats import HopTypeNeighborhood, hop_type_neighbors, hop_types_present, meta_path_profile
-from .promptkit import PromptInstance, TemplateId, build_relation_prompt
+from .pathstats import hop_type_neighbors, hop_types_present, meta_path_profile
+from .promptkit import TemplateId, build_relation_prompt
 from .tensorcore import load_arrays, save_arrays
 
 NODE_TEXT_TEMPLATE_ID = "node_text"
@@ -352,18 +352,20 @@ def relation_token(
     hop: int,
     t: str,
     table: TokenTable,
-    nb: HopTypeNeighborhood,
-    prompt: PromptInstance,
+    members: set[str],
+    template: TemplateId,
+    prompt: str,
     cache: VectorCache | None = None,
 ) -> np.ndarray:
-    """Encode the hop-``hop`` type-``t`` relation of ``s``: exactly one call.
+    """Encode the hop-``hop`` type-``t`` relation of ``s``: exactly one call,
+    on the ``template`` prompt text ``prompt``.
 
-    The second placeholder is the mean of the member node tokens (zero vector
-    when the neighborhood is empty, paired with a 0.00-proportion prompt).
+    The second placeholder is the mean of the ``members``' node tokens (zero
+    vector when there are none, paired with a 0.00-proportion prompt).
     """
     if s not in table.node_tokens:
         raise EncoderError(f"node token for {s!r} missing")
-    members = sorted(nb.members)
+    members = sorted(members)
     missing = [v for v in members if v not in table.node_tokens]
     if missing:
         raise EncoderError(f"members of ({s!r}, hop {hop}, {t!r}) lack node tokens: {missing[:5]}")
@@ -372,10 +374,7 @@ def relation_token(
         pooled = np.add.reduce([table.node_tokens[v] for v in members], axis=0) / len(members)
     else:
         pooled = np.zeros(table.dim)
-    vec = _call_backend(
-        backend, prompt.template_id.value, prompt.rendered_text, [table.node_tokens[s], pooled],
-        table, cache,
-    )
+    vec = _call_backend(backend, template.value, prompt, [table.node_tokens[s], pooled], table, cache)
     table.relation_tokens[(s, hop, t)] = vec
     return vec
 
@@ -420,9 +419,9 @@ def tokenize_graph(
         for hop in range(1, K + 1):
             profile = meta_path_profile(g, s, hop)
             for t in hop_types_present(g, s, hop):
-                nb = hop_type_neighbors(g, s, hop, t)
+                members = hop_type_neighbors(g, s, hop, t)
                 prompt = build_relation_prompt(g.schema, src_type, t, hop, profile, template)
-                relation_token(backend, s, hop, t, table, nb, prompt, cache)
+                relation_token(backend, s, hop, t, table, members, template, prompt, cache)
     return table
 
 

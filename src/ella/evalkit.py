@@ -136,7 +136,6 @@ class LinkPart:
 
 @dataclass
 class SplitSpec:
-    task: Task
     node_splits: dict[str, tuple[list[str], list[str], list[str]]] = field(default_factory=dict)
     edge_splits: dict[str, LinkPart] = field(default_factory=dict)
 
@@ -163,7 +162,7 @@ def build_splits(
     negatives per part sampled from non-edges of the same relation type.
     """
     rng = np.random.default_rng(seed)
-    spec = SplitSpec(task=task)
+    spec = SplitSpec()
 
     if task is Task.NodeClassification:
         if not labels:

@@ -38,6 +38,12 @@ class EdgeType:
     dst: str
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise GraphFormatError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
 @dataclass
 class SchemaDef:
     """Graph schema: declared node/edge types plus prompt-facing metadata.
@@ -54,6 +60,11 @@ class SchemaDef:
 
     def __post_init__(self) -> None:
         declared = set(self.node_types)
+        named = [("node type", self.node_types), ("edge type", [et.name for et in self.edge_types])]
+        for what, names in named + [(f"class label of {t!r}", v) for t, v in self.class_labels.items()]:
+            repeated = [n for i, n in enumerate(names) if n in names[:i]]
+            if repeated:
+                raise GraphFormatError(f"repeated {what}: {repeated[0]!r}")
         for et in self.edge_types:
             if et.src not in declared or et.dst not in declared:
                 raise GraphFormatError(
@@ -91,14 +102,15 @@ class SchemaDef:
     @classmethod
     def from_dict(cls, d: dict) -> "SchemaDef":
         try:
-            edge_types = [EdgeType(e["name"], e["src"], e["dst"]) for e in d["edge_types"]]
+            edge_types = _array(d["edge_types"], "edge_types")
+            labels = d.get("class_labels", {})
             return cls(
-                node_types=list(d["node_types"]),
-                edge_types=edge_types,
+                node_types=_array(d["node_types"], "node_types"),
+                edge_types=[EdgeType(e["name"], e["src"], e["dst"]) for e in edge_types],
                 domain_blurb=d.get("domain_blurb", "a network"),
-                class_labels={k: list(v) for k, v in d.get("class_labels", {}).items()},
+                class_labels={k: _array(v, f"class_labels for {k!r}") for k, v in labels.items()},
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise GraphFormatError(f"malformed schema document: {exc}") from exc
 
 
@@ -326,6 +338,8 @@ def load_labels(path: str | Path) -> dict[str, str]:
         parts = line.split(",", 1)
         if len(parts) != 2:
             raise GraphFormatError(f"{path} line {lineno}: expected 'id,label'")
+        if parts[0] in labels:
+            raise GraphFormatError(f"{path} line {lineno}: repeated node id {parts[0]!r}")
         labels[parts[0]] = parts[1]
     return labels
 
@@ -338,6 +352,9 @@ def save_labels(labels: dict[str, str], path: str | Path) -> None:
 
 
 # -- synthetic generation --------------------------------------------------
+
+# node text of a synthetic node; PrototypeBackend reads its ``class:<c>`` marker
+_SYNTH_TEXT = "{ntype} {nid} class:{cls}"
 
 
 @dataclass
@@ -354,7 +371,6 @@ class SynthConfig:
     type_sizes: dict[str, int]
     classes: int
     edge_probs: dict[str, tuple[float, float]]  # edge-type name -> (p_intra, p_inter)
-    text_template: str = "{ntype} {nid} class:{cls}"
 
     def __post_init__(self) -> None:
         for ntype in self.type_sizes:
@@ -388,7 +404,7 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[HeteroGraph, dict[str, 
             cls = i % cfg.classes
             nodes.append((nid, ntype))
             labels[nid] = f"C{cls}"
-            node_text[nid] = cfg.text_template.format(ntype=ntype, nid=nid, cls=cls)
+            node_text[nid] = _SYNTH_TEXT.format(ntype=ntype, nid=nid, cls=cls)
 
     edges: list[tuple[str, str, str]] = []
     for et in cfg.schema.edge_types:

@@ -48,14 +48,6 @@ class MetaPathProfile:
         return {p: s for p, s in self.patterns.items() if p[-1] == endpoint_type}
 
 
-@dataclass
-class HopTypeNeighborhood:
-    target: str
-    hop: int
-    type: str
-    members: set[str]
-
-
 def _check_node(g: HeteroGraph, s: str) -> None:
     if s not in g:
         raise KeyError(f"unknown node {s!r}")
@@ -105,15 +97,14 @@ def meta_path_profile(g: HeteroGraph, s: str, i: int) -> MetaPathProfile:
     return MetaPathProfile(target=s, hop=i, patterns=dict(patterns))
 
 
-def hop_type_neighbors(g: HeteroGraph, s: str, i: int, t: str) -> HopTypeNeighborhood:
+def hop_type_neighbors(g: HeteroGraph, s: str, i: int, t: str) -> set[str]:
     """Endpoints of hop-``i`` walks from ``s`` having type ``t`` (``s`` excluded)."""
     _check_node(g, s)
     if t not in g.schema.node_types:
         raise KeyError(f"unknown node type {t!r}")
     if i < 1:
         raise ValueError("hop must be >= 1")
-    members = set(_walk(g, s).level(i)[1].get(t, ()))
-    return HopTypeNeighborhood(target=s, hop=i, type=t, members=members)
+    return set(_walk(g, s).level(i)[1].get(t, ()))
 
 
 def hop_types_present(g: HeteroGraph, s: str, i: int) -> list[str]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .hetgraph import EdgeType, SchemaDef
@@ -38,12 +37,6 @@ _PATH_LINE_RE = re.compile(r"^(?P<pattern>.+) \((?:p|P)roportion of paths: (?P<p
 class TemplateId(str, Enum):
     PretrainLink = "pretrain_link"
     FinetuneClassify = "finetune_classify"
-
-
-@dataclass(frozen=True)
-class PromptInstance:
-    template_id: TemplateId
-    rendered_text: str
 
 
 def _article(noun: str) -> str:
@@ -126,7 +119,7 @@ def build_relation_prompt(
     hop: int,
     profile: MetaPathProfile,
     task: TemplateId,
-) -> PromptInstance:
+) -> str:
     """Render the deterministic relation prompt for one (hop, endpoint type).
 
     Only profile patterns ending at ``dst_type`` are listed. When no such walk
@@ -167,4 +160,4 @@ def build_relation_prompt(
     if text.count(PLACEHOLDER) != 2:
         raise ValueError(f"prompt holds {text.count(PLACEHOLDER)} {PLACEHOLDER} markers, not 2;"
                          " a schema string contains the marker")
-    return PromptInstance(template_id=task, rendered_text=text)
+    return text

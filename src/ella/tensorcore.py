@@ -472,10 +472,11 @@ def save_arrays(arrays: dict[str, np.ndarray], path: str | Path) -> None:
             fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
-def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a :func:`save_arrays` container; a truncated or padded file, or an
-    unknown dtype code, raises ``ValueError`` naming the file."""
-    data = Path(path).read_bytes()
+def load_arrays(path: str | Path, data: bytes | None = None) -> dict[str, np.ndarray]:
+    """Read a :func:`save_arrays` container, or parse ``data``, bytes already
+    read from ``path``; a truncated or padded file, or an unknown dtype code,
+    raises ``ValueError`` naming the file."""
+    data = Path(path).read_bytes() if data is None else data
     if not data.startswith(CKPT_MAGIC):
         raise ValueError(f"{path}: not an array container (bad header)")
     off = len(CKPT_MAGIC)
@@ -514,5 +515,5 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
     save_arrays({name: p.data for name, p in params.items()}, path)
 
 
-def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
-    return {name: Tensor(arr, requires_grad=True) for name, arr in load_arrays(path).items()}
+def load_checkpoint(path: str | Path, data: bytes | None = None) -> dict[str, Tensor]:
+    return {name: Tensor(arr, requires_grad=True) for name, arr in load_arrays(path, data).items()}

@@ -445,7 +445,6 @@ def pretrain(
 @dataclass
 class FinetuneResult:
     params: ModelParams
-    target_type: str
     lr: float
     best_epoch: int
     val_micro_f1: float
@@ -524,7 +523,6 @@ def finetune(
         params.tensors[head_name] = Tensor(weights, requires_grad=True)
     return FinetuneResult(
         params=params,
-        target_type=target_type,
         lr=lanes[i]["lr"],
         best_epoch=lanes[i]["best_epoch"],
         val_micro_f1=lanes[i]["val_micro_f1"],

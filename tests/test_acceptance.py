@@ -157,7 +157,7 @@ def test_03_pathstats_oracle_equivalence():
                         p: st.count for p, st in prof.patterns.items()
                     } == oracle_pattern_counts(g, s, hop)
                     for t in g.schema.node_types:
-                        got = hop_type_neighbors(g, s, hop, t).members
+                        got = hop_type_neighbors(g, s, hop, t)
                         assert got == oracle_hop_type_members(g, s, hop, t)
 
 
@@ -390,7 +390,7 @@ def test_12_prompt_fidelity():
                 else MetaPathProfile(target="x", hop=hop, patterns={})
             )
             p = build_relation_prompt(schema, src, dst, hop, profile, TemplateId.PretrainLink)
-            assert SIMILARITY_STEPS in p.rendered_text
-            assert path_line in p.rendered_text
-            assert p.rendered_text.count(PLACEHOLDER) == 2
-            assert p.rendered_text == (GOLDEN / golden).read_text(encoding="utf-8")
+            assert SIMILARITY_STEPS in p
+            assert path_line in p
+            assert p.count(PLACEHOLDER) == 2
+            assert p == (GOLDEN / golden).read_text(encoding="utf-8")

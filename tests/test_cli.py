@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import re
 import shutil
@@ -292,6 +294,14 @@ def _append(line):
     return damage
 
 
+def _relabel(nid, label):
+    def damage(path):
+        rows = [f"{nid},{label}" if row.split(",")[0] == nid else row for row in path.read_text().splitlines()]
+        path.write_text("\n".join(rows) + "\n")
+
+    return damage
+
+
 def _append_bytes(raw):
     def damage(path):
         with open(path, "ab") as fh:
@@ -325,7 +335,8 @@ def _delete(path):
         ("evaluate", "graph/edges.jsonl", _delete, r"No such file or directory: .*edges\.jsonl"),
         ("finetune", "labels.csv", _append("ghost,C0"), r"labels\.csv: unknown node 'ghost'"),
         ("evaluate_node", "labels.csv", _append("ghost,C0"), r"labels\.csv: unknown node 'ghost'"),
-        ("finetune", "labels.csv", _append("paper0000,C9"), r"labels\.csv: node 'paper0000' has label 'C9'"),
+        ("finetune", "labels.csv", _relabel("paper0000", "C9"), r"labels\.csv: node 'paper0000' has label 'C9'"),
+        ("finetune", "labels.csv", _append("paper0000,C9"), r"labels\.csv line \d+: repeated node id 'paper0000'"),
         ("finetune", "labels.csv", _write_invalid_json, r"labels\.csv: expected 'id,label' header"),
         ("finetune", "labels.csv", _append_bytes(b"\xff\xfe"), r"labels\.csv line \d+: not UTF-8"),
         ("pretrain", "config.json", _write_invalid_json, r"config\.json: not valid JSON"),
@@ -343,7 +354,7 @@ def _delete(path):
     ids=["nodes_not_json", "nodes_not_utf8", "schema_not_utf8", "edge_to_unknown_node",
          "edge_against_its_type", "schema_labels_unknown_type",
          "graph_missing_edges_file", "finetune_label_for_unknown_node", "evaluate_label_for_unknown_node",
-         "label_outside_vocabulary", "labels_without_header", "labels_not_utf8", "config_not_json",
+         "label_outside_vocabulary", "repeated_label_id", "labels_without_header", "labels_not_utf8", "config_not_json",
          "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
          "ckpt_meta_indivisible_heads"],
@@ -447,10 +458,10 @@ def test_a_checkpoint_is_hashed_and_its_metadata_read_once(workdir, tmp_path, mo
     ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
     meta = json.loads(Path(ckpt + ".meta.json").read_text())
     Path(ckpt + ".meta.json").write_text(json.dumps({**meta, "command": "finetune", "target_type": "paper"}))
-    reads = []
-    for name in ("_file_sha256", "_read_json"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda path, real=real: reads.append(str(path)) or real(path))
+    opened = []  # every open goes through io.open (pathlib, numpy) or builtins.open
+    for owner in (io, builtins):
+        real = owner.open
+        monkeypatch.setattr(owner, "open", lambda file, *a, real=real, **k: opened.append(str(file)) or real(file, *a, **k))
     inputs = ["--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt]
     out = tmp_path / "out"
     run_cli({
@@ -459,9 +470,21 @@ def test_a_checkpoint_is_hashed_and_its_metadata_read_once(workdir, tmp_path, mo
                           "--labels", str(workdir / "labels.csv"), "--target-type", "paper"],
         "export-attention": ["export-attention", *inputs, "--out", str(out)],
     }[command])
-    assert sorted(reads) == [ckpt, ckpt + ".meta.json"]
+    assert (opened.count(ckpt), opened.count(ckpt + ".meta.json")) == (1, 1)
     written = out / "attention.meta.json" if command == "export-attention" else Path(f"{out}.meta.json")
     assert json.loads(written.read_text())["checkpoint_sha256"] == meta["checkpoint_sha256"]
+
+
+def test_pretrain_refuses_token_metadata_that_is_not_an_object_before_training(workdir, tmp_path, monkeypatch):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    Path(tokens + ".meta.json").write_text("[]")
+    monkeypatch.setattr(trainer, "pretrain", lambda *a, **k: pytest.fail("pretrain ran before its inputs were read"))
+    result = CliRunner().invoke(main, ["pretrain", "--graph", graph_dir, "--tokens", tokens,
+                                       "--out", str(tmp_path / "out.ckpt")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert f"Error: {tokens}.meta.json: expected a JSON object, got list" in result.output
 
 
 def test_finetune_with_too_few_labels_names_the_labels_file(workdir, tmp_path):

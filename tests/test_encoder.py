@@ -276,8 +276,8 @@ def test_relation_token_single_member_one_call():
             t.node_tokens[nid] = pooled_node_token(g, nid, t)
     before = t.call_count
     nb, prompt = relation_ingredients(g, "p1", 1, "author")
-    assert nb.members == {"a1"}
-    vec = relation_token(b, "p1", 1, "author", t, nb, prompt)
+    assert nb == {"a1"}
+    vec = relation_token(b, "p1", 1, "author", t, nb, TemplateId.PretrainLink, prompt)
     assert t.call_count == before + 1
     assert t.relation_tokens[("p1", 1, "author")] is vec
 
@@ -295,8 +295,8 @@ def test_relation_token_thousand_members_one_call():
         t.node_tokens[nid] = encode_text(b, g.node_text[nid], t)
     before = t.call_count
     nb, prompt = relation_ingredients(g, "h", 1, "leaf")
-    assert len(nb.members) == n
-    relation_token(b, "h", 1, "leaf", t, nb, prompt)
+    assert len(nb) == n
+    relation_token(b, "h", 1, "leaf", t, nb, TemplateId.PretrainLink, prompt)
     assert t.call_count == before + 1
 
 
@@ -317,16 +317,16 @@ def test_relation_token_empty_neighborhood_zero_prompt():
     t.node_tokens["p1"] = encode_text(b, g.node_text["p1"], t)
     t.node_tokens["a1"] = pooled_node_token(g, "a1", t)
     nb = hop_type_neighbors(g, "a1", 3, "author")
-    assert nb.members == set()
+    assert nb == set()
     profile = MetaPathProfile(target="a1", hop=3, patterns={})
     prompt = build_relation_prompt(schema, "author", "author", 3, profile, TemplateId.PretrainLink)
-    assert "author-paper-paper-author (Proportion of paths: 0.00)" in prompt.rendered_text
-    vec = relation_token(b, "a1", 3, "author", t, nb, prompt)
+    assert "author-paper-paper-author (Proportion of paths: 0.00)" in prompt
+    vec = relation_token(b, "a1", 3, "author", t, nb, TemplateId.PretrainLink, prompt)
     assert vec.shape == (8,)
     # zero pooled vector: output equals mixing u_s with an all-zero second slot
     expected = b.encode(
-        prompt.template_id.value,
-        prompt.rendered_text,
+        TemplateId.PretrainLink.value,
+        prompt,
         [t.node_tokens["a1"], np.zeros(8)],
     )
     assert np.array_equal(vec, expected)

@@ -108,6 +108,34 @@ def test_every_bad_record_names_its_file_and_line(tmp_path, nodes, edges, messag
         load_graph(*write_graph_files(tmp_path, nodes, edges, IMDB_SCHEMA))
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"node_types": "movie"}, r"node_types must be a JSON array, not str"),
+        ({"edge_types": IMDB_SCHEMA["edge_types"][0]}, r"edge_types must be a JSON array, not dict"),
+        ({"class_labels": {"movie": "AB"}}, r"class_labels for 'movie' must be a JSON array, not str"),
+        ({"class_labels": ["action"]}, r"malformed schema document: 'list' object has no attribute 'items'"),
+        ({"node_types": ["movie", "actor", "director", "actor"]}, r"repeated node type: 'actor'"),
+        ({"edge_types": IMDB_SCHEMA["edge_types"] + [{"name": "acts_in", "src": "director", "dst": "movie"}]},
+         r"repeated edge type: 'acts_in'"),
+        ({"class_labels": {"movie": ["action", "drama", "action"]}}, r"repeated class label of 'movie': 'action'"),
+    ],
+    ids=["node_types_string", "edge_types_object", "label_vocabulary_string", "class_labels_array",
+         "repeated_node_type", "repeated_edge_type", "repeated_label"],
+)
+def test_a_bad_schema_is_refused_naming_its_file(tmp_path, change, message):
+    paths = write_graph_files(tmp_path, [], [], {**IMDB_SCHEMA, **change})
+    with pytest.raises(GraphFormatError, match=rf"schema\.json: {message}$"):
+        load_graph(*paths)
+
+
+def test_a_repeated_label_id_is_refused_naming_its_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("id,label\na1,Database\np1,Vision\na1,Data Mining\n")
+    with pytest.raises(GraphFormatError, match=r"labels\.csv line 4: repeated node id 'a1'$"):
+        load_labels(path)
+
+
 def test_load_malformed_line(tmp_path):
     paths = write_graph_files(tmp_path, [{"id": "m1", "type": "movie"}], [], IMDB_SCHEMA)
     paths[0].write_text('{"id": "m1", "type": "movie"}\nnot json\n')

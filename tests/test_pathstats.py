@@ -146,8 +146,8 @@ def test_hop_type_neighbors_basics():
         [("a", "author"), ("p1", "paper"), ("p2", "paper")],
         [("a", "p1", "writes"), ("p1", "p2", "cites")],
     )
-    assert hop_type_neighbors(g, "a", 2, "paper").members == {"p2"}
-    assert hop_type_neighbors(g, "a", 2, "author").members == set()
+    assert hop_type_neighbors(g, "a", 2, "paper") == {"p2"}
+    assert hop_type_neighbors(g, "a", 2, "author") == set()
 
 
 def test_hop_type_neighbors_bipartite_clique():
@@ -157,7 +157,7 @@ def test_hop_type_neighbors_bipartite_clique():
     edges = [(a, p, "writes") for a in ("a1", "a2") for p in ("p1", "p2", "p3")]
     g = HeteroGraph(schema, nodes, edges)
     nb = hop_type_neighbors(g, "a1", 2, "author")
-    assert nb.members == oracle_hop_type_members(g, "a1", 2, "author") == {"a2"}
+    assert nb == oracle_hop_type_members(g, "a1", 2, "author") == {"a2"}
 
 
 def test_typed_tree_counts():
@@ -205,7 +205,7 @@ def test_oracle_equivalence_random_graphs(seed):
 
     for t in g.schema.node_types:
         nb = hop_type_neighbors(g, node, hop, t)
-        assert nb.members == oracle_hop_type_members(g, node, hop, t)
+        assert nb == oracle_hop_type_members(g, node, hop, t)
 
     # proportions: in [0, 1], per-endpoint-type sums equal 1 where walks exist
     for t in {p[-1] for p in prof.patterns}:
@@ -263,5 +263,5 @@ def test_walk_memo_never_answers_for_another_graph_or_target():
         profile.patterns.clear()
         present.append("spaceship")
         for nb in neighborhoods:
-            nb.members.add("zz")
+            nb.add("zz")
         assert views(g, s, hop) == fresh[id(g), s, hop]

@@ -54,10 +54,10 @@ def test_zero_proportion_prompt_table6_case():
     p = build_relation_prompt(
         academic_schema(), "author", "author", 3, empty_profile(3), TemplateId.PretrainLink
     )
-    assert "author-paper-paper-author (Proportion of paths: 0.00)" in p.rendered_text
-    assert SIMILARITY_STEPS in p.rendered_text
-    assert p.rendered_text.count(PLACEHOLDER) == 2
-    assert "based on these paths: author-paper-paper-author (Proportion of paths: 0.00). Steps:" in p.rendered_text
+    assert "author-paper-paper-author (Proportion of paths: 0.00)" in p
+    assert SIMILARITY_STEPS in p
+    assert p.count(PLACEHOLDER) == 2
+    assert "based on these paths: author-paper-paper-author (Proportion of paths: 0.00). Steps:" in p
 
 
 def test_hop1_prompt_table1_case():
@@ -65,21 +65,21 @@ def test_hop1_prompt_table1_case():
     p = build_relation_prompt(
         academic_schema(), "paper", "author", 1, prof, TemplateId.PretrainLink
     )
-    assert "Given a paper [PH] and an author [PH]" in p.rendered_text
+    assert "Given a paper [PH] and an author [PH]" in p
     assert "calculate the similarity based on these paths: "
-    assert "paper-author (proportion of paths: 1.00)" in p.rendered_text
-    assert SIMILARITY_STEPS in p.rendered_text
-    assert "based on these paths: paper-author (proportion of paths: 1.00). Steps:" in p.rendered_text
+    assert "paper-author (proportion of paths: 1.00)" in p
+    assert SIMILARITY_STEPS in p
+    assert "based on these paths: paper-author (proportion of paths: 1.00). Steps:" in p
 
 
 def test_finetune_prompt_lists_labels():
     p = build_relation_prompt(
         academic_schema(), "author", "author", 3, empty_profile(3), TemplateId.FinetuneClassify
     )
-    assert "classify the first" in p.rendered_text
+    assert "classify the first" in p
     for label in ACM_LABELS:
-        assert label in p.rendered_text
-    assert "with justification." in p.rendered_text
+        assert label in p
+    assert "with justification." in p
 
 
 def test_finetune_prompt_requires_labels():
@@ -95,8 +95,8 @@ def test_prompt_restricts_to_endpoint_type():
     p = build_relation_prompt(
         academic_schema(), "paper", "author", 1, prof, TemplateId.PretrainLink
     )
-    assert "paper-author" in p.rendered_text
-    assert "paper-paper (" not in p.rendered_text
+    assert "paper-author" in p
+    assert "paper-paper (" not in p
 
 
 def test_unknown_dst_type_errors():
@@ -116,7 +116,7 @@ def test_hop_mismatch_errors():
 def test_rendering_is_pure():
     prof = profile_of({("paper", "author"): 2, ("paper", "paper", "author"): 1}, hop=1)
     args = (academic_schema(), "paper", "author", 1, prof, TemplateId.PretrainLink)
-    assert build_relation_prompt(*args).rendered_text == build_relation_prompt(*args).rendered_text
+    assert build_relation_prompt(*args) == build_relation_prompt(*args)
 
 
 def test_marker_count_always_two():
@@ -124,7 +124,7 @@ def test_marker_count_always_two():
     for task in TemplateId:
         for src, dst in (("paper", "author"), ("author", "author"), ("author", "paper")):
             p = build_relation_prompt(schema, src, dst, 3, empty_profile(3), task)
-            assert p.rendered_text.count(PLACEHOLDER) == 2
+            assert p.count(PLACEHOLDER) == 2
 
 
 @settings(max_examples=50, deadline=None)
@@ -144,7 +144,7 @@ def test_rendered_lines_parse_back():
         p = build_relation_prompt(
             academic_schema(), "paper", "author", hop, prof, TemplateId.PretrainLink
         )
-        segment = p.rendered_text.split("based on these paths: ")[1]
+        segment = p.split("based on these paths: ")[1]
         listed = segment.split(". Steps:")[0]
         expected = sorted(prof.restricted_to("author").items())
         assert [parse_path_line(line) for line in listed.split(", ")] == [
@@ -185,4 +185,4 @@ def test_golden_prompts(golden, src, dst, hop, target):
     g = small_academic_graph()
     prof = meta_path_profile(g, target, hop) if target else empty_profile(hop)
     p = build_relation_prompt(academic_schema(), src, dst, hop, prof, TemplateId.PretrainLink)
-    assert p.rendered_text == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert p == (GOLDEN / golden).read_text(encoding="utf-8")
