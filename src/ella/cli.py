@@ -29,17 +29,12 @@ def _file_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_params(ckpt: str) -> tuple[ModelParams, ModelConfig, dict]:
-    """The checkpoint's parameters, model config and metadata, once its
-    ``.meta.json`` is read and its ``checkpoint_sha256`` verified. The
-    checkpoint is read once: the bytes that are hashed are the bytes parsed."""
-    meta_path = Path(ckpt + ".meta.json")
-    if not meta_path.exists():
-        raise click.ClickException(f"missing checkpoint metadata {meta_path}")
-    meta = _read_json(meta_path)
-    for key in ("checkpoint_sha256", "model_config"):
-        if not isinstance(meta, dict) or key not in meta:
-            raise click.ClickException(f"{meta_path} records no {key}")
+def _load_params(ckpt: str, *keys: str, command: str | None = None) -> tuple[ModelParams, ModelConfig, dict]:
+    """The checkpoint's parameters, model config and metadata, which
+    ``_read_meta`` reads with ``keys`` and ``command``. The checkpoint is read
+    once: the bytes hashed against its ``checkpoint_sha256`` are the bytes parsed."""
+    meta = _read_meta(ckpt, "checkpoint_sha256", "model_config", *keys, command=command)
+    meta_path = f"{ckpt}.meta.json"
     data = Path(ckpt).read_bytes()
     if hashlib.sha256(data).hexdigest() != meta["checkpoint_sha256"]:
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
@@ -60,6 +55,25 @@ def _read_json(path: str | Path):
         raise click.ClickException(f"{path}: not valid JSON ({exc})") from None
 
 
+def _read_meta(artifact: str | Path, *keys: str, command: str | None = None) -> dict:
+    """The metadata ``<artifact>.meta.json``: a JSON object that records each
+    of ``keys`` and, if ``command`` is given, was written by ``ella <command>``.
+    Anything else is refused with an error naming the file."""
+    path = Path(f"{artifact}.meta.json")
+    redo = f"; re-run 'ella {command}'" if command else ""
+    if not path.exists():
+        raise click.ClickException(f"missing {path}{redo}")
+    meta = _read_json(path)
+    if not isinstance(meta, dict):
+        raise click.ClickException(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    if command and meta.get("command") != command:
+        raise click.ClickException(f"{path} records command {meta.get('command')!r}, not {command!r}{redo}")
+    for key in keys:
+        if key not in meta:
+            raise click.ClickException(f"{path} records no {key}{redo}")
+    return meta
+
+
 def _open_cache(cache_path: str | None):
     """A ``with`` block's vector cache at ``cache_path``, or None without a path."""
     return encoder.VectorCache(cache_path) if cache_path else nullcontext()
@@ -74,13 +88,14 @@ def _load(loader, *paths):
         raise click.ClickException(str(exc)) from None
 
 
-def _node_labels(g: HeteroGraph, labels_path: str, target_type: str) -> dict[str, str]:
-    """The labels in ``labels_path``, checked against ``g`` and ``target_type``."""
+def _node_labels(g: HeteroGraph, labels_path: str, target_type: str, source: str) -> dict[str, str]:
+    """The labels in ``labels_path``, checked against ``g`` and ``target_type``,
+    which was read from ``source``."""
     vocab = g.schema.class_labels.get(target_type)
     if not vocab:
         labelled = ", ".join(sorted(g.schema.class_labels)) or "none"
         raise click.ClickException(
-            f"--target-type {target_type!r} has no class labels (labelled types: {labelled})"
+            f"{source} {target_type!r} has no class labels (labelled types: {labelled})"
         )
     labels = _load(load_labels, labels_path)
     for nid, label in labels.items():
@@ -126,23 +141,17 @@ def ingest(nodes_path: str, edges_path: str, schema_path: str, out_dir: str) -> 
 
 @main.command()
 @click.option("--graph", "graph_dir", required=True, type=click.Path(exists=True))
-@click.option("--backend", "backend_name", type=click.Choice(["mock", "http"]), default="mock")
-@click.option("--endpoint", default=None, help="HTTP backend base URL")
+@click.option("--endpoint", default=None, help="encoder service base URL (without it: the mock backend)")
 @click.option("--hops", type=click.IntRange(min=1), default=3)
 @click.option("--template", type=click.Choice(sorted(TEMPLATES)), default="pretrain")
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dim", type=click.IntRange(min=1), default=64, help="mock backend dimension")
 @click.option("--pooling", type=click.Choice(["last", "mean"]), default="mean")
-def tokenize(graph_dir, backend_name, endpoint, hops, template, cache_path, out_path, dim, pooling):
+def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, pooling):
     """Build node and relation tokens for every node of a graph."""
     g = _load(load_graph_dir, graph_dir)
-    if backend_name == "http":
-        if not endpoint:
-            raise click.ClickException("--endpoint is required for the http backend")
-        backend = encoder.HttpBackend(endpoint, pooling=pooling)
-    else:
-        backend = encoder.MockBackend(dim=dim)
+    backend = encoder.HttpBackend(endpoint, pooling=pooling) if endpoint else encoder.MockBackend(dim=dim)
     with _open_cache(cache_path) as cache:
         targets = None
         if TEMPLATES[template] is TemplateId.FinetuneClassify:
@@ -194,8 +203,8 @@ def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.Tr
     if not isinstance(doc, dict):
         raise click.ClickException(f"{config_path}: expected a JSON object, got {type(doc).__name__}")
     return (
-        _config_section(ModelConfig, doc.get("model") or {}, config_path, "model"),
-        _config_section(trainer.TrainConfig, doc.get("train") or {}, config_path, "train"),
+        _config_section(ModelConfig, doc.get("model", {}), config_path, "model"),
+        _config_section(trainer.TrainConfig, doc.get("train", {}), config_path, "train"),
     )
 
 
@@ -210,15 +219,8 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     g = _load(load_graph_dir, graph_dir)
     table = _load(encoder.load_tokens, tokens_path)
     model_cfg, train_cfg = _load_train_config(config_path)
-    if model_cfg.d_llm != table.dim:
-        model_cfg = dataclasses.replace(model_cfg, d_llm=table.dim)
-    backend_info = {}
-    tokens_meta = Path(tokens_path + ".meta.json")
-    if tokens_meta.exists():
-        doc = _read_json(tokens_meta)
-        if not isinstance(doc, dict):
-            raise click.ClickException(f"{tokens_meta}: expected a JSON object, got {type(doc).__name__}")
-        backend_info = {"backend": doc.get("backend"), "pooling": doc.get("pooling")}
+    tokens_meta = _read_meta(tokens_path, "hops", "backend", "pooling", command="tokenize")
+    model_cfg = dataclasses.replace(model_cfg, d_llm=table.dim, hops=tokens_meta["hops"])
     result = trainer.pretrain(g, table, model_cfg, train_cfg, seed=seed)
     run_meta = result.metadata()
     _save_params(
@@ -230,7 +232,8 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
             "seed": seed,
             "lr": train_cfg.lr,
             "patience": train_cfg.patience,
-            **backend_info,
+            "backend": tokens_meta["backend"],
+            "pooling": tokens_meta["pooling"],
             **run_meta,
         },
     )
@@ -254,7 +257,7 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
     """Train the classification head on a frozen pre-trained backbone."""
     g = _load(load_graph_dir, graph_dir)
     table = _load(encoder.load_tokens, tokens_path)
-    labels = _node_labels(g, labels_path, target_type)
+    labels = _node_labels(g, labels_path, target_type, "--target-type")
     params, model_cfg, _ = _load_params(ckpt_path)
     splits = evalkit.build_splits(
         g, labels, evalkit.Task.NodeClassification, seed=seed, target_type=target_type
@@ -297,31 +300,24 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
 @main.command()
 @click.option("--task", type=click.Choice(["node", "link"]), required=True)
 @click.option("--ckpt", "ckpt_path", required=True, type=click.Path(exists=True))
-@click.option("--splits-seed", type=int, default=0)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--graph", "graph_dir", required=True, type=click.Path(exists=True))
 @click.option("--tokens", "tokens_path", required=True, type=click.Path(exists=True))
 @click.option("--labels", "labels_path", type=click.Path(exists=True), default=None)
-@click.option("--target-type", default=None)
-def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, labels_path, target_type):
-    """Score the held-out test split of the chosen task."""
+def evaluate(task, ckpt_path, out_path, graph_dir, tokens_path, labels_path):
+    """Score the held-out test split of the chosen task, drawn with the
+    checkpoint's seed; --task node scores the type the head was fine-tuned for."""
     g = _load(load_graph_dir, graph_dir)
     table = _load(encoder.load_tokens, tokens_path)
-    params, model_cfg, meta = _load_params(ckpt_path)
     rows: list[tuple[str, str, float]] = []
     if task == "node":
-        if not labels_path or not target_type:
-            raise click.ClickException("node task needs --labels and --target-type")
-        labels = _node_labels(g, labels_path, target_type)
-        trained = (meta.get("command"), meta.get("target_type"))
-        if trained != ("finetune", target_type):
-            raise click.ClickException(
-                f"{Path(ckpt_path + '.meta.json')} records command {trained[0]!r}"
-                f" and target_type {trained[1]!r};"
-                f" --task node needs a head fine-tuned for {target_type!r} by 'ella finetune'"
-            )
+        if not labels_path:
+            raise click.ClickException("--task node needs --labels")
+        params, model_cfg, meta = _load_params(ckpt_path, "seed", "target_type", command="finetune")
+        target_type = meta["target_type"]
+        labels = _node_labels(g, labels_path, target_type, f"{ckpt_path}.meta.json: target_type")
         splits = evalkit.build_splits(
-            g, labels, evalkit.Task.NodeClassification, seed=splits_seed, target_type=target_type
+            g, labels, evalkit.Task.NodeClassification, seed=meta["seed"], target_type=target_type
         )
         test_ids = splits.node_part("test")
         vocab = g.schema.class_labels[target_type]
@@ -330,7 +326,8 @@ def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, lab
         rows.append(("micro_f1", "test", evalkit.micro_f1(preds, golds, labels=vocab)))
         rows.append(("macro_f1", "test", evalkit.macro_f1(preds, golds, labels=vocab)))
     else:
-        splits = evalkit.build_splits(g, {}, evalkit.Task.LinkPrediction, seed=splits_seed)
+        params, model_cfg, meta = _load_params(ckpt_path, "seed", command="pretrain")
+        splits = evalkit.build_splits(g, {}, evalkit.Task.LinkPrediction, seed=meta["seed"])
         part = splits.edge_splits["test"]
         pairs = [(s, t) for s, t, _ in part.positives] + [(s, t) for s, t, _ in part.negatives]
         y = [1] * len(part.positives) + [0] * len(part.negatives)
@@ -347,7 +344,7 @@ def evaluate(task, ckpt_path, splits_seed, out_path, graph_dir, tokens_path, lab
         {
             "command": "evaluate",
             "task": task,
-            "splits_seed": splits_seed,
+            "splits_seed": meta["seed"],
             "checkpoint_sha256": meta["checkpoint_sha256"],
         },
     )

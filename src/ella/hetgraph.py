@@ -60,11 +60,14 @@ class SchemaDef:
 
     def __post_init__(self) -> None:
         declared = set(self.node_types)
-        named = [("node type", self.node_types), ("edge type", [et.name for et in self.edge_types])]
+        named = [("node type", self.node_types), ("edge type", [et.name for et in self.edge_types]),
+                 ("domain_blurb", [self.domain_blurb])]
         for what, names in named + [(f"class label of {t!r}", v) for t, v in self.class_labels.items()]:
-            repeated = [n for i, n in enumerate(names) if n in names[:i]]
-            if repeated:
-                raise GraphFormatError(f"repeated {what}: {repeated[0]!r}")
+            for i, name in enumerate(names):
+                if not isinstance(name, str):
+                    raise GraphFormatError(f"{what} must be a string, not {name!r}")
+                if name in names[:i]:
+                    raise GraphFormatError(f"repeated {what}: {name!r}")
         for et in self.edge_types:
             if et.src not in declared or et.dst not in declared:
                 raise GraphFormatError(

@@ -1,4 +1,5 @@
-"""Shared graph fixtures and the independent walk-enumeration oracle.
+"""Shared graph fixtures, a loopback encoder service and the independent
+walk-enumeration oracle.
 
 The oracle builds its own adjacency straight from the edge list and counts by
 explicit recursion, so it shares no code path with the package's counting.
@@ -6,8 +7,14 @@ explicit recursion, so it shares no code path with the package's counting.
 
 from __future__ import annotations
 
-import numpy as np
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
+import pytest
+
+from ella.encoder import MockBackend
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef, SynthConfig, synth_generate
 
 ACM_LABELS = ["Database", "Wireless Communication", "Data Mining"]
@@ -241,3 +248,52 @@ def oracle_simple_paths(g: HeteroGraph, s: str, i: int) -> int:
 
     rec([s])
     return count
+
+
+class EncoderStub(BaseHTTPRequestHandler):
+    """A loopback encoder service: the two HTTP routes, served by a mock backend."""
+
+    inner = MockBackend(dim=12)
+    poolings: list[str] = []  # the pooling of every encode request served
+
+    def log_message(self, *args):
+        pass
+
+    def _send(self, payload, status=200):
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        if self.path == "/v1/info":
+            self._send({"name": "remote-mock", "dim": self.inner.dim})
+        else:
+            self._send({"error": "not found"}, status=404)
+
+    def do_POST(self):
+        if self.path != "/v1/encode":
+            self._send({"error": "not found"}, status=404)
+            return
+        length = int(self.headers["Content-Length"])
+        req = json.loads(self.rfile.read(length))
+        self.poolings.append(req["pooling"])
+        vec = self.inner.encode(
+            req["template_id"],
+            req["text"],
+            [np.asarray(p) for p in req.get("placeholders", [])] or None,
+            req.get("pooling", "mean"),
+        )
+        self._send({"embedding": vec.tolist(), "dim": len(vec)})
+
+
+@pytest.fixture()
+def http_server():
+    server = HTTPServer(("127.0.0.1", 0), EncoderStub)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ella import cli, encoder, trainer
+from ella import cli, encoder, evalkit, trainer
 from ella.cli import main
 from ella.ellanet import ModelConfig, init_params
 from ella.hetgraph import load_graph_dir, load_labels, save_graph, save_labels
 from ella.tensorcore import save_arrays
 
-from fixtures import complete_typed_tree, planted_node_fixture
+from fixtures import EncoderStub, complete_typed_tree, http_server, planted_node_fixture
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_tokenize_pretrain_finetune_evaluate(workdir):
     tokens = str(workdir / "tokens.bin")
     run_cli(
         [
-            "tokenize", "--graph", graph_dir, "--backend", "mock", "--hops", "2",
+            "tokenize", "--graph", graph_dir, "--hops", "2",
             "--template", "pretrain", "--cache", str(workdir / "cache.bin"),
             "--out", tokens, "--dim", "12",
         ]
@@ -138,9 +138,9 @@ def test_tokenize_pretrain_finetune_evaluate(workdir):
     out_csv = workdir / "node_eval.csv"
     result = run_cli(
         [
-            "evaluate", "--task", "node", "--ckpt", head_ckpt, "--splits-seed", "0",
+            "evaluate", "--task", "node", "--ckpt", head_ckpt,
             "--out", str(out_csv), "--graph", graph_dir, "--tokens", ft_tokens,
-            "--labels", str(workdir / "labels.csv"), "--target-type", "paper",
+            "--labels", str(workdir / "labels.csv"),
         ]
     )
     lines = out_csv.read_text().strip().splitlines()
@@ -151,7 +151,7 @@ def test_tokenize_pretrain_finetune_evaluate(workdir):
     link_csv = workdir / "link_eval.csv"
     run_cli(
         [
-            "evaluate", "--task", "link", "--ckpt", ckpt, "--splits-seed", "0",
+            "evaluate", "--task", "link", "--ckpt", ckpt,
             "--out", str(link_csv), "--graph", graph_dir, "--tokens", tokens,
         ]
     )
@@ -196,11 +196,14 @@ def test_cache_building_commands_close_their_cache(workdir, tmp_path, monkeypatc
     assert len(encoder.VectorCache(cache)) > 0
 
 
-def _untrained_checkpoint(graph_dir, out, hops=1, d_llm=12):
+def _untrained_checkpoint(graph_dir, out, recorded=None):
+    """An initialised 1-hop checkpoint whose metadata records ``recorded``, by
+    default what a pretrain run with seed 0 records."""
     g = load_graph_dir(graph_dir)
-    cfg = ModelConfig(d=8, heads=2, type_layers=1, hop_layers=1, hops=hops, d_llm=d_llm)
+    cfg = ModelConfig(d=8, heads=2, type_layers=1, hop_layers=1, hops=1, d_llm=12)
     class_counts = {t: len(v) for t, v in g.schema.class_labels.items()}
-    cli._save_params(init_params(cfg, g.schema.node_types, class_counts), cfg, out, {})
+    recorded = {"command": "pretrain", "seed": 0} if recorded is None else recorded
+    cli._save_params(init_params(cfg, g.schema.node_types, class_counts), cfg, out, recorded)
     return out
 
 
@@ -248,9 +251,13 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
         ("x", "expected a JSON object, got str"),
         ({"model": [1, 2]}, "model section: expected a JSON object, got list"),
         ({"train": 5}, "train section: expected a JSON object, got int"),
+        ({"model": []}, "model section: expected a JSON object, got list"),
+        ({"model": ""}, "model section: expected a JSON object, got str"),
+        ({"model": None}, "model section: expected a JSON object, got NoneType"),
+        ({"train": 0}, "train section: expected a JSON object, got int"),
     ],
     ids=["indivisible_heads", "zero_hops", "string_dim", "list_document", "string_document",
-         "list_model", "int_train"],
+         "list_model", "int_train", "empty_list_model", "empty_string_model", "null_model", "zero_train"],
 )
 def test_train_config_invalid_values(tmp_path, doc, message):
     path = tmp_path / "config.json"
@@ -271,10 +278,13 @@ def _write_invalid_json(path):
     path.write_text("{not json")
 
 
-def _drop_model_config(path):
-    meta = json.loads(path.read_text())
-    del meta["model_config"]
-    path.write_text(json.dumps(meta))
+def _drop(key):
+    def damage(path):
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+
+    return damage
 
 
 def _set_model_config(value):
@@ -343,13 +353,18 @@ def _delete(path):
         ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: container truncated"),
         ("pretrain", "tokens.bin", _write_parent_format_tokens, r"tokens\.bin: not a token file of format 2"),
         ("evaluate", "model.ckpt.meta.json", _write_invalid_json, r"model\.ckpt\.meta\.json: not valid JSON"),
-        ("evaluate", "model.ckpt.meta.json", _drop_model_config, r"model\.ckpt\.meta\.json records no model_config"),
+        ("evaluate", "model.ckpt.meta.json", _drop("model_config"),
+         r"model\.ckpt\.meta\.json records no model_config; re-run 'ella pretrain'"),
         ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "depth": 2}),
          r"model\.ckpt\.meta\.json: unknown model keys: depth"),
         ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: list(cfg.values())),
          r"model\.ckpt\.meta\.json: model section: expected a JSON object, got list"),
         ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "d": 7, "heads": 2}),
          r"model\.ckpt\.meta\.json: invalid model config: hidden dim 7 not divisible by 2 heads"),
+        ("evaluate", "model.ckpt.meta.json", _delete, r"missing .*model\.ckpt\.meta\.json; re-run 'ella pretrain'$"),
+        ("evaluate", "model.ckpt.meta.json", _drop("seed"), r"model\.ckpt\.meta\.json records no seed; re-run 'ella pretrain'"),
+        ("pretrain", "tokens.bin.meta.json", _delete, r"missing .*tokens\.bin\.meta\.json; re-run 'ella tokenize'$"),
+        ("pretrain", "tokens.bin.meta.json", _drop("hops"), r"tokens\.bin\.meta\.json records no hops; re-run 'ella tokenize'"),
     ],
     ids=["nodes_not_json", "nodes_not_utf8", "schema_not_utf8", "edge_to_unknown_node",
          "edge_against_its_type", "schema_labels_unknown_type",
@@ -357,7 +372,8 @@ def _delete(path):
          "label_outside_vocabulary", "repeated_label_id", "labels_without_header", "labels_not_utf8", "config_not_json",
          "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
-         "ckpt_meta_indivisible_heads"],
+         "ckpt_meta_indivisible_heads", "ckpt_meta_missing", "ckpt_meta_without_seed", "tokens_meta_missing",
+         "tokens_meta_without_hops"],
 )
 def test_bad_input_file_ends_in_an_error_naming_it(workdir, tmp_path, command, broken, damage, message):
     graph_dir = str(shutil.copytree(workdir / "graph", tmp_path / "graph"))
@@ -365,17 +381,18 @@ def test_bad_input_file_ends_in_an_error_naming_it(workdir, tmp_path, command, b
     tokens = str(tmp_path / "tokens.bin")
     run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
     (tmp_path / "config.json").write_text("{}")
-    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    head = {"command": "finetune", "seed": 0, "target_type": "paper"}
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"), head if command == "evaluate_node" else None)
     damage(tmp_path / broken)
     inputs = ["--graph", graph_dir, "--tokens", tokens]
-    node_task = ["--labels", labels, "--target-type", "paper", "--ckpt", ckpt, "--out", str(tmp_path / "out")]
+    node_task = ["--labels", labels, "--ckpt", ckpt, "--out", str(tmp_path / "out")]
     args = {
         "ingest": ["ingest", "--nodes", f"{graph_dir}/nodes.jsonl", "--edges", f"{graph_dir}/edges.jsonl",
                    "--schema", f"{graph_dir}/schema.json", "--out", str(tmp_path / "ingested")],
         "tokenize": ["tokenize", "--graph", graph_dir, "--out", tokens],
         "pretrain": ["pretrain", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out.ckpt")]
         + inputs,
-        "finetune": ["finetune", *inputs, *node_task],
+        "finetune": ["finetune", *inputs, *node_task, "--target-type", "paper"],
         "evaluate": ["evaluate", "--task", "link", "--ckpt", ckpt, "--out", str(tmp_path / "eval.csv"), *inputs],
         "evaluate_node": ["evaluate", "--task", "node", *inputs, *node_task],
     }[command]
@@ -390,50 +407,95 @@ def test_target_type_without_labels_lists_the_labelled_types(workdir, tmp_path, 
     graph_dir = str(workdir / "graph")
     tokens = str(tmp_path / "tokens.bin")
     run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
-    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
-    task = ["--task", "node"] if command == "evaluate" else []
+    head = {"command": "finetune", "seed": 0, "target_type": "bogus"}
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"), head)
+    args = ["--task", "node"] if command == "evaluate" else ["--target-type", "bogus"]
     result = CliRunner().invoke(
         main,
         [
-            command, *task, "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt,
-            "--labels", str(workdir / "labels.csv"), "--target-type", "bogus", "--out", str(tmp_path / "out"),
+            command, *args, "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt,
+            "--labels", str(workdir / "labels.csv"), "--out", str(tmp_path / "out"),
         ],
     )
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
-    assert "Error: --target-type 'bogus' has no class labels (labelled types: author, paper)" in result.output
+    source = f"{ckpt}.meta.json: target_type" if command == "evaluate" else "--target-type"
+    assert f"Error: {source} 'bogus' has no class labels (labelled types: author, paper)" in result.output
+
+
+def _evaluate_recorded(workdir, tmp_path, task, recorded):
+    """``ella evaluate --task <task>`` of an untrained checkpoint whose
+    metadata records ``recorded``: the result and the output path."""
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"), recorded)
+    out = tmp_path / "eval.csv"
+    labels = ["--labels", str(workdir / "labels.csv")] if task == "node" else []
+    args = ["evaluate", "--task", task, "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt, *labels]
+    return CliRunner().invoke(main, [*args, "--out", str(out)]), out
 
 
 @pytest.mark.parametrize(
     "recorded,message",
     [
-        ({}, "records command None and target_type None"),
-        ({"command": "pretrain"}, "records command 'pretrain' and target_type None"),
-        ({"command": "finetune", "target_type": "author"}, "records command 'finetune' and target_type 'author'"),
+        ({}, "records command None, not 'finetune'"),
+        ({"command": "pretrain"}, "records command 'pretrain', not 'finetune'"),
+        ({"command": "finetune", "target_type": "paper"}, "records no seed"),
+        ({"command": "finetune", "seed": 0}, "records no target_type"),
     ],
-    ids=["untrained", "pretrained", "other_target_type"],
+    ids=["untrained", "pretrained", "finetuned_without_seed", "finetuned_without_target_type"],
 )
 def test_evaluate_node_refuses_a_head_not_fine_tuned_for_the_target(workdir, tmp_path, recorded, message):
-    graph_dir = str(workdir / "graph")
-    tokens = str(tmp_path / "tokens.bin")
-    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
-    g = load_graph_dir(graph_dir)
-    cfg = ModelConfig(d=8, heads=2, type_layers=1, hop_layers=1, hops=1, d_llm=12)
-    params = init_params(cfg, g.schema.node_types, {t: len(v) for t, v in g.schema.class_labels.items()})
-    ckpt = str(tmp_path / "model.ckpt")
-    cli._save_params(params, cfg, ckpt, recorded)
-    out = tmp_path / "eval.csv"
-    result = CliRunner().invoke(
-        main,
-        [
-            "evaluate", "--task", "node", "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt,
-            "--labels", str(workdir / "labels.csv"), "--target-type", "paper", "--out", str(out),
-        ],
-    )
+    result, out = _evaluate_recorded(workdir, tmp_path, "node", recorded)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
-    assert f"Error: {ckpt}.meta.json {message}; --task node needs a head fine-tuned for 'paper'" in result.output
+    assert f"Error: {tmp_path / 'model.ckpt'}.meta.json {message}; re-run 'ella finetune'" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "recorded,message",
+    [
+        ({"command": "finetune", "seed": 0, "target_type": "paper"}, "records command 'finetune', not 'pretrain'"),
+        ({"command": "pretrain"}, "records no seed"),
+    ],
+    ids=["finetuned", "pretrained_without_seed"],
+)
+def test_evaluate_link_refuses_a_checkpoint_not_pretrained(workdir, tmp_path, recorded, message):
+    result, out = _evaluate_recorded(workdir, tmp_path, "link", recorded)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {tmp_path / 'model.ckpt'}.meta.json {message}; re-run 'ella pretrain'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target_type,seed", [("paper", 1), ("author", 2)])
+def test_evaluate_node_scores_the_head_and_split_the_checkpoint_records(
+    workdir, tmp_path, monkeypatch, target_type, seed
+):
+    graph_dir = str(workdir / "graph")
+    labels = str(workdir / "labels.csv")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--template", "finetune", "--out", tokens,
+             "--dim", "12"])
+    backbone = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    head = str(tmp_path / "head.ckpt")
+    inputs = ["--graph", graph_dir, "--tokens", tokens, "--labels", labels]
+    run_cli(["finetune", *inputs, "--ckpt", backbone, "--target-type", target_type, "--seed", str(seed),
+             "--out", head])
+    scored = []
+    classify = trainer.classify
+    monkeypatch.setattr(trainer, "classify", lambda ids, *a: scored.append((ids, a[3])) or classify(ids, *a))
+    out = tmp_path / "eval.csv"
+    run_cli(["evaluate", "--task", "node", *inputs, "--ckpt", head, "--out", str(out)])
+    g = load_graph_dir(graph_dir)
+    splits = evalkit.build_splits(
+        g, load_labels(labels), evalkit.Task.NodeClassification, seed=seed, target_type=target_type
+    )
+    assert scored == [(splits.node_part("test"), target_type)]
+    assert not set(scored[0][0]) & set(splits.node_part("train") + splits.node_part("val"))
+    assert json.loads(Path(f"{out}.meta.json").read_text())["splits_seed"] == seed
 
 
 def test_export_attention_records_no_tape(workdir, tmp_path, monkeypatch):
@@ -455,9 +517,9 @@ def test_a_checkpoint_is_hashed_and_its_metadata_read_once(workdir, tmp_path, mo
     graph_dir = str(workdir / "graph")
     tokens = str(tmp_path / "tokens.bin")
     run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
-    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    head = {"command": "finetune", "seed": 0, "target_type": "paper"}
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"), head if command == "evaluate_node" else None)
     meta = json.loads(Path(ckpt + ".meta.json").read_text())
-    Path(ckpt + ".meta.json").write_text(json.dumps({**meta, "command": "finetune", "target_type": "paper"}))
     opened = []  # every open goes through io.open (pathlib, numpy) or builtins.open
     for owner in (io, builtins):
         real = owner.open
@@ -467,7 +529,7 @@ def test_a_checkpoint_is_hashed_and_its_metadata_read_once(workdir, tmp_path, mo
     run_cli({
         "evaluate_link": ["evaluate", "--task", "link", *inputs, "--out", str(out)],
         "evaluate_node": ["evaluate", "--task", "node", *inputs, "--out", str(out),
-                          "--labels", str(workdir / "labels.csv"), "--target-type", "paper"],
+                          "--labels", str(workdir / "labels.csv")],
         "export-attention": ["export-attention", *inputs, "--out", str(out)],
     }[command])
     assert (opened.count(ckpt), opened.count(ckpt + ".meta.json")) == (1, 1)
@@ -485,6 +547,44 @@ def test_pretrain_refuses_token_metadata_that_is_not_an_object_before_training(w
                                        "--out", str(tmp_path / "out.ckpt")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
     assert f"Error: {tokens}.meta.json: expected a JSON object, got list" in result.output
+
+
+@pytest.mark.parametrize("config_hops", [None, 3])
+def test_pretrain_takes_hops_from_the_tokens(workdir, tmp_path, config_hops):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    model = {"d": 8, "heads": 2, "type_layers": 1, "hop_layers": 1}
+    if config_hops is not None:
+        model["hops"] = config_hops
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": model, "train": {"max_epochs": 1}}))
+    ckpt = str(tmp_path / "model.ckpt")
+    run_cli(["pretrain", "--graph", graph_dir, "--tokens", tokens, "--config", str(config), "--out", ckpt])
+    assert json.loads(Path(ckpt + ".meta.json").read_text())["model_config"]["hops"] == 1
+
+
+def test_tokenize_with_an_endpoint_uses_the_http_encoder(workdir, tmp_path, http_server):
+    before = len(EncoderStub.poolings)
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", str(workdir / "graph"), "--hops", "1", "--endpoint", http_server,
+             "--pooling", "last", "--out", tokens])
+    meta = json.loads(Path(tokens + ".meta.json").read_text())
+    assert meta["call_count"] > 0
+    assert EncoderStub.poolings[before:] == ["last"] * meta["call_count"]
+    assert (meta["backend"], meta["dim"], meta["pooling"]) == ("remote-mock", EncoderStub.inner.dim, "last")
+    assert encoder.load_tokens(tokens).dim == EncoderStub.inner.dim
+
+
+def test_the_readme_walkthrough_names_only_real_commands_and_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    calls = [line.split() for line in block.replace("\\\n", " ").splitlines() if line.startswith("ella ")]
+    assert {name for _, name, *_ in calls} == set(main.commands)
+    for _, name, *words in calls:
+        options = {opt for param in main.commands[name].params for opt in param.opts}
+        unknown = {w for w in words if w.startswith("--")} - options
+        assert not unknown, f"ella {name}: {sorted(unknown)}"
 
 
 def test_finetune_with_too_few_labels_names_the_labels_file(workdir, tmp_path):

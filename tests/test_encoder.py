@@ -1,8 +1,6 @@
 import hashlib
 import json
 import struct
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -32,9 +30,11 @@ from ella.pathstats import MetaPathProfile
 from ella.tensorcore import save_arrays
 
 from fixtures import (
+    EncoderStub,
     academic_schema,
     complete_bipartite,
     complete_typed_tree,
+    http_server,
     small_academic_graph,
     star,
 )
@@ -596,62 +596,16 @@ def test_load_tokens_truncated_file_names_it(tmp_path):
 # -- http backend -----------------------------------------------------------------
 
 
-class _MockHandler(BaseHTTPRequestHandler):
-    inner = MockBackend(dim=12)
-    poolings: list[str] = []  # the pooling of every encode request served
-
-    def log_message(self, *args):
-        pass
-
-    def _send(self, payload, status=200):
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self):
-        if self.path == "/v1/info":
-            self._send({"name": "remote-mock", "dim": self.inner.dim})
-        else:
-            self._send({"error": "not found"}, status=404)
-
-    def do_POST(self):
-        if self.path != "/v1/encode":
-            self._send({"error": "not found"}, status=404)
-            return
-        length = int(self.headers["Content-Length"])
-        req = json.loads(self.rfile.read(length))
-        self.poolings.append(req["pooling"])
-        vec = self.inner.encode(
-            req["template_id"],
-            req["text"],
-            [np.asarray(p) for p in req.get("placeholders", [])] or None,
-            req.get("pooling", "mean"),
-        )
-        self._send({"embedding": vec.tolist(), "dim": len(vec)})
-
-
-@pytest.fixture()
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _MockHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-
-
 def test_http_backend_handshake_and_encode(http_server):
     b = HttpBackend(http_server)
     assert b.name == "remote-mock"
     assert b.dim == 12
     vec = b.encode("node_text", "remote encoding test")
     assert vec.shape == (12,)
-    assert np.array_equal(vec, _MockHandler.inner.encode("node_text", "remote encoding test"))
+    assert np.array_equal(vec, EncoderStub.inner.encode("node_text", "remote encoding test"))
     ph = [np.ones(12), np.zeros(12)]
     vec2 = b.encode("tpl", "with placeholders", ph)
-    assert np.allclose(vec2, _MockHandler.inner.encode("tpl", "with placeholders", ph))
+    assert np.allclose(vec2, EncoderStub.inner.encode("tpl", "with placeholders", ph))
 
 
 def test_http_backend_tokenizes_graph(http_server):
@@ -662,7 +616,7 @@ def test_http_backend_tokenizes_graph(http_server):
 
 def test_http_cache_serves_only_the_pooling_it_was_filled_with(http_server, tmp_path):
     g = small_academic_graph()
-    served = _MockHandler.poolings
+    served = EncoderStub.poolings
     tables = []
     for pooling in ("mean", "last", "mean", "last"):
         before = len(served)

@@ -119,9 +119,15 @@ def test_every_bad_record_names_its_file_and_line(tmp_path, nodes, edges, messag
         ({"edge_types": IMDB_SCHEMA["edge_types"] + [{"name": "acts_in", "src": "director", "dst": "movie"}]},
          r"repeated edge type: 'acts_in'"),
         ({"class_labels": {"movie": ["action", "drama", "action"]}}, r"repeated class label of 'movie': 'action'"),
+        ({"node_types": ["movie", "actor", "director", 1]}, r"node type must be a string, not 1"),
+        ({"edge_types": IMDB_SCHEMA["edge_types"] + [{"name": 3, "src": "director", "dst": "movie"}]},
+         r"edge type must be a string, not 3"),
+        ({"domain_blurb": ["x"]}, r"domain_blurb must be a string, not \['x'\]"),
+        ({"class_labels": {"movie": [1, 2]}}, r"class label of 'movie' must be a string, not 1"),
     ],
     ids=["node_types_string", "edge_types_object", "label_vocabulary_string", "class_labels_array",
-         "repeated_node_type", "repeated_edge_type", "repeated_label"],
+         "repeated_node_type", "repeated_edge_type", "repeated_label", "node_type_not_a_string",
+         "edge_type_name_not_a_string", "domain_blurb_not_a_string", "class_label_not_a_string"],
 )
 def test_a_bad_schema_is_refused_naming_its_file(tmp_path, change, message):
     paths = write_graph_files(tmp_path, [], [], {**IMDB_SCHEMA, **change})
