@@ -184,6 +184,46 @@ def test_cache_record_is_in_the_file_before_put_returns_and_close_reopens(tmp_pa
     assert path.read_bytes() == CACHE_MAGIC + b"".join(records)
 
 
+def cache_record(key, vec):
+    return struct.pack("<QI", key, len(vec)) + np.asarray(vec, dtype="<f8").tobytes()
+
+
+def records_by_loop(data):
+    """The reference parse of a cache file: one record at a time, a later key
+    replacing an earlier one, up to the first record that is not whole."""
+    store, off = {}, len(CACHE_MAGIC)
+    while off + 12 <= len(data):
+        key, dim = struct.unpack_from("<QI", data, off)
+        if off + 12 + 8 * dim > len(data):
+            break
+        store[key] = np.frombuffer(data, dtype="<f8", count=dim, offset=off + 12)
+        off += 12 + 8 * dim
+    return store, off
+
+
+@pytest.mark.parametrize("tail", [b"\x07" * 5, cache_record(9, np.ones(3))[:-4]], ids=["cut_head", "cut_vector"])
+def test_cache_file_loads_what_the_record_loop_loads(tmp_path, tail):
+    rng = np.random.default_rng(3)
+    whole = [(1, rng.standard_normal(4)), (2, rng.standard_normal(2)), (1, rng.standard_normal(4)),
+             (3, rng.standard_normal(2)), (4, rng.standard_normal(4)), (2, rng.standard_normal(2))]
+    data = CACHE_MAGIC + b"".join(cache_record(k, v) for k, v in whole) + tail
+    path = tmp_path / "cache.bin"
+    path.write_bytes(data)
+    want, end = records_by_loop(data)
+    assert end == len(data) - len(tail) and sorted(want) == [1, 2, 3, 4]
+    cache = VectorCache(path)
+    assert len(cache) == len(want)
+    for key, vec in want.items():
+        got = cache.get(key)
+        assert got.dtype == np.float64 and got.tobytes() == vec.tobytes()
+    assert cache.get(1).tobytes() == whole[2][1].tobytes()  # the later record wins
+    assert {cache.get(k).size for k in want} == {2, 4}
+    cache.put(5, np.full(3, 5.0))  # cuts the torn tail before it appends
+    cache.close()
+    assert path.read_bytes() == data[:end] + cache_record(5, np.full(3, 5.0))
+    assert len(VectorCache(path)) == 5
+
+
 def test_cache_refuses_older_key_format(tmp_path):
     path = tmp_path / "cache.bin"
     path.write_bytes(b"ELLACACHE v1\n")
@@ -405,7 +445,8 @@ def test_cache_keys_separate_encoder_dimensions(tmp_path):
 PINNED_TOKEN_DIGEST = "625cf0f3800673feba2e346d196b988cefa2e3ae554fb4b6b3b4cb0f36809ff3"
 
 
-def test_tokens_of_a_seeded_graph_are_pinned_to_the_bit():
+def seeded_graph():
+    """A planted 66-node academic graph and its labelled-type targets."""
     cfg = SynthConfig(
         schema=academic_schema(),
         type_sizes={"paper": 30, "author": 30, "organization": 6},
@@ -413,7 +454,11 @@ def test_tokens_of_a_seeded_graph_are_pinned_to_the_bit():
         edge_probs={"writes": (0.12, 0.01), "cites": (0.08, 0.01), "belongs": (0.4, 0.05)},
     )
     g, _ = synth_generate(cfg, seed=13)
-    targets = [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
+    return g, [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
+
+
+def test_tokens_of_a_seeded_graph_are_pinned_to_the_bit():
+    g, targets = seeded_graph()
     h = hashlib.sha256()
     cache = VectorCache()
     for template in (TemplateId.PretrainLink, TemplateId.FinetuneClassify):
@@ -424,6 +469,24 @@ def test_tokens_of_a_seeded_graph_are_pinned_to_the_bit():
             h.update(repr(key).encode() + b"\x00" + vec.astype("<f8").tobytes())
         h.update(f"{t.call_count} {t.cache_hits} {len(t.relation_tokens)}".encode())
     assert h.hexdigest() == PINNED_TOKEN_DIGEST
+
+
+# sha256 of the cache file a cold run of the seeded graph writes; any change to
+# keys, vectors or the record layout moves it
+PINNED_CACHE_FILE_DIGEST = "4db6ac8bdc39993dd59099337eeceac9737e571a1dc50f51602b24a9aec55c54"
+
+
+def test_cache_file_of_a_seeded_graph_is_pinned_to_the_bit(tmp_path):
+    g, targets = seeded_graph()
+    path = tmp_path / "cache.bin"
+    with VectorCache(path) as cache:
+        cold = tokenize_graph(MockBackend(dim=8), g, targets=targets, K=3, cache=cache)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CACHE_FILE_DIGEST
+    warm = tokenize_graph(MockBackend(dim=8), g, targets=targets, K=3, cache=VectorCache(path))
+    assert warm.call_count == 0 and warm.cache_hits == cold.call_count
+    for mine, theirs in ((warm.node_tokens, cold.node_tokens), (warm.relation_tokens, cold.relation_tokens)):
+        assert list(mine) == list(theirs)
+        assert all(np.array_equal(mine[k], theirs[k]) for k in theirs)
 
 
 def test_stored_counts_count_each_target_once_per_vector():
