@@ -24,6 +24,9 @@ log = logging.getLogger(__name__)
 
 TEMPLATES = {"pretrain": TemplateId.PretrainLink, "finetune": TemplateId.FinetuneClassify}
 
+# the JSON type of each metadata key a command reads; a bool is not an integer
+META_TYPES = {"hops": int, "seed": int, "checkpoint_sha256": str, "backend": str, "pooling": str, "target_type": str}
+
 
 def _file_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -71,12 +74,16 @@ def _read_meta(artifact: str | Path, *keys: str, command: str | None = None) -> 
     for key in keys:
         if key not in meta:
             raise click.ClickException(f"{path} records no {key}{redo}")
+        kind = META_TYPES.get(key)
+        if kind is not None and type(meta[key]) is not kind:
+            noun = "an integer" if kind is int else "a string"
+            raise click.ClickException(f"{path}: {key} must be {noun}, not {json.dumps(meta[key])}{redo}")
     return meta
 
 
 def _open_cache(cache_path: str | None):
     """A ``with`` block's vector cache at ``cache_path``, or None without a path."""
-    return encoder.VectorCache(cache_path) if cache_path else nullcontext()
+    return _load(encoder.VectorCache, cache_path) if cache_path else nullcontext()
 
 
 def _load(loader, *paths):
@@ -151,16 +158,19 @@ def ingest(nodes_path: str, edges_path: str, schema_path: str, out_dir: str) -> 
 def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, pooling):
     """Build node and relation tokens for every node of a graph."""
     g = _load(load_graph_dir, graph_dir)
-    backend = encoder.HttpBackend(endpoint, pooling=pooling) if endpoint else encoder.MockBackend(dim=dim)
     with _open_cache(cache_path) as cache:
         targets = None
         if TEMPLATES[template] is TemplateId.FinetuneClassify:
             # classification prompts need a label vocabulary for the source type
             targets = [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
             click.echo(f"finetune template: tokenizing {len(targets)} labeled-type nodes")
-        table = encoder.tokenize_graph(
-            backend, g, targets=targets, K=hops, template=TEMPLATES[template], cache=cache
-        )
+        try:
+            backend = encoder.HttpBackend(endpoint, pooling=pooling) if endpoint else encoder.MockBackend(dim=dim)
+            table = encoder.tokenize_graph(
+                backend, g, targets=targets, K=hops, template=TEMPLATES[template], cache=cache
+            )
+        except encoder.EncoderError as exc:  # such as an encoder service that cannot be reached
+            raise click.ClickException(f"encoder service {endpoint}: {exc}" if endpoint else str(exc)) from None
     encoder.save_tokens(table, out_path)
     click.echo(
         f"tokens written: {len(table.node_tokens)} node, "

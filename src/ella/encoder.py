@@ -8,6 +8,7 @@ node tokens, however large the neighborhood is.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -43,8 +44,14 @@ class EncoderTransportError(EncoderError):
 def stable_hash64(*parts: str | bytes) -> int:
     """64-bit stable hash of the given strings or bytes (order-sensitive)."""
     # blake2b streams: one update over the joined parts equals one update per part
-    data = b"\x1f".join(p.encode("utf-8") if isinstance(p, str) else p for p in parts) + b"\x1f"
+    data = b"\x1f".join([p.encode("utf-8") if isinstance(p, str) else p for p in parts]) + b"\x1f"
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def placeholder_bytes(v: np.ndarray) -> bytes:
+    """A placeholder as cache keys hold it: equal rounded values have equal
+    bytes, so near-equal placeholders share a key."""
+    return np.asarray(v, dtype="<f8").round(6).tobytes()
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -212,24 +219,27 @@ class VectorCache:
             raise EncoderError(f"{self.path}: not a cache file (bad header)")
         else:
             off = len(CACHE_MAGIC)
-            while off + 12 <= len(data):
-                key, dim = struct.unpack_from("<QI", data, off)
+            while off + 12 <= len(data):  # one structured view per run of records of one dim
+                dim = int.from_bytes(data[off + 8 : off + 12], "little")
                 if off + 12 + 8 * dim > len(data):
                     break
-                self._store[key] = np.frombuffer(data, dtype="<f8", count=dim, offset=off + 12).copy()
-                off += 12 + 8 * dim
+                rec = np.dtype([("key", "<u8"), ("dim", "<u4"), ("vec", "<f8", (dim,))])
+                recs = np.frombuffer(data, rec, count=(len(data) - off) // rec.itemsize, offset=off)
+                same = recs["dim"] == dim
+                n = len(recs) if same.all() else int(same.argmin())
+                self._store.update(zip(recs["key"][:n].tolist(), recs["vec"][:n].copy()))
+                off += n * rec.itemsize
         if off < len(data):
             self._torn_tail = off  # an interrupted append; the next put cuts it off
 
     @staticmethod
     def key_for(
-        backend_name: str, template_id: str, text: str, placeholders: list[np.ndarray]
+        backend_name: str, template_id: str, text: str, placeholders: list[np.ndarray | bytes]
     ) -> int:
-        parts: list[str | bytes] = [backend_name, template_id, text]
-        for p in placeholders:
-            # equal rounded values have equal bytes, so near-equal placeholders share a key
-            parts.append(np.round(np.asarray(p, dtype="<f8"), 6).tobytes())
-        return stable_hash64(*parts)
+        """The key of one request; a placeholder may come as its ``placeholder_bytes``."""
+        head = f"{backend_name}\x1f{template_id}\x1f{text}".encode("utf-8")
+        phs = [p if isinstance(p, bytes) else placeholder_bytes(p) for p in placeholders]
+        return stable_hash64(b"\x1f".join([head, *phs]))
 
     def get(self, key: int) -> np.ndarray | None:
         vec = self._store.get(key)
@@ -300,36 +310,54 @@ class TokenTable:
         return [rel[s] + (s in self.node_tokens) for s in targets]
 
 
-def _call_backend(
-    backend,
-    template_id: str,
-    text: str,
-    placeholders: list[np.ndarray],
-    table: TokenTable,
-    cache: VectorCache | None,
-) -> np.ndarray:
-    if cache is not None:
-        owner = f"{backend.name}:{backend.dim}"
+class TokenizeRun:
+    """What the requests of one tokenization share: the table and cache they
+    fill, the backend's cache owner, and, once every node has its token, the
+    node tokens as a matrix whose rows follow sorted node ids."""
+
+    def __init__(self, backend, table: TokenTable, cache: VectorCache | None = None) -> None:
+        self.table, self.cache = table, cache
+        self.owner = f"{backend.name}:{backend.dim}"
         if isinstance(backend, HttpBackend):  # its vectors follow the pooling it asks for
-            owner += f":{backend.pooling}"
-        key = VectorCache.key_for(owner, template_id, text, placeholders)
-        hit = cache.get(key)
-        if hit is not None:
-            table.cache_hits += 1
-            return hit
-    table.call_count += 1
-    table.calls_by_template[template_id] = table.calls_by_template.get(template_id, 0) + 1
-    vec = backend.encode(template_id, text, placeholders)
-    return vec if cache is None else cache.put(key, vec)
+            self.owner += f":{backend.pooling}"
+
+    @functools.cached_property
+    def rows(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(sorted(self.table.node_tokens))}
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return np.array([self.table.node_tokens[v] for v in self.rows]).reshape(-1, self.table.dim)
+
+    def placeholder(self, s: str) -> tuple[np.ndarray, bytes]:
+        """``s``'s node token and its ``placeholder_bytes``."""
+        if s not in self.table.node_tokens:
+            raise EncoderError(f"node token for {s!r} missing")
+        return self.table.node_tokens[s], placeholder_bytes(self.table.node_tokens[s])
+
+    def call(self, backend, template_id: str, text: str, placeholders: list[np.ndarray], keys: list):
+        """One backend call on the placeholders, unless the cache holds the
+        request; ``keys`` are the placeholders as ``VectorCache.key_for`` takes them."""
+        if not text:
+            raise EncoderError("cannot encode empty text")
+        table, cache = self.table, self.cache
+        if cache is not None:
+            key = VectorCache.key_for(self.owner, template_id, text, keys)
+            hit = cache.get(key)
+            if hit is not None:
+                table.cache_hits += 1
+                return hit
+        table.call_count += 1
+        table.calls_by_template[template_id] = table.calls_by_template.get(template_id, 0) + 1
+        vec = backend.encode(template_id, text, placeholders)
+        return vec if cache is None else cache.put(key, vec)
 
 
 def encode_text(
     backend, text: str, table: TokenTable, cache: VectorCache | None = None
 ) -> np.ndarray:
     """Encode raw node text; one backend call unless served from the cache."""
-    if not text:
-        raise EncoderError("cannot encode empty text")
-    return _call_backend(backend, NODE_TEXT_TEMPLATE_ID, text, [], table, cache)
+    return TokenizeRun(backend, table, cache).call(backend, NODE_TEXT_TEMPLATE_ID, text, [], [])
 
 
 def pooled_node_token(g: HeteroGraph, t: str, table: TokenTable) -> np.ndarray:
@@ -351,31 +379,32 @@ def relation_token(
     s: str,
     hop: int,
     t: str,
-    table: TokenTable,
+    run: TokenizeRun,
+    s_placeholder: tuple[np.ndarray, bytes],
     members: set[str],
     template: TemplateId,
     prompt: str,
-    cache: VectorCache | None = None,
 ) -> np.ndarray:
     """Encode the hop-``hop`` type-``t`` relation of ``s``: exactly one call,
     on the ``template`` prompt text ``prompt``.
 
-    The second placeholder is the mean of the ``members``' node tokens (zero
-    vector when there are none, paired with a 0.00-proportion prompt).
+    The placeholders are ``s_placeholder``, which is ``run.placeholder(s)``,
+    and the mean of the ``members``' node tokens (zero vector when there are
+    none, paired with a 0.00-proportion prompt).
     """
-    if s not in table.node_tokens:
-        raise EncoderError(f"node token for {s!r} missing")
-    members = sorted(members)
-    missing = [v for v in members if v not in table.node_tokens]
-    if missing:
-        raise EncoderError(f"members of ({s!r}, hop {hop}, {t!r}) lack node tokens: {missing[:5]}")
-    if members:
+    try:
+        rows = sorted([run.rows[v] for v in members])  # the order of sorted ids
+    except KeyError:
+        missing = sorted(v for v in members if v not in run.rows)
+        raise EncoderError(f"members of ({s!r}, hop {hop}, {t!r}) lack node tokens: {missing[:5]}") from None
+    if rows:
         # the two steps np.mean takes (sum along the axis, divide by the count): same bits
-        pooled = np.add.reduce([table.node_tokens[v] for v in members], axis=0) / len(members)
+        pooled = np.add.reduce(run.matrix.take(rows, axis=0), axis=0) / len(rows)
     else:
-        pooled = np.zeros(table.dim)
-    vec = _call_backend(backend, template.value, prompt, [table.node_tokens[s], pooled], table, cache)
-    table.relation_tokens[(s, hop, t)] = vec
+        pooled = np.zeros(run.table.dim)
+    token, key = s_placeholder
+    vec = run.call(backend, template.value, prompt, [token, pooled], [key, pooled])
+    run.table.relation_tokens[(s, hop, t)] = vec
     return vec
 
 
@@ -406,22 +435,23 @@ def tokenize_graph(
             if s not in g:
                 raise KeyError(f"unknown target {s!r}")
     table = TokenTable(dim=backend.dim)
+    run = TokenizeRun(backend, table, cache)
 
     for nid in g.node_ids():
         if nid in g.node_text:
-            table.node_tokens[nid] = encode_text(backend, g.node_text[nid], table, cache)
+            table.node_tokens[nid] = run.call(backend, NODE_TEXT_TEMPLATE_ID, g.node_text[nid], [], [])
     for nid in g.node_ids():
         if nid not in g.node_text:
             table.node_tokens[nid] = pooled_node_token(g, nid, table)
 
     for s in targets:
-        src_type = g.node_type(s)
+        src_type, s_placeholder = g.node_type(s), run.placeholder(s)
         for hop in range(1, K + 1):
             profile = meta_path_profile(g, s, hop)
             for t in hop_types_present(g, s, hop):
                 members = hop_type_neighbors(g, s, hop, t)
                 prompt = build_relation_prompt(g.schema, src_type, t, hop, profile, template)
-                relation_token(backend, s, hop, t, table, members, template, prompt, cache)
+                relation_token(backend, s, hop, t, run, s_placeholder, members, template, prompt)
     return table
 
 

@@ -287,6 +287,15 @@ def _drop(key):
     return damage
 
 
+def _set(key, value):
+    def damage(path):
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta))
+
+    return damage
+
+
 def _set_model_config(value):
     def damage(path):
         meta = json.loads(path.read_text())
@@ -365,6 +374,18 @@ def _delete(path):
         ("evaluate", "model.ckpt.meta.json", _drop("seed"), r"model\.ckpt\.meta\.json records no seed; re-run 'ella pretrain'"),
         ("pretrain", "tokens.bin.meta.json", _delete, r"missing .*tokens\.bin\.meta\.json; re-run 'ella tokenize'$"),
         ("pretrain", "tokens.bin.meta.json", _drop("hops"), r"tokens\.bin\.meta\.json records no hops; re-run 'ella tokenize'"),
+        ("pretrain", "tokens.bin.meta.json", _set("hops", "1"),
+         r"tokens\.bin\.meta\.json: hops must be an integer, not \"1\"; re-run 'ella tokenize'"),
+        ("pretrain", "tokens.bin.meta.json", _set("hops", True), r"tokens\.bin\.meta\.json: hops must be an integer, not true"),
+        ("pretrain", "tokens.bin.meta.json", _set("backend", 5), r"tokens\.bin\.meta\.json: backend must be a string, not 5"),
+        ("pretrain", "tokens.bin.meta.json", _set("pooling", None), r"tokens\.bin\.meta\.json: pooling must be a string, not null"),
+        ("evaluate", "model.ckpt.meta.json", _set("seed", "0"),
+         r"model\.ckpt\.meta\.json: seed must be an integer, not \"0\"; re-run 'ella pretrain'"),
+        ("evaluate", "model.ckpt.meta.json", _set("seed", False), r"model\.ckpt\.meta\.json: seed must be an integer, not false"),
+        ("evaluate", "model.ckpt.meta.json", _set("checkpoint_sha256", 7),
+         r"model\.ckpt\.meta\.json: checkpoint_sha256 must be a string, not 7"),
+        ("evaluate_node", "model.ckpt.meta.json", _set("target_type", ["paper"]),
+         r"model\.ckpt\.meta\.json: target_type must be a string, not \[\"paper\"\]; re-run 'ella finetune'"),
     ],
     ids=["nodes_not_json", "nodes_not_utf8", "schema_not_utf8", "edge_to_unknown_node",
          "edge_against_its_type", "schema_labels_unknown_type",
@@ -373,7 +394,9 @@ def _delete(path):
          "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
          "ckpt_meta_indivisible_heads", "ckpt_meta_missing", "ckpt_meta_without_seed", "tokens_meta_missing",
-         "tokens_meta_without_hops"],
+         "tokens_meta_without_hops", "tokens_meta_hops_string", "tokens_meta_hops_bool", "tokens_meta_backend_number",
+         "tokens_meta_pooling_null", "ckpt_meta_seed_string", "ckpt_meta_seed_bool", "ckpt_meta_sha256_number",
+         "ckpt_meta_target_type_list"],
 )
 def test_bad_input_file_ends_in_an_error_naming_it(workdir, tmp_path, command, broken, damage, message):
     graph_dir = str(shutil.copytree(workdir / "graph", tmp_path / "graph"))
@@ -574,6 +597,45 @@ def test_tokenize_with_an_endpoint_uses_the_http_encoder(workdir, tmp_path, http
     assert EncoderStub.poolings[before:] == ["last"] * meta["call_count"]
     assert (meta["backend"], meta["dim"], meta["pooling"]) == ("remote-mock", EncoderStub.inner.dim, "last")
     assert encoder.load_tokens(tokens).dim == EncoderStub.inner.dim
+
+
+@pytest.mark.parametrize("command", ["tokenize", "profile"])
+def test_a_cache_file_of_another_format_ends_in_an_error_naming_it(workdir, tmp_path, command):
+    cache = tmp_path / "cache.bin"
+    cache.write_bytes(b"ELLACACHE v1\n")
+    result = CliRunner().invoke(main, [command, "--graph", str(workdir / "graph"), "--cache", str(cache),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {cache}: cache file has an older key format (v1); delete it" in result.output
+
+
+def test_tokenize_with_an_unreachable_endpoint_ends_in_an_error_naming_it(workdir, tmp_path):
+    endpoint = "http://127.0.0.1:1"  # nothing listens there
+    result = CliRunner().invoke(main, ["tokenize", "--graph", str(workdir / "graph"), "--endpoint", endpoint,
+                                       "--out", str(tmp_path / "tokens.bin")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
+    assert re.search(f"Error: encoder service {endpoint}: GET {endpoint}/v1/info failed", result.output), result.output
+    assert not (tmp_path / "tokens.bin").exists()
+
+
+def test_tokenize_ends_in_an_error_naming_an_encoder_that_fails_partway(workdir, tmp_path, http_server, monkeypatch):
+    served, serve = [], EncoderStub.do_POST
+
+    def fail_after_five(handler):
+        served.append(handler.path)
+        if len(served) > 5:
+            handler._send({"error": "overloaded"}, status=503)
+        else:
+            serve(handler)
+
+    monkeypatch.setattr(EncoderStub, "do_POST", fail_after_five)
+    cache = tmp_path / "cache.bin"
+    result = CliRunner().invoke(main, ["tokenize", "--graph", str(workdir / "graph"), "--endpoint", http_server,
+                                       "--cache", str(cache), "--out", str(tmp_path / "tokens.bin")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
+    assert re.search(f"Error: encoder service {http_server}: POST /v1/encode failed: .*503", result.output), result.output
+    assert len(served) == 6 and not (tmp_path / "tokens.bin").exists()
+    assert len(encoder.VectorCache(cache)) == 5  # the calls served before the failure stay cached
 
 
 def test_the_readme_walkthrough_names_only_real_commands_and_options():

@@ -14,6 +14,7 @@ from ella.encoder import (
     NODE_TEXT_TEMPLATE_ID,
     PrototypeBackend,
     TokenTable,
+    TokenizeRun,
     VectorCache,
     encode_text,
     load_tokens,
@@ -317,7 +318,8 @@ def test_relation_token_single_member_one_call():
     before = t.call_count
     nb, prompt = relation_ingredients(g, "p1", 1, "author")
     assert nb == {"a1"}
-    vec = relation_token(b, "p1", 1, "author", t, nb, TemplateId.PretrainLink, prompt)
+    run = TokenizeRun(b, t)
+    vec = relation_token(b, "p1", 1, "author", run, run.placeholder("p1"), nb, TemplateId.PretrainLink, prompt)
     assert t.call_count == before + 1
     assert t.relation_tokens[("p1", 1, "author")] is vec
 
@@ -336,7 +338,8 @@ def test_relation_token_thousand_members_one_call():
     before = t.call_count
     nb, prompt = relation_ingredients(g, "h", 1, "leaf")
     assert len(nb) == n
-    relation_token(b, "h", 1, "leaf", t, nb, TemplateId.PretrainLink, prompt)
+    run = TokenizeRun(b, t)
+    relation_token(b, "h", 1, "leaf", run, run.placeholder("h"), nb, TemplateId.PretrainLink, prompt)
     assert t.call_count == before + 1
 
 
@@ -361,7 +364,8 @@ def test_relation_token_empty_neighborhood_zero_prompt():
     profile = MetaPathProfile(target="a1", hop=3, patterns={})
     prompt = build_relation_prompt(schema, "author", "author", 3, profile, TemplateId.PretrainLink)
     assert "author-paper-paper-author (Proportion of paths: 0.00)" in prompt
-    vec = relation_token(b, "a1", 3, "author", t, nb, TemplateId.PretrainLink, prompt)
+    run = TokenizeRun(b, t)
+    vec = relation_token(b, "a1", 3, "author", run, run.placeholder("a1"), nb, TemplateId.PretrainLink, prompt)
     assert vec.shape == (8,)
     # zero pooled vector: output equals mixing u_s with an all-zero second slot
     expected = b.encode(
