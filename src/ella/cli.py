@@ -171,6 +171,8 @@ def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, poo
             )
         except encoder.EncoderError as exc:  # such as an encoder service that cannot be reached
             raise click.ClickException(f"encoder service {endpoint}: {exc}" if endpoint else str(exc)) from None
+        except OverflowError as exc:  # more walks than a count holds
+            raise click.ClickException(str(exc)) from None
     encoder.save_tokens(table, out_path)
     click.echo(
         f"tokens written: {len(table.node_tokens)} node, "

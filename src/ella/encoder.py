@@ -24,13 +24,15 @@ from typing import BinaryIO
 import numpy as np
 
 from .hetgraph import HeteroGraph, typed_neighbors
-from .pathstats import hop_type_neighbors, hop_types_present, meta_path_profile
+from .pathstats import Adjacency, hop_type_neighbors, hop_types_present, meta_path_profile, walk_chunk
 from .promptkit import TemplateId, build_relation_prompt
 from .tensorcore import load_arrays, save_arrays
 
 NODE_TEXT_TEMPLATE_ID = "node_text"
 
 CACHE_MAGIC = b"ELLACACHE v2\n"
+
+WALK_CHUNK = 256  # targets whose walks tokenize_graph counts together
 
 
 class EncoderError(RuntimeError):
@@ -132,6 +134,13 @@ class PrototypeBackend(MockBackend):
         return _unit(self._prototype(m.group(1)) + self.noise * h)
 
 
+def _json_dim(doc: dict) -> int:
+    """``doc["dim"]``, which must be a positive JSON integer (not a float or a boolean)."""
+    if type(doc["dim"]) is not int or doc["dim"] < 1:
+        raise ValueError(f"dim {doc['dim']!r} is not a positive integer")
+    return doc["dim"]
+
+
 class HttpBackend:
     """Client for the remote encoder wire format.
 
@@ -146,10 +155,9 @@ class HttpBackend:
         self.timeout = timeout
         info = self._get_json(f"{self.endpoint}/v1/info")
         try:
-            self.name = str(info["name"])
-            self.dim = int(info["dim"])
+            self.name, self.dim = str(info["name"]), _json_dim(info)
         except (KeyError, TypeError, ValueError) as exc:
-            raise EncoderTransportError(f"bad handshake response: {info!r}") from exc
+            raise EncoderTransportError(f"bad handshake response from {self.endpoint}/v1/info: {info!r}") from exc
 
     def _get_json(self, url: str) -> dict:
         try:
@@ -169,25 +177,21 @@ class HttpBackend:
                 "pooling": self.pooling,
             }
         ).encode("utf-8")
-        req = urllib.request.Request(
-            f"{self.endpoint}/v1/encode",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
+        url = f"{self.endpoint}/v1/encode"
+        req = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"}, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            raise EncoderTransportError(f"POST /v1/encode failed: {exc}") from exc
+            raise EncoderTransportError(f"POST {url} failed: {exc}") from exc
         try:
             vec = np.asarray(payload["embedding"], dtype=np.float64)
-            dim = int(payload["dim"])
+            dim = _json_dim(payload)
         except (KeyError, TypeError, ValueError) as exc:
-            raise EncoderTransportError(f"bad encode response: {payload!r}") from exc
+            raise EncoderTransportError(f"bad encode response from {url}: {payload!r}") from exc
         if vec.shape != (dim,) or dim != self.dim:
             raise EncoderTransportError(
-                f"response dim {vec.shape}/{dim} disagrees with handshake dim {self.dim}"
+                f"{url}: response dim {vec.shape}/{dim} disagrees with handshake dim {self.dim}"
             )
         return vec
 
@@ -420,9 +424,11 @@ def tokenize_graph(
     """Produce node tokens for every node and relation tokens for all targets.
 
     Targets run one after another in the given order, so a run inserts (and
-    ``save_tokens`` writes) its rows in the same order every time. Per target
-    the relation-token call count is bounded by |node types| * K regardless of
-    neighborhood sizes. ``workers`` must be 1.
+    ``save_tokens`` writes) its rows in the same order every time. The walks
+    of each ``WALK_CHUNK`` targets are counted together, on a CSR copy of the
+    graph made once per call. Per target the relation-token call count is
+    bounded by |node types| * K regardless of neighborhood sizes. ``workers``
+    must be 1.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1 (tokenization is serial), got {workers!r}")
@@ -444,14 +450,17 @@ def tokenize_graph(
         if nid not in g.node_text:
             table.node_tokens[nid] = pooled_node_token(g, nid, table)
 
-    for s in targets:
-        src_type, s_placeholder = g.node_type(s), run.placeholder(s)
-        for hop in range(1, K + 1):
-            profile = meta_path_profile(g, s, hop)
-            for t in hop_types_present(g, s, hop):
-                members = hop_type_neighbors(g, s, hop, t)
-                prompt = build_relation_prompt(g.schema, src_type, t, hop, profile, template)
-                relation_token(backend, s, hop, t, run, s_placeholder, members, template, prompt)
+    adjacency = Adjacency(g)
+    for start in range(0, len(targets), WALK_CHUNK):
+        walk_chunk(adjacency, targets[start : start + WALK_CHUNK])
+        for s in targets[start : start + WALK_CHUNK]:
+            src_type, s_placeholder = g.node_type(s), run.placeholder(s)
+            for hop in range(1, K + 1):
+                profile = meta_path_profile(g, s, hop)
+                for t in hop_types_present(g, s, hop):
+                    members = hop_type_neighbors(g, s, hop, t)
+                    prompt = build_relation_prompt(g.schema, src_type, t, hop, profile, template)
+                    relation_token(backend, s, hop, t, run, s_placeholder, members, template, prompt)
     return table
 
 

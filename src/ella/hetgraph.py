@@ -255,7 +255,8 @@ def _read_text(path: str | Path) -> io.StringIO:
         raise GraphFormatError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
+def _read_jsonl(path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> list[dict]:
+    """The records of a JSONL file; every listed field holds a string."""
     records = []
     for lineno, line in enumerate(_read_text(path), start=1):
         line = line.strip()
@@ -267,9 +268,11 @@ def _read_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
             raise GraphFormatError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
         if not isinstance(rec, dict):
             raise GraphFormatError(f"{path} line {lineno}: record is not an object")
-        for key in required:
-            if key not in rec:
+        for key in (*required, *optional):
+            if key not in rec and key in required:
                 raise GraphFormatError(f"{path} line {lineno}: missing field {key!r}")
+            if not isinstance(rec.get(key, ""), str):
+                raise GraphFormatError(f"{path} line {lineno}: field {key!r} must be a string, not {rec[key]!r}")
         rec["_line"] = lineno
         records.append(rec)
     return records
@@ -290,12 +293,12 @@ def load_graph(
 ) -> HeteroGraph:
     """Load and validate a graph from JSONL node/edge files plus a schema."""
     schema = load_schema(schema_path)
-    node_recs = _read_jsonl(nodes_path, required=("id", "type"))
+    node_recs = _read_jsonl(nodes_path, required=("id", "type"), optional=("text",))
     edge_recs = _read_jsonl(edges_path, required=("src", "dst", "etype"))
 
-    nodes = [(str(rec["id"]), str(rec["type"])) for rec in node_recs]
-    node_text = {str(rec["id"]): str(rec["text"]) for rec in node_recs if rec.get("text")}
-    edges = [(str(rec["src"]), str(rec["dst"]), str(rec["etype"])) for rec in edge_recs]
+    nodes = [(rec["id"], rec["type"]) for rec in node_recs]
+    node_text = {rec["id"]: rec["text"] for rec in node_recs if rec.get("text")}
+    edges = [(rec["src"], rec["dst"], rec["etype"]) for rec in edge_recs]
     try:
         return HeteroGraph(schema, nodes, edges, node_text)
     except GraphFormatError as exc:  # every error these records can cause names one of them

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ella import cli, encoder, evalkit, trainer
+from ella import cli, encoder, evalkit, pathstats, trainer
 from ella.cli import main
 from ella.ellanet import ModelConfig, init_params
 from ella.hetgraph import load_graph_dir, load_labels, save_graph, save_labels
@@ -633,9 +633,17 @@ def test_tokenize_ends_in_an_error_naming_an_encoder_that_fails_partway(workdir,
     result = CliRunner().invoke(main, ["tokenize", "--graph", str(workdir / "graph"), "--endpoint", http_server,
                                        "--cache", str(cache), "--out", str(tmp_path / "tokens.bin")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
-    assert re.search(f"Error: encoder service {http_server}: POST /v1/encode failed: .*503", result.output), result.output
+    assert re.search(f"Error: encoder service {http_server}: POST {http_server}/v1/encode failed: .*503", result.output), result.output
     assert len(served) == 6 and not (tmp_path / "tokens.bin").exists()
     assert len(encoder.VectorCache(cache)) == 5  # the calls served before the failure stay cached
+
+
+def test_tokenize_ends_in_an_error_naming_a_target_with_too_many_walks_to_count(workdir, tmp_path, monkeypatch):
+    monkeypatch.setattr(pathstats, "_COUNT_LIMIT", 1)
+    result = CliRunner().invoke(main, ["tokenize", "--graph", str(workdir / "graph"), "--out", str(tmp_path / "t.bin")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
+    assert re.search(r"Error: more than 1 hop-1 walks from '\w+': too many to count", result.output), result.output
+    assert not (tmp_path / "t.bin").exists()
 
 
 def test_the_readme_walkthrough_names_only_real_commands_and_options():

@@ -700,3 +700,34 @@ def test_http_cache_serves_only_the_pooling_it_was_filled_with(http_server, tmp_
 def test_http_backend_unreachable_is_transport_error():
     with pytest.raises(EncoderTransportError):
         HttpBackend("http://127.0.0.1:1")  # nothing listens there
+
+
+def test_http_backend_transport_errors_name_the_service(http_server, monkeypatch):
+    url = f"{http_server}/v1/encode"
+    replies = [
+        ({"error": "overloaded"}, 503, rf"POST {url} failed: .*503"),
+        ({"vector": [0.0] * 12}, 200, rf"bad encode response from {url}: "),
+        ({"embedding": [0.0] * 3, "dim": 3}, 200, rf"{url}: response dim \(3,\)/3 disagrees"),
+    ]
+    backend = HttpBackend(http_server)
+    for payload, status, message in replies:
+        monkeypatch.setattr(EncoderStub, "do_POST", lambda h, p=payload, s=status: h._send(p, s))
+        with pytest.raises(EncoderTransportError, match=message):
+            backend.encode("node_text", "a text")
+    monkeypatch.setattr(EncoderStub, "do_GET", lambda h: h._send({"dim": 12}))
+    with pytest.raises(EncoderTransportError, match=f"bad handshake response from {http_server}/v1/info: "):
+        HttpBackend(http_server)
+
+
+def test_http_backend_refuses_a_dim_that_is_not_a_positive_json_integer(http_server, monkeypatch):
+    vec = EncoderStub.inner.encode("node_text", "a text").tolist()
+    for dim in (3.9, 12.0, True, 0, -12, "12", None):
+        with monkeypatch.context() as m:
+            m.setattr(EncoderStub, "do_GET", lambda h: h._send({"name": "remote-mock", "dim": dim}))
+            with pytest.raises(EncoderTransportError, match=f"bad handshake response from {http_server}/v1/info"):
+                HttpBackend(http_server)
+        backend = HttpBackend(http_server)
+        with monkeypatch.context() as m:
+            m.setattr(EncoderStub, "do_POST", lambda h: h._send({"embedding": vec, "dim": dim}))
+            with pytest.raises(EncoderTransportError, match=f"bad encode response from {http_server}/v1/encode"):
+                backend.encode("node_text", "a text")

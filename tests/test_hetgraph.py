@@ -109,6 +109,21 @@ def test_every_bad_record_names_its_file_and_line(tmp_path, nodes, edges, messag
 
 
 @pytest.mark.parametrize(
+    "kind,line,field,value",
+    [("nodes", 2, "id", None), ("nodes", 2, "id", [1]), ("nodes", 3, "type", 5), ("nodes", 1, "text", 5),
+     ("nodes", 1, "text", 0), ("nodes", 1, "text", None), ("edges", 1, "src", 1), ("edges", 2, "dst", None),
+     ("edges", 2, "etype", True)],
+)
+def test_a_field_that_is_not_a_string_is_refused_naming_its_file_line_and_field(tmp_path, kind, line, field, value):
+    nodes = [{"id": "m1", "type": "movie", "text": "a movie"}, {"id": "a1", "type": "actor"},
+             {"id": "d1", "type": "director"}]
+    edges = [{"src": "a1", "dst": "m1", "etype": "acts_in"}, {"src": "d1", "dst": "m1", "etype": "directs"}]
+    (nodes if kind == "nodes" else edges)[line - 1][field] = value
+    with pytest.raises(GraphFormatError, match=rf"{kind}\.jsonl line {line}: field '{field}' must be a string, not "):
+        load_graph(*write_graph_files(tmp_path, nodes, edges, IMDB_SCHEMA))
+
+
+@pytest.mark.parametrize(
     "change,message",
     [
         ({"node_types": "movie"}, r"node_types must be a JSON array, not str"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
@@ -249,7 +249,7 @@ def test_walk_memo_never_answers_for_another_graph_or_target():
     for g in (g1, g2):
         for s in g.node_ids():
             for hop in (1, 2, 3):
-                pathstats._walk.cache_clear()
+                pathstats._last = None  # forget the memo
                 fresh[id(g), s, hop] = views(g, s, hop)
                 counts = {p: st.count for p, st in fresh[id(g), s, hop][0].patterns.items()}
                 assert counts == oracle_pattern_counts(g, s, hop)
@@ -265,3 +265,76 @@ def test_walk_memo_never_answers_for_another_graph_or_target():
         for nb in neighborhoods:
             nb.add("zz")
         assert views(g, s, hop) == fresh[id(g), s, hop]
+
+    # a chunk walked on g1 never answers for g2, whose ids are the same
+    for s in g1.node_ids():
+        for hop in (3, 1, 2):
+            pathstats.walk_chunk(pathstats.Adjacency(g1), g1.node_ids())
+            assert views(g1, s, hop) == fresh[id(g1), s, hop]
+            assert views(g2, s, hop) == fresh[id(g2), s, hop]
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.integers(min_value=0, max_value=17), min_size=1, max_size=24),
+    st.integers(min_value=1, max_value=9),
+)
+def test_chunked_walk_views_equal_one_target_walks(graph_seed, picks, chunk):
+    base = random_hetero_graph(np.random.default_rng(graph_seed), max_nodes=16, max_types=4)
+    # an isolated node, so some target has no walks at any hop
+    g = HeteroGraph(base.schema, base.nodes + [("isolated", base.schema.node_types[0])], base.edges)
+    ids = g.node_ids()
+    targets = [ids[p % len(ids)] for p in picks]  # any order, repeats allowed
+    types, hops = g.schema.node_types, (1, 2, 3)
+
+    def views(s, hop):
+        return (
+            meta_path_profile(g, s, hop),
+            hop_types_present(g, s, hop),
+            [hop_type_neighbors(g, s, hop, t) for t in types],
+        )
+
+    alone = {}
+    for s in set(targets):
+        pathstats.walk_chunk(pathstats.Adjacency(g), [s])
+        alone.update({(s, hop): views(s, hop) for hop in hops})
+
+    adjacency = pathstats.Adjacency(g)
+    for start in range(0, len(targets), chunk):
+        part = targets[start : start + chunk]
+        pathstats.walk_chunk(adjacency, part)
+        for s in part[::-1] + part:
+            for hop in (3, 1, 2):
+                profile, present, neighborhoods = views(s, hop)
+                assert (profile, present, neighborhoods) == alone[s, hop]
+                profile.patterns.clear()
+                present.append("spaceship")
+                for nb in neighborhoods:
+                    nb.add("zz")
+        assert pathstats._last.pos.keys() == set(part)  # every answer came from the chunk
+
+
+def test_a_walk_count_that_could_pass_the_limit_raises_naming_the_target(monkeypatch):
+    # u000 has 3^3 = 27 hop-3 walks on a 3 x 3 complete bipartite graph; u999 has none
+    base = complete_bipartite(3)
+    g = HeteroGraph(base.schema, base.nodes + [("u999", "user")], base.edges)
+    monkeypatch.setattr(pathstats, "_COUNT_LIMIT", 27)
+    assert meta_path_profile(g, "u000", 3).patterns == {
+        ("user", "item", "user", "item"): PatternStat(27, 1.0)
+    }
+    monkeypatch.setattr(pathstats, "_COUNT_LIMIT", 26)
+    for targets in (["u000"], ["u999", "u000"]):
+        pathstats.walk_chunk(pathstats.Adjacency(g), targets)
+        with pytest.raises(OverflowError, match="more than 26 hop-3 walks from 'u000'"):
+            meta_path_profile(g, "u000", 3)
+
+
+def test_counts_stay_exact_up_to_the_int64_limit():
+    # u000 has 101^i hop-i walks; 101^9 needs 60 bits, 101^10 more than 63
+    g = complete_bipartite(101)
+    prof = meta_path_profile(g, "u000", 9)
+    assert prof.patterns == {("user", "item") * 5: PatternStat(101**9, 1.0)}
+    with pytest.raises(OverflowError, match="hop-10 walks from 'u000'"):
+        meta_path_profile(g, "u000", 10)
