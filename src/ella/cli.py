@@ -339,13 +339,10 @@ def evaluate(task, ckpt_path, out_path, graph_dir, tokens_path, labels_path):
         rows.append(("macro_f1", "test", evalkit.macro_f1(preds, golds, labels=vocab)))
     else:
         params, model_cfg, meta = _load_params(ckpt_path, "seed", command="pretrain")
-        splits = evalkit.build_splits(g, {}, evalkit.Task.LinkPrediction, seed=meta["seed"])
-        part = splits.edge_splits["test"]
-        pairs = [(s, t) for s, t, _ in part.positives] + [(s, t) for s, t, _ in part.negatives]
-        y = [1] * len(part.positives) + [0] * len(part.negatives)
-        scores = trainer.score_pairs(pairs, params, table, model_cfg, g.node_type)
-        rows.append(("auc", "test", evalkit.auc(scores.tolist(), y)))
-        rows.append(("ap", "test", evalkit.ap(scores.tolist(), y)))
+        proto = evalkit.link_protocol(g, meta["seed"])
+        scores = trainer.score_pairs(proto.test_pairs, params, table, model_cfg, g.node_type).tolist()
+        rows.append(("auc", "test", evalkit.auc(scores, proto.test_labels)))
+        rows.append(("ap", "test", evalkit.ap(scores, proto.test_labels)))
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "split", "value"])

@@ -19,7 +19,7 @@ from .encoder import MockBackend, VectorCache, tokenize_graph
 from .hetgraph import HeteroGraph
 from .pathstats import count_simple_paths
 from .promptkit import TemplateId
-from .trainer import sample_negatives
+from .trainer import EdgeSample, EdgeSampleSet, sample_negatives
 
 log = logging.getLogger(__name__)
 
@@ -229,6 +229,43 @@ def build_splits(
                 used.add((s, t, ename))
         spec.edge_splits[part_name] = LinkPart(positives=part_pos, negatives=negatives)
     return spec
+
+
+
+@dataclass
+class LinkProtocol:
+    g_train: HeteroGraph  # the graph without the val and test positives
+    train_pos: dict[str, list[tuple[str, str]]]  # per relation, in split order
+    val_samples: EdgeSampleSet
+    test_pairs: list[tuple[str, str]]  # positives, then negatives
+    test_labels: list[int]
+    full_edges: set[tuple[str, str, str]]  # every edge of the graph: pretraining's forbidden negatives
+
+
+def link_protocol(g: HeteroGraph, seed: int) -> LinkProtocol:
+    """The held-out link protocol of one splits seed: the link split of
+    ``build_splits``, with its val and test positives removed from the graph
+    that is tokenized and pretrained on."""
+    splits = build_splits(g, {}, Task.LinkPrediction, seed=seed)
+    train, val, test = (splits.edge_splits[part] for part in ("train", "val", "test"))
+    held_out = set(val.positives + test.positives)
+    train_pos: dict[str, list[tuple[str, str]]] = {}
+    for s, t, e in train.positives:
+        train_pos.setdefault(e, []).append((s, t))
+    val_samples = EdgeSampleSet()
+    for e in sorted({x for _, _, x in val.positives + val.negatives}):
+        val_samples.by_type[e] = EdgeSample(
+            positives=[(s, t) for s, t, x in val.positives if x == e],
+            negatives=[(s, t) for s, t, x in val.negatives if x == e],
+        )
+    return LinkProtocol(
+        g_train=HeteroGraph(g.schema, g.nodes, [e for e in g.edges if e not in held_out], g.node_text),
+        train_pos=train_pos,
+        val_samples=val_samples,
+        test_pairs=[(s, t) for s, t, _ in test.positives + test.negatives],
+        test_labels=[1] * len(test.positives) + [0] * len(test.negatives),
+        full_edges=set(g.edges),
+    )
 
 
 # -- efficiency profiling --------------------------------------------------------

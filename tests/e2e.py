@@ -7,18 +7,9 @@ from dataclasses import dataclass
 
 from ella.ellanet import ModelConfig
 from ella.encoder import PrototypeBackend, tokenize_graph
-from ella.evalkit import Task, ap, auc, build_splits, macro_f1, micro_f1
-from ella.hetgraph import HeteroGraph
+from ella.evalkit import Task, ap, auc, build_splits, link_protocol, macro_f1, micro_f1
 from ella.promptkit import TemplateId
-from ella.trainer import (
-    EdgeSample,
-    EdgeSampleSet,
-    TrainConfig,
-    classify,
-    finetune,
-    pretrain,
-    score_pairs,
-)
+from ella.trainer import TrainConfig, classify, finetune, pretrain, score_pairs
 
 from fixtures import planted_link_fixture, planted_node_fixture
 
@@ -75,44 +66,17 @@ def run_link_task(
     seed: int, users: int = 64, items: int = 64, pretrain_epochs: int = 300
 ) -> tuple[float, float]:
     g, _ = planted_link_fixture(seed=seed, users=users, items=items)
-    splits = build_splits(g, {}, Task.LinkPrediction, seed=seed)
-
-    held_out = {
-        tuple(e)
-        for part in ("val", "test")
-        for e in splits.edge_splits[part].positives
-    }
-    train_edges = [e for e in g.edges if e not in held_out]
-    g_train = HeteroGraph(g.schema, g.nodes, train_edges, g.node_text)
-
+    proto = link_protocol(g, seed)
     cfg = ModelConfig(**DESK_MODEL)
     backend = PrototypeBackend(dim=cfg.d_llm, noise=0.5)
-    table = tokenize_graph(backend, g_train, K=cfg.hops, template=TemplateId.PretrainLink)
-
-    train_pos: dict[str, list[tuple[str, str]]] = {}
-    for s, t, ename in splits.edge_splits["train"].positives:
-        train_pos.setdefault(ename, []).append((s, t))
-    val_part = splits.edge_splits["val"]
-    val_samples = EdgeSampleSet()
-    for ename in sorted({e for _, _, e in val_part.positives + val_part.negatives}):
-        val_samples.by_type[ename] = EdgeSample(
-            positives=[(s, t) for s, t, e in val_part.positives if e == ename],
-            negatives=[(s, t) for s, t, e in val_part.negatives if e == ename],
-        )
-
+    table = tokenize_graph(backend, proto.g_train, K=cfg.hops, template=TemplateId.PretrainLink)
     pre = pretrain(
-        g_train, table, cfg,
+        proto.g_train, table, cfg,
         TrainConfig(max_epochs=pretrain_epochs, patience=30),
         seed=seed,
-        train_positives=train_pos,
-        val_samples=val_samples,
-        forbidden={tuple(e) for e in g.edges},
+        train_positives=proto.train_pos,
+        val_samples=proto.val_samples,
+        forbidden=proto.full_edges,
     )
-
-    test_part = splits.edge_splits["test"]
-    pairs = [(s, t) for s, t, _ in test_part.positives] + [
-        (s, t) for s, t, _ in test_part.negatives
-    ]
-    y = [1] * len(test_part.positives) + [0] * len(test_part.negatives)
-    scores = score_pairs(pairs, pre.params, table, cfg, g.node_type)
-    return auc(scores.tolist(), y), ap(scores.tolist(), y)
+    scores = score_pairs(proto.test_pairs, pre.params, table, cfg, g.node_type).tolist()
+    return auc(scores, proto.test_labels), ap(scores, proto.test_labels)

@@ -521,6 +521,18 @@ def test_evaluate_node_scores_the_head_and_split_the_checkpoint_records(
     assert json.loads(Path(f"{out}.meta.json").read_text())["splits_seed"] == seed
 
 
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_evaluate_link_scores_the_test_pairs_of_the_checkpoint_seed(workdir, tmp_path, monkeypatch, seed):
+    scored = []
+    score_pairs = trainer.score_pairs
+    monkeypatch.setattr(trainer, "score_pairs", lambda pairs, *a: scored.append(pairs) or score_pairs(pairs, *a))
+    result, out = _evaluate_recorded(workdir, tmp_path, "link", {"command": "pretrain", "seed": seed})
+    assert result.exit_code == 0, result.output
+    assert scored == [evalkit.link_protocol(load_graph_dir(workdir / "graph"), seed).test_pairs]
+    assert json.loads(Path(f"{out}.meta.json").read_text())["splits_seed"] == seed
+
+
 def test_export_attention_records_no_tape(workdir, tmp_path, monkeypatch):
     graph_dir = str(workdir / "graph")
     tokens = str(tmp_path / "tokens.bin")

@@ -10,13 +10,14 @@ from ella.evalkit import (
     auc,
     build_splits,
     export_attention,
+    link_protocol,
     macro_f1,
     micro_f1,
     profile_run,
     write_metadata,
 )
 
-from fixtures import complete_typed_tree, planted_link_fixture, planted_node_fixture
+from fixtures import bipartite_with_edges, complete_typed_tree, planted_link_fixture, planted_node_fixture
 
 
 # -- classification metrics -----------------------------------------------------
@@ -216,6 +217,41 @@ def test_link_splits_empty_graph_errors():
     g = HeteroGraph(schema, [("u0", "user"), ("i0", "item")], [])
     with pytest.raises(ValueError, match="nonempty"):
         build_splits(g, {}, Task.LinkPrediction)
+
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "make_graph",
+    [lambda: planted_link_fixture(seed=3, users=24, items=24)[0], lambda: bipartite_with_edges(300, seed=3)],
+    ids=["planted", "bipartite"],
+)
+def test_link_protocol_holds_out_the_val_and_test_positives_of_its_split(make_graph, seed):
+    g = make_graph()
+    proto = link_protocol(g, seed)
+    spec = build_splits(g, {}, Task.LinkPrediction, seed=seed)
+    train, val, test = (spec.edge_splits[part] for part in ("train", "val", "test"))
+
+    held_out = set(val.positives + test.positives)
+    assert proto.g_train.nodes == g.nodes
+    assert proto.g_train.edges == [e for e in g.edges if e not in held_out]
+    assert not held_out & set(proto.g_train.edges)
+
+    train_pos = [(s, t, e) for e, pairs in proto.train_pos.items() for s, t in pairs]
+    for e, pairs in proto.train_pos.items():
+        assert pairs == [(s, t) for s, t, x in train.positives if x == e]
+    assert sorted(train_pos) == sorted(train.positives)
+    parts = [train_pos, val.positives, test.positives]
+    assert len(set().union(*parts)) == sum(map(len, parts))
+    assert set().union(*parts) <= set(g.edges)
+
+    assert list(proto.val_samples.by_type) == sorted({e for _, _, e in val.positives + val.negatives})
+    for kind in ("positives", "negatives"):
+        held = [(s, t, e) for e, sample in proto.val_samples.by_type.items() for s, t in getattr(sample, kind)]
+        assert sorted(held) == sorted(getattr(val, kind))
+    assert proto.test_pairs == [(s, t) for s, t, _ in test.positives + test.negatives]
+    assert proto.test_labels == [1] * len(test.positives) + [0] * len(test.negatives)
+    assert proto.full_edges == set(g.edges)
 
 
 # -- profiling ---------------------------------------------------------------------
