@@ -25,7 +25,10 @@ log = logging.getLogger(__name__)
 TEMPLATES = {"pretrain": TemplateId.PretrainLink, "finetune": TemplateId.FinetuneClassify}
 
 # the JSON type of each metadata key a command reads; a bool is not an integer
-META_TYPES = {"hops": int, "seed": int, "checkpoint_sha256": str, "backend": str, "pooling": str, "target_type": str}
+META_TYPES = {
+    "hops": int, "seed": int, "checkpoint_sha256": str, "backend": str, "pooling": str, "target_type": str,
+    "template": str,
+}
 
 
 def _file_sha256(path: str | Path) -> str:
@@ -43,6 +46,20 @@ def _load_params(ckpt: str, *keys: str, command: str | None = None) -> tuple[Mod
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
     cfg = _config_section(ModelConfig, meta["model_config"], meta_path, "model")
     return ModelParams(load_checkpoint(ckpt, data)), cfg, meta
+
+
+def _tokens_for(tokens_path: str, ckpt_path: str, cfg: ModelConfig) -> encoder.TokenTable:
+    """The token table at ``tokens_path``, refused with an error naming both
+    files unless the hops its ``.meta.json`` records and its vector dim are the
+    checkpoint's ``hops`` and ``d_llm``."""
+    table = _load(encoder.load_tokens, tokens_path)
+    hops = _read_meta(tokens_path, "hops", command="tokenize")["hops"]
+    for name, have, ckpt_name, want in (("hops", hops, "hops", cfg.hops), ("dim", table.dim, "d_llm", cfg.d_llm)):
+        if have != want:
+            raise click.ClickException(
+                f"{tokens_path} has {name} {have}, but {ckpt_path} has {ckpt_name} {want}; re-run 'ella tokenize'"
+            )
+    return table
 
 
 def _save_params(params: ModelParams, cfg: ModelConfig, out: str, extra: dict) -> None:
@@ -169,9 +186,7 @@ def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, poo
             table = encoder.tokenize_graph(
                 backend, g, targets=targets, K=hops, template=TEMPLATES[template], cache=cache
             )
-        except encoder.EncoderError as exc:  # such as an encoder service that cannot be reached
-            raise click.ClickException(f"encoder service {endpoint}: {exc}" if endpoint else str(exc)) from None
-        except OverflowError as exc:  # more walks than a count holds
+        except (encoder.EncoderError, OverflowError) as exc:  # a failing encoder (named), too many walks
             raise click.ClickException(str(exc)) from None
     encoder.save_tokens(table, out_path)
     click.echo(
@@ -231,7 +246,12 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     g = _load(load_graph_dir, graph_dir)
     table = _load(encoder.load_tokens, tokens_path)
     model_cfg, train_cfg = _load_train_config(config_path)
-    tokens_meta = _read_meta(tokens_path, "hops", "backend", "pooling", command="tokenize")
+    tokens_meta = _read_meta(tokens_path, "hops", "backend", "pooling", "template", command="tokenize")
+    if tokens_meta["template"] != TemplateId.PretrainLink.value:
+        raise click.ClickException(
+            f"{tokens_path}.meta.json records template {tokens_meta['template']!r}, "
+            f"not {TemplateId.PretrainLink.value!r}; re-run 'ella tokenize'"
+        )
     model_cfg = dataclasses.replace(model_cfg, d_llm=table.dim, hops=tokens_meta["hops"])
     result = trainer.pretrain(g, table, model_cfg, train_cfg, seed=seed)
     run_meta = result.metadata()
@@ -268,9 +288,9 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
 def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, out_path):
     """Train the classification head on a frozen pre-trained backbone."""
     g = _load(load_graph_dir, graph_dir)
-    table = _load(encoder.load_tokens, tokens_path)
     labels = _node_labels(g, labels_path, target_type, "--target-type")
     params, model_cfg, _ = _load_params(ckpt_path)
+    table = _tokens_for(tokens_path, ckpt_path, model_cfg)
     splits = evalkit.build_splits(
         g, labels, evalkit.Task.NodeClassification, seed=seed, target_type=target_type
     )
@@ -320,12 +340,13 @@ def evaluate(task, ckpt_path, out_path, graph_dir, tokens_path, labels_path):
     """Score the held-out test split of the chosen task, drawn with the
     checkpoint's seed; --task node scores the type the head was fine-tuned for."""
     g = _load(load_graph_dir, graph_dir)
-    table = _load(encoder.load_tokens, tokens_path)
+    if task == "node" and not labels_path:
+        raise click.ClickException("--task node needs --labels")
+    keys, command = (("seed", "target_type"), "finetune") if task == "node" else (("seed",), "pretrain")
+    params, model_cfg, meta = _load_params(ckpt_path, *keys, command=command)
+    table = _tokens_for(tokens_path, ckpt_path, model_cfg)
     rows: list[tuple[str, str, float]] = []
     if task == "node":
-        if not labels_path:
-            raise click.ClickException("--task node needs --labels")
-        params, model_cfg, meta = _load_params(ckpt_path, "seed", "target_type", command="finetune")
         target_type = meta["target_type"]
         labels = _node_labels(g, labels_path, target_type, f"{ckpt_path}.meta.json: target_type")
         splits = evalkit.build_splits(
@@ -338,7 +359,6 @@ def evaluate(task, ckpt_path, out_path, graph_dir, tokens_path, labels_path):
         rows.append(("micro_f1", "test", evalkit.micro_f1(preds, golds, labels=vocab)))
         rows.append(("macro_f1", "test", evalkit.macro_f1(preds, golds, labels=vocab)))
     else:
-        params, model_cfg, meta = _load_params(ckpt_path, "seed", command="pretrain")
         proto = evalkit.link_protocol(g, meta["seed"])
         scores = trainer.score_pairs(proto.test_pairs, params, table, model_cfg, g.node_type).tolist()
         rows.append(("auc", "test", evalkit.auc(scores, proto.test_labels)))
@@ -393,8 +413,8 @@ def profile(graph_dir, hops, out_path, cache_path, dim):
 def export_attention(ckpt_path, out_dir, graph_dir, tokens_path):
     """Dump type-level and hop-level attention distributions as CSV."""
     g = _load(load_graph_dir, graph_dir)
-    table = _load(encoder.load_tokens, tokens_path)
     params, model_cfg, meta = _load_params(ckpt_path)
+    table = _tokens_for(tokens_path, ckpt_path, model_cfg)
     capture = AttentionCapture()
     forward_batch(pad_tokens(g.node_ids(), table, model_cfg.hops), params.constants(), model_cfg, capture)
     written = evalkit.export_attention(capture, g, out_dir)

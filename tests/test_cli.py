@@ -584,6 +584,52 @@ def test_pretrain_refuses_token_metadata_that_is_not_an_object_before_training(w
     assert f"Error: {tokens}.meta.json: expected a JSON object, got list" in result.output
 
 
+
+def test_pretrain_refuses_classification_template_tokens_before_training(workdir, tmp_path, monkeypatch):
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--template", "finetune", "--out", tokens, "--dim", "12"])
+    monkeypatch.setattr(trainer, "pretrain", lambda *a, **k: pytest.fail("pretrain ran on classification tokens"))
+    out = tmp_path / "out.ckpt"
+    result = CliRunner().invoke(main, ["pretrain", "--graph", graph_dir, "--tokens", tokens, "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    message = f"Error: {tokens}.meta.json records template 'finetune_classify', not 'pretrain_link'; re-run 'ella tokenize'"
+    assert message in result.output
+    assert not out.exists()
+
+
+def _run_on_tokens(workdir, tmp_path, command, hops, dim):
+    """``ella <command>`` with an untrained 1-hop, d_llm 12 checkpoint on
+    tokens of ``hops`` and ``dim``: the result, the tokens and the checkpoint."""
+    graph_dir = str(workdir / "graph")
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", str(hops), "--out", tokens, "--dim", str(dim)])
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    out = str(tmp_path / "out")
+    inputs = ["--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt, "--out", out]
+    args = {
+        "finetune": ["finetune", *inputs, "--labels", str(workdir / "labels.csv"), "--target-type", "paper"],
+        "evaluate": ["evaluate", "--task", "link", *inputs],
+        "export-attention": ["export-attention", *inputs],
+    }[command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
+    assert not Path(out).exists()
+    return result, tokens, ckpt
+
+
+@pytest.mark.parametrize("command", ["finetune", "evaluate", "export-attention"])
+def test_a_checkpoint_refuses_tokens_of_other_hops(workdir, tmp_path, command):
+    result, tokens, ckpt = _run_on_tokens(workdir, tmp_path, command, hops=2, dim=12)
+    assert f"Error: {tokens} has hops 2, but {ckpt} has hops 1; re-run 'ella tokenize'" in result.output
+
+
+@pytest.mark.parametrize("command", ["finetune", "evaluate", "export-attention"])
+def test_a_checkpoint_refuses_tokens_of_another_dim(workdir, tmp_path, command):
+    result, tokens, ckpt = _run_on_tokens(workdir, tmp_path, command, hops=1, dim=16)
+    assert f"Error: {tokens} has dim 16, but {ckpt} has d_llm 12; re-run 'ella tokenize'" in result.output
+
+
 @pytest.mark.parametrize("config_hops", [None, 3])
 def test_pretrain_takes_hops_from_the_tokens(workdir, tmp_path, config_hops):
     graph_dir = str(workdir / "graph")
@@ -626,7 +672,7 @@ def test_tokenize_with_an_unreachable_endpoint_ends_in_an_error_naming_it(workdi
     result = CliRunner().invoke(main, ["tokenize", "--graph", str(workdir / "graph"), "--endpoint", endpoint,
                                        "--out", str(tmp_path / "tokens.bin")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
-    assert re.search(f"Error: encoder service {endpoint}: GET {endpoint}/v1/info failed", result.output), result.output
+    assert re.search(f"Error: GET {endpoint}/v1/info failed", result.output), result.output
     assert not (tmp_path / "tokens.bin").exists()
 
 
@@ -645,7 +691,7 @@ def test_tokenize_ends_in_an_error_naming_an_encoder_that_fails_partway(workdir,
     result = CliRunner().invoke(main, ["tokenize", "--graph", str(workdir / "graph"), "--endpoint", http_server,
                                        "--cache", str(cache), "--out", str(tmp_path / "tokens.bin")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
-    assert re.search(f"Error: encoder service {http_server}: POST {http_server}/v1/encode failed: .*503", result.output), result.output
+    assert re.search(f"Error: POST {http_server}/v1/encode failed: .*503", result.output), result.output
     assert len(served) == 6 and not (tmp_path / "tokens.bin").exists()
     assert len(encoder.VectorCache(cache)) == 5  # the calls served before the failure stay cached
 
