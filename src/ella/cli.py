@@ -186,7 +186,7 @@ def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, poo
             table = encoder.tokenize_graph(
                 backend, g, targets=targets, K=hops, template=TEMPLATES[template], cache=cache
             )
-        except (encoder.EncoderError, OverflowError) as exc:  # a failing encoder (named), too many walks
+        except (encoder.EncoderError, OverflowError) as exc:  # the message names the encoder URL or the target
             raise click.ClickException(str(exc)) from None
     encoder.save_tokens(table, out_path)
     click.echo(

@@ -231,7 +231,6 @@ def build_splits(
     return spec
 
 
-
 @dataclass
 class LinkProtocol:
     g_train: HeteroGraph  # the graph without the val and test positives

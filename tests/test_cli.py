@@ -521,7 +521,6 @@ def test_evaluate_node_scores_the_head_and_split_the_checkpoint_records(
     assert json.loads(Path(f"{out}.meta.json").read_text())["splits_seed"] == seed
 
 
-
 @pytest.mark.parametrize("seed", [1, 2])
 def test_evaluate_link_scores_the_test_pairs_of_the_checkpoint_seed(workdir, tmp_path, monkeypatch, seed):
     scored = []
@@ -582,7 +581,6 @@ def test_pretrain_refuses_token_metadata_that_is_not_an_object_before_training(w
                                        "--out", str(tmp_path / "out.ckpt")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
     assert f"Error: {tokens}.meta.json: expected a JSON object, got list" in result.output
-
 
 
 def test_pretrain_refuses_classification_template_tokens_before_training(workdir, tmp_path, monkeypatch):

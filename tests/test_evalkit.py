@@ -219,7 +219,6 @@ def test_link_splits_empty_graph_errors():
         build_splits(g, {}, Task.LinkPrediction)
 
 
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize(
     "make_graph",
