@@ -10,6 +10,7 @@ import hashlib
 import json
 import logging
 from contextlib import nullcontext
+from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -20,9 +21,13 @@ from .hetgraph import HeteroGraph, load_graph, load_graph_dir, load_labels, save
 from .promptkit import TemplateId
 from .tensorcore import load_checkpoint, save_checkpoint
 
-log = logging.getLogger(__name__)
-
 TEMPLATES = {"pretrain": TemplateId.PretrainLink, "finetune": TemplateId.FinetuneClassify}
+
+# the config keys ``ella pretrain`` refuses, by section, and where their values come from
+NOT_PRETRAIN_SETTINGS = {
+    "model": {"hops": "it comes from the tokens' .meta.json", "d_llm": "it comes from the token file's vector dim"},
+    "train": {"lr_grid": "only fine-tuning reads it, and 'ella finetune' uses the default grid"},
+}
 
 # the JSON type of each metadata key a command reads; a bool is not an integer
 META_TYPES = {
@@ -31,11 +36,7 @@ META_TYPES = {
 }
 
 
-def _file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_params(ckpt: str, *keys: str, command: str | None = None) -> tuple[ModelParams, ModelConfig, dict]:
+def _load_params(ckpt: str, *keys: str, command: str | dict | None = None) -> tuple[ModelParams, ModelConfig, dict]:
     """The checkpoint's parameters, model config and metadata, which
     ``_read_meta`` reads with ``keys`` and ``command``. The checkpoint is read
     once: the bytes hashed against its ``checkpoint_sha256`` are the bytes parsed."""
@@ -44,28 +45,32 @@ def _load_params(ckpt: str, *keys: str, command: str | None = None) -> tuple[Mod
     data = Path(ckpt).read_bytes()
     if hashlib.sha256(data).hexdigest() != meta["checkpoint_sha256"]:
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
-    cfg = _config_section(ModelConfig, meta["model_config"], meta_path, "model")
+    cfg = _config_section(ModelConfig, meta["model_config"], meta_path, "model", {})
     return ModelParams(load_checkpoint(ckpt, data)), cfg, meta
+
+
+def _read_tokens(tokens_path: str, *keys: str) -> tuple[encoder.TokenTable, dict]:
+    """The token table at ``tokens_path`` and its ``.meta.json``, read with ``hops`` and ``keys``."""
+    return _load(encoder.load_tokens, tokens_path), _read_meta(tokens_path, "hops", *keys, command="tokenize")
 
 
 def _tokens_for(tokens_path: str, ckpt_path: str, cfg: ModelConfig) -> encoder.TokenTable:
     """The token table at ``tokens_path``, refused with an error naming both
     files unless the hops its ``.meta.json`` records and its vector dim are the
     checkpoint's ``hops`` and ``d_llm``."""
-    table = _load(encoder.load_tokens, tokens_path)
-    hops = _read_meta(tokens_path, "hops", command="tokenize")["hops"]
-    for name, have, ckpt_name, want in (("hops", hops, "hops", cfg.hops), ("dim", table.dim, "d_llm", cfg.d_llm)):
+    table, meta = _read_tokens(tokens_path)
+    for name, have, key, want in (("hops", meta["hops"], "hops", cfg.hops), ("dim", table.dim, "d_llm", cfg.d_llm)):
         if have != want:
             raise click.ClickException(
-                f"{tokens_path} has {name} {have}, but {ckpt_path} has {ckpt_name} {want}; re-run 'ella tokenize'"
+                f"{tokens_path} has {name} {have}, but {ckpt_path} has {key} {want}; re-run 'ella tokenize'"
             )
     return table
 
 
 def _save_params(params: ModelParams, cfg: ModelConfig, out: str, extra: dict) -> None:
     save_checkpoint(params.tensors, out)
-    payload = {"model_config": cfg.to_dict(), "checkpoint_sha256": _file_sha256(out), **extra}
-    evalkit.write_metadata(out, payload)
+    sha256 = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+    _write_meta(out, {"model_config": cfg.to_dict(), "checkpoint_sha256": sha256, **extra})
 
 
 def _read_json(path: str | Path):
@@ -75,19 +80,32 @@ def _read_json(path: str | Path):
         raise click.ClickException(f"{path}: not valid JSON ({exc})") from None
 
 
-def _read_meta(artifact: str | Path, *keys: str, command: str | None = None) -> dict:
-    """The metadata ``<artifact>.meta.json``: a JSON object that records each
-    of ``keys`` and, if ``command`` is given, was written by ``ella <command>``.
-    Anything else is refused with an error naming the file."""
+def _write_meta(artifact: str | Path, payload: dict) -> Path:
+    """Run metadata JSON written alongside an output file."""
+    meta = {"generated_at": datetime.now(timezone.utc).isoformat(), **payload}
     path = Path(f"{artifact}.meta.json")
-    redo = f"; re-run 'ella {command}'" if command else ""
+    path.write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+    return path
+
+
+def _read_meta(artifact: str | Path, *keys: str, command: str | dict | None = None) -> dict:
+    """The metadata ``<artifact>.meta.json``: a JSON object that records each
+    of ``keys`` and, if ``command`` is given, was written by ``ella <command>``;
+    a dict ``command`` maps each command it accepts to the further keys that
+    command records. Anything else is refused with an error naming the file."""
+    path = Path(f"{artifact}.meta.json")
+    commands = {command: ()} if isinstance(command, str) else command or {}
+    redo = "; re-run " + " or ".join(f"'ella {c}'" for c in commands) if commands else ""
     if not path.exists():
         raise click.ClickException(f"missing {path}{redo}")
     meta = _read_json(path)
     if not isinstance(meta, dict):
         raise click.ClickException(f"{path}: expected a JSON object, got {type(meta).__name__}")
-    if command and meta.get("command") != command:
-        raise click.ClickException(f"{path} records command {meta.get('command')!r}, not {command!r}{redo}")
+    if commands:
+        if not any(meta.get("command") == c for c in commands):  # the value may be any JSON, hashable or not
+            wanted = " or ".join(map(repr, commands))
+            raise click.ClickException(f"{path} records command {meta.get('command')!r}, not {wanted}{redo}")
+        redo, keys = f"; re-run 'ella {meta['command']}'", (*keys, *commands[meta["command"]])
     for key in keys:
         if key not in meta:
             raise click.ClickException(f"{path} records no {key}{redo}")
@@ -152,7 +170,7 @@ def ingest(nodes_path: str, edges_path: str, schema_path: str, out_dir: str) -> 
     click.echo(f"edges : {g.num_edges()}")
     if g.duplicates_collapsed:
         click.echo(f"duplicate edges collapsed : {g.duplicates_collapsed}")
-    evalkit.write_metadata(
+    _write_meta(
         Path(out_dir) / "graph",
         {
             "command": "ingest",
@@ -170,10 +188,15 @@ def ingest(nodes_path: str, edges_path: str, schema_path: str, out_dir: str) -> 
 @click.option("--template", type=click.Choice(sorted(TEMPLATES)), default="pretrain")
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--dim", type=click.IntRange(min=1), default=64, help="mock backend dimension")
-@click.option("--pooling", type=click.Choice(["last", "mean"]), default="mean")
+@click.option("--dim", type=click.IntRange(min=1), default=None, help="mock backend dimension [default: 64]")
+@click.option("--pooling", type=click.Choice(["last", "mean"]), default=None, help="with --endpoint [default: mean]")
 def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, pooling):
     """Build node and relation tokens for every node of a graph."""
+    if endpoint and dim is not None:
+        raise click.ClickException(f"--dim sets the mock backend's dim; {endpoint} reports its dim in /v1/info")
+    if not endpoint and pooling is not None:
+        raise click.ClickException("--pooling is read only with --endpoint; the mock backend does not pool")
+    pooling = pooling or "mean"
     g = _load(load_graph_dir, graph_dir)
     with _open_cache(cache_path) as cache:
         targets = None
@@ -182,7 +205,7 @@ def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, poo
             targets = [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
             click.echo(f"finetune template: tokenizing {len(targets)} labeled-type nodes")
         try:
-            backend = encoder.HttpBackend(endpoint, pooling=pooling) if endpoint else encoder.MockBackend(dim=dim)
+            backend = encoder.HttpBackend(endpoint, pooling=pooling) if endpoint else encoder.MockBackend(dim=dim or 64)
             table = encoder.tokenize_graph(
                 backend, g, targets=targets, K=hops, template=TEMPLATES[template], cache=cache
             )
@@ -194,7 +217,7 @@ def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, poo
         f"{len(table.relation_tokens)} relation; backend calls {table.call_count}, "
         f"cache hits {table.cache_hits}"
     )
-    evalkit.write_metadata(
+    _write_meta(
         out_path,
         {
             "command": "tokenize",
@@ -209,9 +232,10 @@ def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, poo
     )
 
 
-def _config_section(cls, values, path: str | Path, section: str):
+def _config_section(cls, values, path: str | Path, section: str, refused: dict[str, str]):
     """Build the dataclass ``cls`` from the ``section`` values read from ``path``;
-    a non-object, an unknown key or an invalid value ends in an error naming the file."""
+    a non-object, an unknown key, a key of ``refused`` (which maps it to the
+    reason) or an invalid value ends in an error naming the file."""
     if not isinstance(values, dict):
         raise click.ClickException(
             f"{path}: {section} section: expected a JSON object, got {type(values).__name__}"
@@ -219,6 +243,9 @@ def _config_section(cls, values, path: str | Path, section: str):
     unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise click.ClickException(f"{path}: unknown {section} keys: {', '.join(unknown)}")
+    taken = sorted(set(values) & set(refused))
+    if taken:
+        raise click.ClickException(f"{path}: {section}.{taken[0]} is not a pretrain setting: {refused[taken[0]]}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
@@ -229,9 +256,9 @@ def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.Tr
     doc = _read_json(config_path) if config_path else {}
     if not isinstance(doc, dict):
         raise click.ClickException(f"{config_path}: expected a JSON object, got {type(doc).__name__}")
-    return (
-        _config_section(ModelConfig, doc.get("model", {}), config_path, "model"),
-        _config_section(trainer.TrainConfig, doc.get("train", {}), config_path, "train"),
+    return tuple(
+        _config_section(cls, doc.get(section, {}), config_path, section, NOT_PRETRAIN_SETTINGS[section])
+        for cls, section in ((ModelConfig, "model"), (trainer.TrainConfig, "train"))
     )
 
 
@@ -244,9 +271,8 @@ def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.Tr
 def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
     """Contrastive pre-training over per-relation-type edge samples."""
     g = _load(load_graph_dir, graph_dir)
-    table = _load(encoder.load_tokens, tokens_path)
     model_cfg, train_cfg = _load_train_config(config_path)
-    tokens_meta = _read_meta(tokens_path, "hops", "backend", "pooling", "template", command="tokenize")
+    table, tokens_meta = _read_tokens(tokens_path, "backend", "pooling", "template")
     if tokens_meta["template"] != TemplateId.PretrainLink.value:
         raise click.ClickException(
             f"{tokens_path}.meta.json records template {tokens_meta['template']!r}, "
@@ -330,25 +356,25 @@ def finetune(graph_dir, tokens_path, ckpt_path, labels_path, target_type, seed, 
 
 
 @main.command()
-@click.option("--task", type=click.Choice(["node", "link"]), required=True)
 @click.option("--ckpt", "ckpt_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--graph", "graph_dir", required=True, type=click.Path(exists=True))
 @click.option("--tokens", "tokens_path", required=True, type=click.Path(exists=True))
 @click.option("--labels", "labels_path", type=click.Path(exists=True), default=None)
-def evaluate(task, ckpt_path, out_path, graph_dir, tokens_path, labels_path):
-    """Score the held-out test split of the chosen task, drawn with the
-    checkpoint's seed; --task node scores the type the head was fine-tuned for."""
+def evaluate(ckpt_path, out_path, graph_dir, tokens_path, labels_path):
+    """Score the held-out test split drawn with the checkpoint's seed: a
+    fine-tuned head on its node type, a pretrained backbone on the link task."""
     g = _load(load_graph_dir, graph_dir)
-    if task == "node" and not labels_path:
-        raise click.ClickException("--task node needs --labels")
-    keys, command = (("seed", "target_type"), "finetune") if task == "node" else (("seed",), "pretrain")
-    params, model_cfg, meta = _load_params(ckpt_path, *keys, command=command)
+    params, model_cfg, meta = _load_params(ckpt_path, "seed", command={"finetune": ("target_type",), "pretrain": ()})
+    task, meta_path = ("node" if meta["command"] == "finetune" else "link"), f"{ckpt_path}.meta.json"
+    if (task == "node") != bool(labels_path):
+        needs = "needs --labels" if task == "node" else "reads no labels; drop --labels"
+        raise click.ClickException(f"{meta_path} records command {meta['command']!r}: the {task} task {needs}")
     table = _tokens_for(tokens_path, ckpt_path, model_cfg)
     rows: list[tuple[str, str, float]] = []
     if task == "node":
         target_type = meta["target_type"]
-        labels = _node_labels(g, labels_path, target_type, f"{ckpt_path}.meta.json: target_type")
+        labels = _node_labels(g, labels_path, target_type, f"{meta_path}: target_type")
         splits = evalkit.build_splits(
             g, labels, evalkit.Task.NodeClassification, seed=meta["seed"], target_type=target_type
         )
@@ -368,7 +394,7 @@ def evaluate(task, ckpt_path, out_path, graph_dir, tokens_path, labels_path):
         writer.writerow(["metric", "split", "value"])
         for metric, split, value in rows:
             writer.writerow([metric, split, f"{value:.6f}"])
-    evalkit.write_metadata(
+    _write_meta(
         out_path,
         {
             "command": "evaluate",
@@ -393,7 +419,7 @@ def profile(graph_dir, hops, out_path, cache_path, dim):
     with _open_cache(cache_path) as cache:
         report = evalkit.profile_run(g, K=hops, cache=cache, dim=dim)
     report.to_csv(out_path)
-    evalkit.write_metadata(
+    _write_meta(
         out_path,
         {"command": "profile", "hops": hops, "targets": report.n_targets},
     )
@@ -418,7 +444,7 @@ def export_attention(ckpt_path, out_dir, graph_dir, tokens_path):
     capture = AttentionCapture()
     forward_batch(pad_tokens(g.node_ids(), table, model_cfg.hops), params.constants(), model_cfg, capture)
     written = evalkit.export_attention(capture, g, out_dir)
-    evalkit.write_metadata(
+    _write_meta(
         Path(out_dir) / "attention",
         {"command": "export-attention", "checkpoint_sha256": meta["checkpoint_sha256"]},
     )

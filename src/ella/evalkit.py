@@ -4,11 +4,9 @@ attention export."""
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
@@ -381,11 +379,3 @@ def export_attention(capture: AttentionCapture, g: HeteroGraph, out_dir: str | P
             writer.writerow([ttype, hop, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}", len(vals)])
     written["hop_attention"] = path
     return written
-
-
-def write_metadata(out_path: str | Path, payload: dict) -> Path:
-    """Run metadata JSON written alongside an output file."""
-    meta = {"generated_at": datetime.now(timezone.utc).isoformat(), **payload}
-    path = Path(str(out_path) + ".meta.json")
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
-    return path

@@ -336,7 +336,8 @@ def test_11_determinism(tmp_path):
         runner = CliRunner()
         config = tmp_path / "config.json"
         config.write_text(
-            json.dumps({"model": cfg.to_dict(), "train": {"max_epochs": 5}})
+            # hops and d_llm come from the tokens, so the config leaves them out
+            json.dumps({"model": {"d": 8, "heads": 2, "type_layers": 1, "hop_layers": 1}, "train": {"max_epochs": 5}})
         )
         for run in (0, 1):
             res = runner.invoke(

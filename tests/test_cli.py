@@ -85,10 +85,7 @@ def test_tokenize_pretrain_finetune_evaluate(workdir):
     config.write_text(
         json.dumps(
             {
-                "model": {
-                    "d": 8, "heads": 2, "type_layers": 1, "hop_layers": 1,
-                    "hops": 2, "d_llm": 12,
-                },
+                "model": {"d": 8, "heads": 2, "type_layers": 1, "hop_layers": 1},
                 "train": {"max_epochs": 3, "patience": 30},
             }
         )
@@ -138,7 +135,7 @@ def test_tokenize_pretrain_finetune_evaluate(workdir):
     out_csv = workdir / "node_eval.csv"
     result = run_cli(
         [
-            "evaluate", "--task", "node", "--ckpt", head_ckpt,
+            "evaluate", "--ckpt", head_ckpt,
             "--out", str(out_csv), "--graph", graph_dir, "--tokens", ft_tokens,
             "--labels", str(workdir / "labels.csv"),
         ]
@@ -151,7 +148,7 @@ def test_tokenize_pretrain_finetune_evaluate(workdir):
     link_csv = workdir / "link_eval.csv"
     run_cli(
         [
-            "evaluate", "--task", "link", "--ckpt", ckpt,
+            "evaluate", "--ckpt", ckpt,
             "--out", str(link_csv), "--graph", graph_dir, "--tokens", tokens,
         ]
     )
@@ -232,6 +229,10 @@ def test_load_params_checks_checkpoint_hash(workdir):
     [
         ({"train": {"capture_attention": True, "max_epochs": 2}}, "unknown train keys: capture_attention"),
         ({"model": {"d": 8, "depth": 2, "width": 3}}, "unknown model keys: depth, width"),
+        ({"model": {"hops": 5}}, "model.hops is not a pretrain setting: it comes from the tokens' .meta.json"),
+        ({"model": {"d_llm": 7}}, "model.d_llm is not a pretrain setting: it comes from the token file's vector dim"),
+        ({"train": {"lr_grid": [0.5]}},
+         "train.lr_grid is not a pretrain setting: only fine-tuning reads it, and 'ella finetune' uses the default grid"),
     ],
 )
 def test_train_config_unknown_keys(tmp_path, doc, unknown):
@@ -245,7 +246,7 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
     "doc,message",
     [
         ({"model": {"d": 7, "heads": 2}}, "invalid model config: hidden dim 7 not divisible by 2"),
-        ({"model": {"hops": 0}}, "invalid model config: hops must be >= 1"),
+        ({"model": {"hops": 0}}, "model.hops is not a pretrain setting: it comes from the tokens' .meta.json"),
         ({"model": {"d": "8"}}, "invalid model config: "),
         ([1, 2], "expected a JSON object, got list"),
         ("x", "expected a JSON object, got str"),
@@ -359,6 +360,10 @@ def _delete(path):
         ("finetune", "labels.csv", _write_invalid_json, r"labels\.csv: expected 'id,label' header"),
         ("finetune", "labels.csv", _append_bytes(b"\xff\xfe"), r"labels\.csv line \d+: not UTF-8"),
         ("pretrain", "config.json", _write_invalid_json, r"config\.json: not valid JSON"),
+        ("pretrain", "config.json", _set("model", {"d_llm": 12}),
+         r"config\.json: model\.d_llm is not a pretrain setting: it comes from the token file's vector dim$"),
+        ("pretrain", "config.json", _set("train", {"lr_grid": [0.5]}),
+         r"config\.json: train\.lr_grid is not a pretrain setting: only fine-tuning reads it"),
         ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: container truncated"),
         ("pretrain", "tokens.bin", _write_parent_format_tokens, r"tokens\.bin: not a token file of format 2"),
         ("evaluate", "model.ckpt.meta.json", _write_invalid_json, r"model\.ckpt\.meta\.json: not valid JSON"),
@@ -370,7 +375,8 @@ def _delete(path):
          r"model\.ckpt\.meta\.json: model section: expected a JSON object, got list"),
         ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "d": 7, "heads": 2}),
          r"model\.ckpt\.meta\.json: invalid model config: hidden dim 7 not divisible by 2 heads"),
-        ("evaluate", "model.ckpt.meta.json", _delete, r"missing .*model\.ckpt\.meta\.json; re-run 'ella pretrain'$"),
+        ("evaluate", "model.ckpt.meta.json", _delete,
+         r"missing .*model\.ckpt\.meta\.json; re-run 'ella finetune' or 'ella pretrain'$"),
         ("evaluate", "model.ckpt.meta.json", _drop("seed"), r"model\.ckpt\.meta\.json records no seed; re-run 'ella pretrain'"),
         ("pretrain", "tokens.bin.meta.json", _delete, r"missing .*tokens\.bin\.meta\.json; re-run 'ella tokenize'$"),
         ("pretrain", "tokens.bin.meta.json", _drop("hops"), r"tokens\.bin\.meta\.json records no hops; re-run 'ella tokenize'"),
@@ -391,6 +397,7 @@ def _delete(path):
          "edge_against_its_type", "schema_labels_unknown_type",
          "graph_missing_edges_file", "finetune_label_for_unknown_node", "evaluate_label_for_unknown_node",
          "label_outside_vocabulary", "repeated_label_id", "labels_without_header", "labels_not_utf8", "config_not_json",
+         "config_sets_d_llm", "config_sets_lr_grid",
          "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
          "ckpt_meta_indivisible_heads", "ckpt_meta_missing", "ckpt_meta_without_seed", "tokens_meta_missing",
@@ -416,8 +423,8 @@ def test_bad_input_file_ends_in_an_error_naming_it(workdir, tmp_path, command, b
         "pretrain": ["pretrain", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out.ckpt")]
         + inputs,
         "finetune": ["finetune", *inputs, *node_task, "--target-type", "paper"],
-        "evaluate": ["evaluate", "--task", "link", "--ckpt", ckpt, "--out", str(tmp_path / "eval.csv"), *inputs],
-        "evaluate_node": ["evaluate", "--task", "node", *inputs, *node_task],
+        "evaluate": ["evaluate", "--ckpt", ckpt, "--out", str(tmp_path / "eval.csv"), *inputs],
+        "evaluate_node": ["evaluate", *inputs, *node_task],
     }[command]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 1
@@ -432,7 +439,7 @@ def test_target_type_without_labels_lists_the_labelled_types(workdir, tmp_path, 
     run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
     head = {"command": "finetune", "seed": 0, "target_type": "bogus"}
     ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"), head)
-    args = ["--task", "node"] if command == "evaluate" else ["--target-type", "bogus"]
+    args = [] if command == "evaluate" else ["--target-type", "bogus"]
     result = CliRunner().invoke(
         main,
         [
@@ -446,51 +453,71 @@ def test_target_type_without_labels_lists_the_labelled_types(workdir, tmp_path, 
     assert f"Error: {source} 'bogus' has no class labels (labelled types: author, paper)" in result.output
 
 
-def _evaluate_recorded(workdir, tmp_path, task, recorded):
-    """``ella evaluate --task <task>`` of an untrained checkpoint whose
-    metadata records ``recorded``: the result and the output path."""
+def _evaluate_recorded(workdir, tmp_path, recorded, labels):
+    """``ella evaluate`` of an untrained checkpoint whose metadata records
+    ``recorded``, given ``--labels`` if ``labels``: the result and the output path."""
     graph_dir = str(workdir / "graph")
     tokens = str(tmp_path / "tokens.bin")
     run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
     ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"), recorded)
     out = tmp_path / "eval.csv"
-    labels = ["--labels", str(workdir / "labels.csv")] if task == "node" else []
-    args = ["evaluate", "--task", task, "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt, *labels]
+    args = ["evaluate", "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt]
+    args += ["--labels", str(workdir / "labels.csv")] if labels else []
     return CliRunner().invoke(main, [*args, "--out", str(out)]), out
 
 
-@pytest.mark.parametrize(
-    "recorded,message",
-    [
-        ({}, "records command None, not 'finetune'"),
-        ({"command": "pretrain"}, "records command 'pretrain', not 'finetune'"),
-        ({"command": "finetune", "target_type": "paper"}, "records no seed"),
-        ({"command": "finetune", "seed": 0}, "records no target_type"),
-    ],
-    ids=["untrained", "pretrained", "finetuned_without_seed", "finetuned_without_target_type"],
-)
-def test_evaluate_node_refuses_a_head_not_fine_tuned_for_the_target(workdir, tmp_path, recorded, message):
-    result, out = _evaluate_recorded(workdir, tmp_path, "node", recorded)
+def _assert_refused(result, out, message):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
-    assert f"Error: {tmp_path / 'model.ckpt'}.meta.json {message}; re-run 'ella finetune'" in result.output
+    assert f"Error: {message}" in result.output
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "recorded,message",
+    "recorded,labels,message",
     [
-        ({"command": "finetune", "seed": 0, "target_type": "paper"}, "records command 'finetune', not 'pretrain'"),
-        ({"command": "pretrain"}, "records no seed"),
+        ({}, True, "records command None, not 'finetune' or 'pretrain'; re-run 'ella finetune' or 'ella pretrain'"),
+        ({"command": ["finetune"]}, True, "records command ['finetune'], not 'finetune' or 'pretrain'; re-run"),
+        ({"command": "finetune", "target_type": "paper"}, True, "records no seed; re-run 'ella finetune'"),
+        ({"command": "finetune", "seed": 0}, True, "records no target_type; re-run 'ella finetune'"),
+        ({"command": "finetune", "seed": 0, "target_type": "paper"}, False,
+         "records command 'finetune': the node task needs --labels"),
     ],
-    ids=["finetuned", "pretrained_without_seed"],
+    ids=["untrained", "command_list", "finetuned_without_seed", "finetuned_without_target_type",
+         "finetuned_without_labels"],
 )
-def test_evaluate_link_refuses_a_checkpoint_not_pretrained(workdir, tmp_path, recorded, message):
-    result, out = _evaluate_recorded(workdir, tmp_path, "link", recorded)
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit), result.exception
-    assert f"Error: {tmp_path / 'model.ckpt'}.meta.json {message}; re-run 'ella pretrain'" in result.output
-    assert not out.exists()
+def test_evaluate_node_refuses_a_head_not_fine_tuned_for_the_target(workdir, tmp_path, recorded, labels, message):
+    result, out = _evaluate_recorded(workdir, tmp_path, recorded, labels)
+    _assert_refused(result, out, f"{tmp_path / 'model.ckpt'}.meta.json {message}")
+
+
+@pytest.mark.parametrize(
+    "recorded,labels,message",
+    [
+        ({"command": "pretrain"}, False, "records no seed; re-run 'ella pretrain'"),
+        ({"command": "pretrain", "seed": 0}, True,
+         "records command 'pretrain': the link task reads no labels; drop --labels"),
+    ],
+    ids=["pretrained_without_seed", "pretrained_with_labels"],
+)
+def test_evaluate_link_refuses_a_checkpoint_not_pretrained(workdir, tmp_path, recorded, labels, message):
+    result, out = _evaluate_recorded(workdir, tmp_path, recorded, labels)
+    _assert_refused(result, out, f"{tmp_path / 'model.ckpt'}.meta.json {message}")
+
+
+@pytest.mark.parametrize(
+    "command,labels,task,metrics",
+    [("pretrain", False, "link", ["auc", "ap"]), ("finetune", True, "node", ["micro_f1", "macro_f1"])],
+    ids=["pretrained", "finetuned"],
+)
+def test_evaluate_scores_the_task_of_the_command_that_wrote_the_checkpoint(
+    workdir, tmp_path, command, labels, task, metrics
+):
+    recorded = {"command": command, "seed": 0, "target_type": "paper"}
+    result, out = _evaluate_recorded(workdir, tmp_path, recorded, labels)
+    assert result.exit_code == 0, result.output
+    assert [row.split(",")[0] for row in out.read_text().splitlines()] == ["metric", *metrics]
+    assert json.loads(Path(f"{out}.meta.json").read_text())["task"] == task
 
 
 @pytest.mark.parametrize("target_type,seed", [("paper", 1), ("author", 2)])
@@ -511,7 +538,7 @@ def test_evaluate_node_scores_the_head_and_split_the_checkpoint_records(
     classify = trainer.classify
     monkeypatch.setattr(trainer, "classify", lambda ids, *a: scored.append((ids, a[3])) or classify(ids, *a))
     out = tmp_path / "eval.csv"
-    run_cli(["evaluate", "--task", "node", *inputs, "--ckpt", head, "--out", str(out)])
+    run_cli(["evaluate", *inputs, "--ckpt", head, "--out", str(out)])
     g = load_graph_dir(graph_dir)
     splits = evalkit.build_splits(
         g, load_labels(labels), evalkit.Task.NodeClassification, seed=seed, target_type=target_type
@@ -526,7 +553,7 @@ def test_evaluate_link_scores_the_test_pairs_of_the_checkpoint_seed(workdir, tmp
     scored = []
     score_pairs = trainer.score_pairs
     monkeypatch.setattr(trainer, "score_pairs", lambda pairs, *a: scored.append(pairs) or score_pairs(pairs, *a))
-    result, out = _evaluate_recorded(workdir, tmp_path, "link", {"command": "pretrain", "seed": seed})
+    result, out = _evaluate_recorded(workdir, tmp_path, {"command": "pretrain", "seed": seed}, labels=False)
     assert result.exit_code == 0, result.output
     assert scored == [evalkit.link_protocol(load_graph_dir(workdir / "graph"), seed).test_pairs]
     assert json.loads(Path(f"{out}.meta.json").read_text())["splits_seed"] == seed
@@ -561,8 +588,8 @@ def test_a_checkpoint_is_hashed_and_its_metadata_read_once(workdir, tmp_path, mo
     inputs = ["--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt]
     out = tmp_path / "out"
     run_cli({
-        "evaluate_link": ["evaluate", "--task", "link", *inputs, "--out", str(out)],
-        "evaluate_node": ["evaluate", "--task", "node", *inputs, "--out", str(out),
+        "evaluate_link": ["evaluate", *inputs, "--out", str(out)],
+        "evaluate_node": ["evaluate", *inputs, "--out", str(out),
                           "--labels", str(workdir / "labels.csv")],
         "export-attention": ["export-attention", *inputs, "--out", str(out)],
     }[command])
@@ -607,7 +634,7 @@ def _run_on_tokens(workdir, tmp_path, command, hops, dim):
     inputs = ["--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt, "--out", out]
     args = {
         "finetune": ["finetune", *inputs, "--labels", str(workdir / "labels.csv"), "--target-type", "paper"],
-        "evaluate": ["evaluate", "--task", "link", *inputs],
+        "evaluate": ["evaluate", *inputs],
         "export-attention": ["export-attention", *inputs],
     }[command]
     result = CliRunner().invoke(main, args)
@@ -630,6 +657,7 @@ def test_a_checkpoint_refuses_tokens_of_another_dim(workdir, tmp_path, command):
 
 @pytest.mark.parametrize("config_hops", [None, 3])
 def test_pretrain_takes_hops_from_the_tokens(workdir, tmp_path, config_hops):
+    """The checkpoint records the tokens' hops; a config that sets hops too is refused."""
     graph_dir = str(workdir / "graph")
     tokens = str(tmp_path / "tokens.bin")
     run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
@@ -638,9 +666,15 @@ def test_pretrain_takes_hops_from_the_tokens(workdir, tmp_path, config_hops):
         model["hops"] = config_hops
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": model, "train": {"max_epochs": 1}}))
-    ckpt = str(tmp_path / "model.ckpt")
-    run_cli(["pretrain", "--graph", graph_dir, "--tokens", tokens, "--config", str(config), "--out", ckpt])
-    assert json.loads(Path(ckpt + ".meta.json").read_text())["model_config"]["hops"] == 1
+    ckpt = tmp_path / "model.ckpt"
+    result = CliRunner().invoke(
+        main, ["pretrain", "--graph", graph_dir, "--tokens", tokens, "--config", str(config), "--out", str(ckpt)]
+    )
+    if config_hops is None:
+        assert result.exit_code == 0, result.output
+        assert json.loads(Path(f"{ckpt}.meta.json").read_text())["model_config"]["hops"] == 1
+    else:
+        _assert_refused(result, ckpt, f"{config}: model.hops is not a pretrain setting: it comes from the tokens' .meta.json")
 
 
 def test_tokenize_with_an_endpoint_uses_the_http_encoder(workdir, tmp_path, http_server):
@@ -653,6 +687,22 @@ def test_tokenize_with_an_endpoint_uses_the_http_encoder(workdir, tmp_path, http
     assert EncoderStub.poolings[before:] == ["last"] * meta["call_count"]
     assert (meta["backend"], meta["dim"], meta["pooling"]) == ("remote-mock", EncoderStub.inner.dim, "last")
     assert encoder.load_tokens(tokens).dim == EncoderStub.inner.dim
+
+
+@pytest.mark.parametrize(
+    "option,endpoint,message",
+    [
+        (["--pooling", "last"], False, "--pooling is read only with --endpoint; the mock backend does not pool"),
+        (["--pooling", "mean"], False, "--pooling is read only with --endpoint; the mock backend does not pool"),
+        (["--dim", "12"], True, "--dim sets the mock backend's dim; {endpoint} reports its dim in /v1/info"),
+    ],
+    ids=["pooling_last_without_endpoint", "pooling_mean_without_endpoint", "dim_with_endpoint"],
+)
+def test_tokenize_refuses_an_option_its_backend_does_not_read(workdir, tmp_path, http_server, option, endpoint, message):
+    tokens = tmp_path / "tokens.bin"
+    args = ["tokenize", "--graph", str(workdir / "graph"), "--hops", "1", *option, "--out", str(tokens)]
+    result = CliRunner().invoke(main, args + (["--endpoint", http_server] if endpoint else []))
+    _assert_refused(result, tokens, message.format(endpoint=http_server))
 
 
 @pytest.mark.parametrize("command", ["tokenize", "profile"])
@@ -713,6 +763,14 @@ def test_the_readme_walkthrough_names_only_real_commands_and_options():
         assert not unknown, f"ella {name}: {sorted(unknown)}"
 
 
+def test_the_readme_pretrain_config_is_accepted(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Config file shape for `pretrain`", 1)[1].split("```json\n", 1)[1].split("\n```", 1)[0]
+    config = tmp_path / "config.json"
+    config.write_text(block, encoding="utf-8")
+    cli._load_train_config(str(config))
+
+
 def test_finetune_with_too_few_labels_names_the_labels_file(workdir, tmp_path):
     graph_dir = str(workdir / "graph")
     tokens = str(tmp_path / "tokens.bin")
@@ -758,7 +816,7 @@ def test_pretrain_with_zero_epochs(workdir):
     tokens = str(workdir / "tokens_zero.bin")
     run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
     config = workdir / "zero_epochs.json"
-    model = {"d": 8, "heads": 2, "type_layers": 1, "hop_layers": 1, "hops": 1, "d_llm": 12}
+    model = {"d": 8, "heads": 2, "type_layers": 1, "hop_layers": 1}
     config.write_text(json.dumps({"model": model, "train": {"max_epochs": 0}}))
     ckpt = str(workdir / "zero.ckpt")
     result = run_cli(
@@ -798,3 +856,14 @@ def test_finetune_refuses_a_changed_backbone(workdir, monkeypatch):
     assert result.exit_code == 1
     assert "fine-tuning changed the frozen backbone" in result.output
     assert not (workdir / "moved.ckpt").exists()
+
+
+def test_write_metadata(tmp_path):
+    out = tmp_path / "results.csv"
+    out.write_text("metric,value\n")
+    meta = cli._write_meta(out, {"command": "test", "seed": 3})
+    import json
+
+    doc = json.loads(meta.read_text())
+    assert doc["command"] == "test"
+    assert "generated_at" in doc

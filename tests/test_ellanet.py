@@ -95,6 +95,11 @@ def ref_forward(s, table, p, cfg):
     return (h0 + gamma @ rest)[0], alphas, gamma[0]
 
 
+def test_model_config_refuses_zero_hops():
+    with pytest.raises(ValueError, match="hops must be >= 1"):
+        ModelConfig(hops=0)
+
+
 # -- projection -----------------------------------------------------------------
 
 

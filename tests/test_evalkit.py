@@ -14,7 +14,6 @@ from ella.evalkit import (
     macro_f1,
     micro_f1,
     profile_run,
-    write_metadata,
 )
 
 from fixtures import bipartite_with_edges, complete_typed_tree, planted_link_fixture, planted_node_fixture
@@ -335,14 +334,3 @@ def test_export_single_type_hop_alpha_is_one(tmp_path):
     for row in rows:
         assert float(row["mean_alpha"]) == pytest.approx(1.0)
         assert float(row["std_alpha"]) == pytest.approx(0.0)
-
-
-def test_write_metadata(tmp_path):
-    out = tmp_path / "results.csv"
-    out.write_text("metric,value\n")
-    meta = write_metadata(out, {"command": "test", "seed": 3})
-    import json
-
-    doc = json.loads(meta.read_text())
-    assert doc["command"] == "test"
-    assert "generated_at" in doc
