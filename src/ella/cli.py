@@ -26,7 +26,6 @@ TEMPLATES = {"pretrain": TemplateId.PretrainLink, "finetune": TemplateId.Finetun
 # the config keys ``ella pretrain`` refuses, by section, and where their values come from
 NOT_PRETRAIN_SETTINGS = {
     "model": {"hops": "it comes from the tokens' .meta.json", "d_llm": "it comes from the token file's vector dim"},
-    "train": {"lr_grid": "only fine-tuning reads it, and 'ella finetune' uses the default grid"},
 }
 
 # the JSON type of each metadata key a command reads; a bool is not an integer
@@ -257,7 +256,7 @@ def _load_train_config(config_path: str | None) -> tuple[ModelConfig, trainer.Tr
     if not isinstance(doc, dict):
         raise click.ClickException(f"{config_path}: expected a JSON object, got {type(doc).__name__}")
     return tuple(
-        _config_section(cls, doc.get(section, {}), config_path, section, NOT_PRETRAIN_SETTINGS[section])
+        _config_section(cls, doc.get(section, {}), config_path, section, NOT_PRETRAIN_SETTINGS.get(section, {}))
         for cls, section in ((ModelConfig, "model"), (trainer.TrainConfig, "train"))
     )
 

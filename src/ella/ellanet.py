@@ -15,7 +15,8 @@ one small tape per node.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +26,14 @@ from .encoder import TokenTable
 from .tensorcore import Tensor
 
 HEAD_PREFIX = "head/"
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Refuse a ``value`` that is a bool, not an integer, or below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 @dataclass
@@ -38,12 +47,10 @@ class ModelConfig:
     ffn_mult: int = 2
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            check_int(f.name, getattr(self, f.name), 1)
         if self.d % self.heads != 0:
             raise ValueError(f"hidden dim {self.d} not divisible by {self.heads} heads")
-        if self.type_layers < 1 or self.hop_layers < 1:
-            raise ValueError("layer counts must be >= 1")
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -199,18 +199,18 @@ class HttpBackend:
 class VectorCache:
     """Persistent, append-only embedding cache keyed by a stable 64-bit hash.
 
-    A file-backed cache appends through one handle, opened on the first miss
+    The cache appends to its file through one handle, opened on the first miss
     and released by :meth:`close`, at the end of a ``with`` block, or when
     the cache is collected.
     """
 
     _fh: BinaryIO | None = None
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
         self._store: dict[int, np.ndarray] = {}
         self._torn_tail: int | None = None
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self._load()
 
     def _load(self) -> None:
@@ -256,8 +256,7 @@ class VectorCache:
         if key in self._store:
             return self._store[key].copy()
         self._store[key] = arr.copy()
-        if self.path is not None:
-            self._append(struct.pack("<QI", key, arr.size) + arr.astype("<f8").tobytes())
+        self._append(struct.pack("<QI", key, arr.size) + arr.astype("<f8").tobytes())
         return arr.copy()
 
     def _append(self, record: bytes) -> None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -287,23 +287,12 @@ class EfficiencyReport:
     n_targets: int
 
     def to_csv(self, path: str | Path) -> None:
+        """One column per ``ProfileRow`` field, in field order; floats to 4 decimals."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "hops", "relation_calls", "text_calls", "cache_hits",
-                    "mean_stored_per_target", "max_stored_per_target",
-                    "naive_path_calls", "wall_seconds", "cache_complete",
-                ]
-            )
+            writer.writerow([f.name for f in fields(ProfileRow)])
             for r in self.rows:
-                writer.writerow(
-                    [
-                        r.hops, r.relation_calls, r.text_calls, r.cache_hits,
-                        f"{r.mean_stored_per_target:.4f}", r.max_stored_per_target,
-                        r.naive_path_calls, f"{r.wall_seconds:.4f}", r.cache_complete,
-                    ]
-                )
+                writer.writerow([f"{v:.4f}" if isinstance(v, float) else v for v in astuple(r)])
 
 
 def profile_run(
@@ -361,21 +350,15 @@ def export_attention(capture: AttentionCapture, g: HeteroGraph, out_dir: str | P
         for h, v in zip(hops, vec):
             gamma_groups.setdefault((g.node_type(target), h), []).append(float(v))
 
-    path = out / "type_attention.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target_type", "hop", "relation_type", "mean_alpha", "std_alpha", "n"])
-        for (ttype, hop, t), vals in sorted(alpha_groups.items()):
-            writer.writerow(
-                [ttype, hop, t, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}", len(vals)]
-            )
-    written["type_attention"] = path
-
-    path = out / "hop_attention.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target_type", "hop", "mean_gamma", "std_gamma", "n"])
-        for (ttype, hop), vals in sorted(gamma_groups.items()):
-            writer.writerow([ttype, hop, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}", len(vals)])
-    written["hop_attention"] = path
+    tables = (
+        ("type_attention", ["target_type", "hop", "relation_type"], "alpha", alpha_groups),
+        ("hop_attention", ["target_type", "hop"], "gamma", gamma_groups),
+    )
+    for name, key_columns, symbol, groups in tables:
+        written[name] = path = out / f"{name}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*key_columns, f"mean_{symbol}", f"std_{symbol}", "n"])
+            for key, vals in sorted(groups.items()):
+                writer.writerow([*key, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}", len(vals)])
     return written

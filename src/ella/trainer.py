@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensorcore as tc
-from .ellanet import HEAD_PREFIX, ModelConfig, ModelParams, forward_batch, init_params, pad_tokens
+from .ellanet import HEAD_PREFIX, ModelConfig, ModelParams, check_int, forward_batch, init_params, pad_tokens
 from .encoder import TokenTable
 from .hetgraph import HeteroGraph
 from .tensorcore import AdamState, Tensor, adam_step, backward, zero_grads
@@ -33,15 +33,25 @@ class TrainingDiverged(RuntimeError):
         self.loss = loss
 
 
+LR_GRID = (1e-2, 1e-3, 1e-4)  # the learning rates fine-tuning tries
+VAL_FRACTION = 0.1  # the share of each relation's positives pretraining holds out
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
     patience: int = 30
     max_epochs: int = 200
     neg_ratio: int = 1
-    val_fraction: float = 0.1
-    lr_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     dump_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real) or not 0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be a finite number >= 0, not {self.lr!r}")
+        for name, low in (("patience", 0), ("max_epochs", 0), ("neg_ratio", 1)):
+            check_int(name, getattr(self, name), low)
+        if self.dump_path is not None and not isinstance(self.dump_path, str):
+            raise ValueError(f"dump_path must be a string, not {self.dump_path!r}")
 
 
 @dataclass
@@ -287,16 +297,16 @@ class PretrainResult:
 
 
 def _holdout_split(
-    samples: EdgeSampleSet, val_fraction: float, seed: int
+    samples: EdgeSampleSet, seed: int
 ) -> tuple[dict[str, list[tuple[str, str]]], EdgeSampleSet]:
-    """Hold out a fraction of positives (with matched negatives) per type."""
+    """Hold out ``VAL_FRACTION`` of the positives (with matched negatives) per type."""
     rng = np.random.default_rng([seed, 0xE11A])
     train_pos: dict[str, list[tuple[str, str]]] = {}
     val = EdgeSampleSet()
     for ename in sorted(samples.by_type):
         sample = samples.by_type[ename]
         n = len(sample.positives)
-        n_val = max(1, int(round(val_fraction * n))) if n > 1 else 0
+        n_val = max(1, int(round(VAL_FRACTION * n))) if n > 1 else 0
         order = rng.permutation(n)
         val_idx = set(order[:n_val].tolist())
         vp = [sample.positives[i] for i in sorted(val_idx)]
@@ -377,7 +387,7 @@ def pretrain(
 ) -> PretrainResult:
     """Full-parameter contrastive training with early stopping.
 
-    Positives default to all edges with a 10% held-out validation slice;
+    Positives default to all edges less a held-out ``VAL_FRACTION`` slice;
     negatives are resampled every epoch from an epoch-derived seed, always
     rejecting the graph's own edges and any ``forbidden`` one (pass the full
     edge set when training on a held-out-edge subgraph). Deterministic given
@@ -390,7 +400,7 @@ def pretrain(
         raise ValueError("provide both train_positives and val_samples, or neither")
     if train_positives is None:
         base = sample_edges(g, train_cfg.neg_ratio, seed)
-        train_positives, val_samples = _holdout_split(base, train_cfg.val_fraction, seed)
+        train_positives, val_samples = _holdout_split(base, seed)
 
     # Every endpoint an epoch can draw: the node pools of the trained
     # relations plus the validation endpoints. Embedding this fixed set each
@@ -464,15 +474,12 @@ def finetune(
     val_ids: list[str],
 ) -> FinetuneResult:
     """Train only the ``head/<target_type>`` tensor on frozen-backbone
-    embeddings, grid-searching the learning rate; the backbone is untouched.
-    Each learning rate trains a zero-initialized head with its own early
-    stopping; the heads train side by side as lanes of one ``(L, d, C)``
-    tensor, one forward and one backward per epoch for the whole grid."""
+    embeddings, grid-searching the learning rate over ``LR_GRID``; the
+    backbone is untouched. Each learning rate trains a zero-initialized head
+    with its own early stopping; the heads train side by side as lanes of one
+    ``(L, d, C)`` tensor, one forward and one backward per epoch for the whole grid."""
     from .evalkit import micro_f1
 
-    grid = train_cfg.lr_grid
-    if not grid or not all(isinstance(lr, numbers.Real) and 0 < lr < np.inf for lr in grid):
-        raise ValueError(f"lr_grid must be finite positive learning rates, got {grid!r}")
     vocab = g.schema.class_labels.get(target_type)
     if not vocab:
         raise ValueError(f"node type {target_type!r} has no class labels declared")
@@ -497,8 +504,8 @@ def finetune(
     Zt, Y = Tensor(Z_train), Tensor(np.eye(len(vocab))[gold_train])
     val_Zt, val_Y = Tensor(Z_val), Tensor(np.eye(len(vocab))[gold_val])
 
-    rates = np.array(grid, dtype=float).reshape(-1, 1, 1)
-    head = Tensor(np.zeros((len(grid), Z_train.shape[1], len(vocab))), requires_grad=True)
+    rates = np.array(LR_GRID, dtype=float).reshape(-1, 1, 1)
+    head = Tensor(np.zeros((len(LR_GRID), Z_train.shape[1], len(vocab))), requires_grad=True)
 
     def step(epoch: int) -> tuple[Tensor, np.ndarray]:
         # lanes are independent, so the summed loss gives each its own gradient
@@ -510,10 +517,10 @@ def finetune(
     preds = (Z_val @ best["head"]).argmax(axis=-1).tolist()
     lanes = [
         {"lr": lr, "best_epoch": int(epoch), "val_micro_f1": micro_f1(pred, gold_val.tolist())}
-        for lr, epoch, pred in zip(grid, best_epochs.flat, preds)
+        for lr, epoch, pred in zip(LR_GRID, best_epochs.flat, preds)
     ]
     # best val Micro-F1, then the lowest val loss, then the earlier grid entry
-    i = min(range(len(grid)), key=lambda i: (-lanes[i]["val_micro_f1"], best_val.flat[i]))
+    i = min(range(len(LR_GRID)), key=lambda i: (-lanes[i]["val_micro_f1"], best_val.flat[i]))
     weights = best["head"][i]
 
     head_name = f"{HEAD_PREFIX}{target_type}"

@@ -292,7 +292,8 @@ class EncoderStub(BaseHTTPRequestHandler):
 @pytest.fixture()
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), EncoderStub)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll; the default 0.5 s poll is all teardown time
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

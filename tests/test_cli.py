@@ -120,7 +120,7 @@ def test_tokenize_pretrain_finetune_evaluate(workdir):
     assert head_meta["target_type"] == "paper"
     grid = head_meta["grid"]
     defaults = trainer.TrainConfig()
-    assert [lane["lr"] for lane in grid] == list(defaults.lr_grid)
+    assert [lane["lr"] for lane in grid] == list(trainer.LR_GRID)
     for lane in grid:
         assert set(lane) == {"lr", "best_epoch", "val_micro_f1"}
         assert 0 <= lane["best_epoch"] < defaults.max_epochs
@@ -231,8 +231,8 @@ def test_load_params_checks_checkpoint_hash(workdir):
         ({"model": {"d": 8, "depth": 2, "width": 3}}, "unknown model keys: depth, width"),
         ({"model": {"hops": 5}}, "model.hops is not a pretrain setting: it comes from the tokens' .meta.json"),
         ({"model": {"d_llm": 7}}, "model.d_llm is not a pretrain setting: it comes from the token file's vector dim"),
-        ({"train": {"lr_grid": [0.5]}},
-         "train.lr_grid is not a pretrain setting: only fine-tuning reads it, and 'ella finetune' uses the default grid"),
+        ({"train": {"lr_grid": [0.5]}}, "unknown train keys: lr_grid"),
+        ({"train": {"val_fraction": 0.2}}, "unknown train keys: val_fraction"),
     ],
 )
 def test_train_config_unknown_keys(tmp_path, doc, unknown):
@@ -256,9 +256,28 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
         ({"model": ""}, "model section: expected a JSON object, got str"),
         ({"model": None}, "model section: expected a JSON object, got NoneType"),
         ({"train": 0}, "train section: expected a JSON object, got int"),
+        ({"train": {"patience": "30"}}, "invalid train config: patience must be an integer, not '30'"),
+        ({"train": {"lr": "abc"}}, "invalid train config: lr must be a finite number >= 0, not 'abc'"),
+        ({"train": {"lr": "1e-3"}}, "invalid train config: lr must be a finite number >= 0, not '1e-3'"),
+        ({"train": {"lr": True}}, "invalid train config: lr must be a finite number >= 0, not True"),
+        ({"train": {"lr": -1.0}}, "invalid train config: lr must be a finite number >= 0, not -1.0"),
+        ({"train": {"neg_ratio": 0}}, "invalid train config: neg_ratio must be >= 1, got 0"),
+        ({"train": {"neg_ratio": 1.5}}, "invalid train config: neg_ratio must be an integer, not 1.5"),
+        ({"train": {"max_epochs": -2}}, "invalid train config: max_epochs must be >= 0, got -2"),
+        ({"train": {"dump_path": 5}}, "invalid train config: dump_path must be a string, not 5"),
+        ({"model": {"d": 8.0}}, "invalid model config: d must be an integer, not 8.0"),
+        ({"model": {"d": 0}}, "invalid model config: d must be >= 1, got 0"),
+        ({"model": {"heads": 0}}, "invalid model config: heads must be >= 1, got 0"),
+        ({"model": {"heads": True}}, "invalid model config: heads must be an integer, not True"),
+        ({"model": {"type_layers": True}}, "invalid model config: type_layers must be an integer, not True"),
+        ({"model": {"ffn_mult": 0}}, "invalid model config: ffn_mult must be >= 1, got 0"),
+        ({"model": {"ffn_mult": 1.5}}, "invalid model config: ffn_mult must be an integer, not 1.5"),
     ],
     ids=["indivisible_heads", "zero_hops", "string_dim", "list_document", "string_document",
-         "list_model", "int_train", "empty_list_model", "empty_string_model", "null_model", "zero_train"],
+         "list_model", "int_train", "empty_list_model", "empty_string_model", "null_model", "zero_train",
+         "string_patience", "word_lr", "string_lr", "bool_lr", "negative_lr", "zero_neg_ratio",
+         "fractional_neg_ratio", "negative_max_epochs", "int_dump_path", "float_d", "zero_d", "zero_heads",
+         "bool_heads", "bool_type_layers", "zero_ffn_mult", "fractional_ffn_mult"],
 )
 def test_train_config_invalid_values(tmp_path, doc, message):
     path = tmp_path / "config.json"
@@ -362,8 +381,7 @@ def _delete(path):
         ("pretrain", "config.json", _write_invalid_json, r"config\.json: not valid JSON"),
         ("pretrain", "config.json", _set("model", {"d_llm": 12}),
          r"config\.json: model\.d_llm is not a pretrain setting: it comes from the token file's vector dim$"),
-        ("pretrain", "config.json", _set("train", {"lr_grid": [0.5]}),
-         r"config\.json: train\.lr_grid is not a pretrain setting: only fine-tuning reads it"),
+        ("pretrain", "config.json", _set("train", {"lr_grid": [0.5]}), r"config\.json: unknown train keys: lr_grid$"),
         ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: container truncated"),
         ("pretrain", "tokens.bin", _write_parent_format_tokens, r"tokens\.bin: not a token file of format 2"),
         ("evaluate", "model.ckpt.meta.json", _write_invalid_json, r"model\.ckpt\.meta\.json: not valid JSON"),
@@ -375,6 +393,8 @@ def _delete(path):
          r"model\.ckpt\.meta\.json: model section: expected a JSON object, got list"),
         ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "d": 7, "heads": 2}),
          r"model\.ckpt\.meta\.json: invalid model config: hidden dim 7 not divisible by 2 heads"),
+        ("evaluate", "model.ckpt.meta.json", _set_model_config(lambda cfg: {**cfg, "d": 8.0}),
+         r"model\.ckpt\.meta\.json: invalid model config: d must be an integer, not 8\.0$"),
         ("evaluate", "model.ckpt.meta.json", _delete,
          r"missing .*model\.ckpt\.meta\.json; re-run 'ella finetune' or 'ella pretrain'$"),
         ("evaluate", "model.ckpt.meta.json", _drop("seed"), r"model\.ckpt\.meta\.json records no seed; re-run 'ella pretrain'"),
@@ -400,7 +420,8 @@ def _delete(path):
          "config_sets_d_llm", "config_sets_lr_grid",
          "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
-         "ckpt_meta_indivisible_heads", "ckpt_meta_missing", "ckpt_meta_without_seed", "tokens_meta_missing",
+         "ckpt_meta_indivisible_heads", "ckpt_meta_float_d", "ckpt_meta_missing", "ckpt_meta_without_seed",
+         "tokens_meta_missing",
          "tokens_meta_without_hops", "tokens_meta_hops_string", "tokens_meta_hops_bool", "tokens_meta_backend_number",
          "tokens_meta_pooling_null", "ckpt_meta_seed_string", "ckpt_meta_seed_bool", "ckpt_meta_sha256_number",
          "ckpt_meta_target_type_list"],

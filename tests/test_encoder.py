@@ -129,8 +129,8 @@ def test_cache_persists_across_instances(tmp_path):
     assert np.array_equal(c2.get(key), vec)
 
 
-def test_cache_get_after_put_bit_exact():
-    c = VectorCache()
+def test_cache_get_after_put_bit_exact(tmp_path):
+    c = VectorCache(tmp_path / "cache.bin")
     key = 42
     vec = np.random.default_rng(1).standard_normal(8)
     stored = c.put(key, vec)
@@ -461,10 +461,10 @@ def seeded_graph():
     return g, [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
 
 
-def test_tokens_of_a_seeded_graph_are_pinned_to_the_bit():
+def test_tokens_of_a_seeded_graph_are_pinned_to_the_bit(tmp_path):
     g, targets = seeded_graph()
     h = hashlib.sha256()
-    cache = VectorCache()
+    cache = VectorCache(tmp_path / "cache.bin")
     for template in (TemplateId.PretrainLink, TemplateId.FinetuneClassify):
         t = tokenize_graph(MockBackend(dim=8), g, targets=targets, K=3, template=template, cache=cache)
         for nid, vec in t.node_tokens.items():
