@@ -200,9 +200,14 @@ def gather(a: Tensor, indices: list[int], axis: int = 0) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(np.moveaxis(g, axis, 0), idx, np.moveaxis(out.grad, axis, 0))
-            a.accumulate(g)
+            # out.grad is (before, len(idx), after); bincount adds into each
+            # flat slot of a in input order, as np.add.at does
+            shape = a.data.shape
+            ax = axis % len(shape)
+            n, after = shape[ax], math.prod(shape[ax + 1 :])
+            rows = np.arange(math.prod(shape[:ax]))[:, None] * n + idx % n
+            bins = (rows.reshape(-1, 1) * after + np.arange(after)).ravel()
+            a.accumulate(np.bincount(bins, out.grad.ravel(), a.data.size).reshape(shape))
 
     return _result(data, (a,), backward)
 

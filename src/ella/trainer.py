@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import logging
 import numbers
+from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +74,57 @@ class EdgeSampleSet:
         return nodes
 
 
+def _lemire(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's integers in ``[0, n)``, ``n`` > 1, from 32-bit ``words`` (Lemire's
+    method), and where numpy keeps them without a redraw."""
+    m = words * np.uint64(n)
+    return m >> 32, m & 0xFFFFFFFF >= (2**32 - n) % n
+
+
+def _attempt_draws(rng: np.random.Generator, n_pos: int, n_src: int, n_dst: int, block: int):
+    """Yield (positive index, corrupt the source?, pool index) per attempt, as
+    ``rng.integers(n_pos)``, ``rng.random() < 0.5`` and ``rng.integers`` of
+    that side's pool size would draw them. A PCG64 stream is replayed from
+    ``2 * block`` raw outputs at a time, two per attempt: the integers come
+    from 32-bit halves (low half first, the high one buffered in ``uinteger``),
+    the coin from the top 53 bits. An attempt numpy redraws (Lemire's
+    rejection) takes the three scalar calls, and so does every attempt when a
+    bound is 1 (numpy draws nothing for it) or the bit generator is another.
+    Closing the generator leaves ``rng`` just past the attempts yielded.
+    """
+    bits = rng.bit_generator
+    while True:
+        start = bits.state
+        n_ok = 0
+        if start["bit_generator"] == "PCG64" and min(n_pos, n_src, n_dst) > 1:
+            raw = bits.random_raw(2 * block)
+            if start["has_uint32"]:
+                first = np.append(np.uint64(start["uinteger"]), raw[1:-1:2] >> 32)
+                coin, second = raw[0::2], raw[1::2] & 0xFFFFFFFF
+            else:
+                first, coin, second = raw[0::2] & 0xFFFFFFFF, raw[1::2], raw[0::2] >> 32
+            src_side = (coin >> 11) * 2.0**-53 < 0.5
+            i, i_ok = _lemire(first, n_pos)
+            (j_src, src_ok), (j_dst, dst_ok) = _lemire(second, n_src), _lemire(second, n_dst)
+            ok = i_ok & np.where(src_side, src_ok, dst_ok)
+            n_ok = block if ok.all() else int(ok.argmin())
+            j = np.where(src_side, j_src, j_dst)
+            draws = zip(i[:n_ok].tolist(), src_side[:n_ok].tolist(), j[:n_ok].tolist())
+            used = 0
+            try:
+                for used, draw in enumerate(draws, 1):
+                    yield draw
+            finally:
+                if used:  # the last high half drawn stays in the buffer, read or not
+                    start["uinteger"] = int(raw[2 * used - 2 + start["has_uint32"]] >> 32)
+                bits.state = start
+                bits.random_raw(2 * used, output=False)
+        if n_ok < block:
+            i = int(rng.integers(n_pos))
+            src_side = rng.random() < 0.5
+            yield i, src_side, int(rng.integers(n_src if src_side else n_dst))
+
+
 def sample_negatives(
     g: HeteroGraph,
     etype_name: str,
@@ -84,8 +136,15 @@ def sample_negatives(
     """Corrupt one endpoint of a uniformly chosen positive until ``count``
     distinct non-edges are found; falls back to exact complement enumeration
     when rejection stalls. A pair is an edge if the graph holds it or
-    ``forbidden`` names it, in either orientation."""
+    ``forbidden`` names it, in either orientation. The draws come in blocks
+    (:func:`_attempt_draws`), but give the negatives and the ``rng`` state of
+    three scalar draws per attempt, bit for bit. Raises :class:`SamplingError`
+    if ``count`` negatives cannot be found or no positive is given."""
     et = g.schema.edge_type(etype_name)
+    if count <= 0:
+        return []
+    if not positives:
+        raise SamplingError(f"relation {etype_name!r} has no positives to corrupt")
     src_pool = g.nodes_of_type(et.src)
     dst_pool = g.nodes_of_type(et.dst)
     forbidden = forbidden or set()
@@ -99,22 +158,23 @@ def sample_negatives(
 
     out: list[tuple[str, str]] = []
     chosen: set[tuple[str, str]] = set()
-    attempts = 0
     max_attempts = max(1000, 200 * count)
-    while len(out) < count and attempts < max_attempts:
-        attempts += 1
-        s, t = positives[int(rng.integers(len(positives)))]
-        if rng.random() < 0.5:
-            s = src_pool[int(rng.integers(len(src_pool)))]
-        else:
-            t = dst_pool[int(rng.integers(len(dst_pool)))]
-        if s == t or is_edge(s, t):
-            continue
-        key = (s, t) if (et.src != et.dst or s <= t) else (t, s)
-        if key in chosen:
-            continue
-        chosen.add(key)
-        out.append((s, t))
+    with closing(_attempt_draws(rng, len(positives), len(src_pool), len(dst_pool), count + 16)) as draws:
+        for i, src_side, j in islice(draws, max_attempts):
+            s, t = positives[i]
+            if src_side:
+                s = src_pool[j]
+            else:
+                t = dst_pool[j]
+            if s == t or is_edge(s, t):
+                continue
+            key = (s, t) if (et.src != et.dst or s <= t) else (t, s)
+            if key in chosen:
+                continue
+            chosen.add(key)
+            out.append((s, t))
+            if len(out) == count:
+                break
     if len(out) < count:
         # exact fallback: enumerate the complement (desk-scale graphs only)
         complement = []

@@ -33,6 +33,18 @@ def academic_schema() -> SchemaDef:
     )
 
 
+def seeded_academic_graph() -> HeteroGraph:
+    """A planted 66-node academic graph (seed 13) with all three relations,
+    ``cites`` between papers among them."""
+    cfg = SynthConfig(
+        schema=academic_schema(),
+        type_sizes={"paper": 30, "author": 30, "organization": 6},
+        classes=3,
+        edge_probs={"writes": (0.12, 0.01), "cites": (0.08, 0.01), "belongs": (0.4, 0.05)},
+    )
+    return synth_generate(cfg, seed=13)[0]
+
+
 def small_academic_graph() -> HeteroGraph:
     """Two authors, three papers, one organization; text on papers only."""
     schema = academic_schema()

@@ -24,7 +24,7 @@ from ella.encoder import (
     stable_hash64,
     tokenize_graph,
 )
-from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef, SynthConfig, synth_generate
+from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
 from ella.pathstats import hop_type_neighbors
 from ella.promptkit import TemplateId, build_relation_prompt
 from ella.pathstats import MetaPathProfile
@@ -32,10 +32,10 @@ from ella.tensorcore import save_arrays
 
 from fixtures import (
     EncoderStub,
-    academic_schema,
     complete_bipartite,
     complete_typed_tree,
     http_server,
+    seeded_academic_graph,
     small_academic_graph,
     star,
 )
@@ -451,13 +451,7 @@ PINNED_TOKEN_DIGEST = "625cf0f3800673feba2e346d196b988cefa2e3ae554fb4b6b3b4cb0f3
 
 def seeded_graph():
     """A planted 66-node academic graph and its labelled-type targets."""
-    cfg = SynthConfig(
-        schema=academic_schema(),
-        type_sizes={"paper": 30, "author": 30, "organization": 6},
-        classes=3,
-        edge_probs={"writes": (0.12, 0.01), "cites": (0.08, 0.01), "belongs": (0.4, 0.05)},
-    )
-    g, _ = synth_generate(cfg, seed=13)
+    g = seeded_academic_graph()
     return g, [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
 
 

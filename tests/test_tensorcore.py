@@ -315,6 +315,28 @@ def test_batched_op_grad_checks(seed):
         assert err < 1e-4, f"{name}: max rel err {err}"
 
 
+@pytest.mark.parametrize(
+    "shape, axis, indices",
+    [
+        ((4, 3), 0, [2, 0, 2, 2, 1, 0]),  # select_rows
+        ((2, 3, 5, 2, 3), 2, [3, 0, 3, 1, 3]),
+        ((2, 3, 4, 5), -2, [0, 0, 2, 1, 0]),
+        ((6, 2, 4, 3), -2, [0]),  # hop_readout's h0 and the hop tokens after it
+        ((6, 2, 4, 3), -2, [1, 2, 3]),
+    ],
+)
+def test_gather_backward_adds_as_add_at_does_to_the_bit(shape, axis, indices):
+    rng = np.random.default_rng(len(indices))
+    x = randt(rng, *shape)
+    out = tc.gather(x, indices, axis=axis)
+    # magnitudes far apart, so a different summation order would show in the last bits
+    weights = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-12, 12, size=out.shape)
+    backward(tc.tsum(tc.mul(out, Tensor(weights))))
+    expected = np.zeros(shape)
+    np.add.at(np.moveaxis(expected, axis, 0), indices, np.moveaxis(weights, axis, 0))
+    assert x.grad.tobytes() == expected.tobytes()
+
+
 def test_batched_matmul_matches_per_slice():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 3, 4, 5))

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import math
+from contextlib import closing
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import ella.tensorcore as tc
 from ella import trainer
 from ella.ellanet import ModelConfig, forward, forward_batch, init_params, pad_tokens
 from ella.encoder import MockBackend, PrototypeBackend, tokenize_graph
-from ella.evalkit import Task, build_splits
+from ella.evalkit import Task, build_splits, link_protocol
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef
 from ella.tensorcore import Tensor, backward, zero_grads
 from ella.trainer import (
@@ -26,7 +29,7 @@ from ella.trainer import (
     similarity,
 )
 
-from fixtures import planted_link_fixture, planted_node_fixture
+from fixtures import planted_link_fixture, planted_node_fixture, seeded_academic_graph
 
 
 def bipartite_graph(n_users=3, n_items=3, edges=None):
@@ -77,6 +80,132 @@ def test_negatives_never_intersect_edges():
         for sample in samples.by_type.values():
             for s, t in sample.negatives:
                 assert not g.has_edge(s, t, "reviews")
+
+
+def scalar_sample_negatives(g, etype_name, positives, count, rng, forbidden=None):
+    """The reference sampler: three scalar RNG calls per attempt, as
+    ``sample_negatives`` drew them before it drew in blocks."""
+    et = g.schema.edge_type(etype_name)
+    src_pool = g.nodes_of_type(et.src)
+    dst_pool = g.nodes_of_type(et.dst)
+    forbidden = forbidden or set()
+
+    def is_edge(s, t):
+        return g.has_edge(s, t, etype_name) or (s, t, etype_name) in forbidden or (t, s, etype_name) in forbidden
+
+    out, chosen = [], set()
+    attempts = 0
+    max_attempts = max(1000, 200 * count)
+    while len(out) < count and attempts < max_attempts:
+        attempts += 1
+        s, t = positives[int(rng.integers(len(positives)))]
+        if rng.random() < 0.5:
+            s = src_pool[int(rng.integers(len(src_pool)))]
+        else:
+            t = dst_pool[int(rng.integers(len(dst_pool)))]
+        if s == t or is_edge(s, t):
+            continue
+        key = (s, t) if (et.src != et.dst or s <= t) else (t, s)
+        if key in chosen:
+            continue
+        chosen.add(key)
+        out.append((s, t))
+    if len(out) < count:
+        complement = []
+        for s in src_pool:
+            for t in dst_pool:
+                if s == t or is_edge(s, t):
+                    continue
+                key = (s, t) if (et.src != et.dst or s <= t) else (t, s)
+                if key in chosen or (et.src == et.dst and key != (s, t)):
+                    continue
+                complement.append(key)
+        need = count - len(out)
+        if len(complement) < need:
+            raise SamplingError("too few negatives")
+        idx = rng.choice(len(complement), size=need, replace=False)
+        out.extend(complement[i] for i in sorted(idx))
+    return out
+
+
+def sampler_case(name, seed):
+    """(graph, relation, positives, count, forbidden) of one sampling case."""
+    if name in ("planted", "forbidden"):
+        g, _ = planted_link_fixture(seed=seed, users=30, items=30)
+        forbidden = None
+        if name == "forbidden":  # train on a subgraph, rejecting every edge of the full graph
+            held = set(g.edges[seed::4])
+            forbidden = set(g.edges)
+            g = HeteroGraph(g.schema, g.nodes, [e for e in g.edges if e not in held], g.node_text)
+        positives = sorted((s, t) for s, t, _ in g.edges)
+        return g, "reviews", positives, 2 * len(positives), forbidden
+    if name == "same-type":  # cites: paper -> paper, negatives keyed canonically
+        g = seeded_academic_graph()
+        positives = sorted((s, t) for s, t, e in g.edges if e == "cites")
+        return g, "cites", positives, len(positives), None
+    if name == "single-positive":
+        return bipartite_graph(4, 5, edges=[("u1", "i2", "buys")]), "buys", [("u1", "i2")], 3, None
+    if name == "one-node-pool":  # a source pool of one: its side draws nothing
+        g = bipartite_graph(1, 8, edges=[("u0", "i0", "buys"), ("u0", "i3", "buys")])
+        return g, "buys", [("u0", "i0"), ("u0", "i3")], 4, None
+    # corrupting u0-i0 reaches two non-edges, so the third comes from the complement
+    assert name == "fallback"
+    return bipartite_graph(2, 2, edges=[("u0", "i0", "buys")]), "buys", [("u0", "i0")], 3, None
+
+
+@pytest.mark.parametrize("has_uint32", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "name", ["planted", "forbidden", "same-type", "single-positive", "one-node-pool", "fallback"]
+)
+def test_sample_negatives_replays_the_scalar_sampler(name, seed, has_uint32):
+    g, ename, positives, count, forbidden = sampler_case(name, seed)
+    fast, slow = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
+    for rng in (fast, slow) if has_uint32 else ():  # one 32-bit draw leaves a half buffered
+        rng.integers(10)
+    assert fast.bit_generator.state["has_uint32"] == has_uint32
+    for _ in range(3):  # later calls start from the state the earlier ones left
+        got = sample_negatives(g, ename, positives, count, fast, forbidden)
+        assert got == scalar_sample_negatives(g, ename, positives, count, slow, forbidden)
+        assert fast.bit_generator.state == slow.bit_generator.state
+    assert len(got) == count
+
+
+def test_sample_negatives_of_another_bit_generator_draws_each_attempt_alone():
+    g, ename, positives, count, forbidden = sampler_case("planted", 0)
+    fast, slow = (np.random.Generator(np.random.Philox(3)) for _ in range(2))
+    got = sample_negatives(g, ename, positives, count, fast, forbidden)
+    assert got == scalar_sample_negatives(g, ename, positives, count, slow, forbidden)
+    assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state)  # Philox's holds arrays
+
+
+@pytest.mark.parametrize("has_uint32", [0, 1])
+@pytest.mark.parametrize(
+    "bounds", [(2**31 + 1, 2**32 - 5, 3), (2**32 - 5, 2, 2**31 + 1), (7, 1, 2**32 - 5)]
+)
+def test_attempt_draws_equal_numpy_scalar_draws(bounds, has_uint32):
+    # at 2**31 + 1 about half of numpy's Lemire draws are rejected and redrawn;
+    # at 2**32 - 5 the multiply-shift of every block draw is checked against numpy
+    n_pos, n_src, n_dst = bounds
+    fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+    for rng in (fast, slow) if has_uint32 else ():
+        rng.integers(10)
+    with closing(trainer._attempt_draws(fast, n_pos, n_src, n_dst, block=64)) as draws:
+        got = list(islice(draws, 1000))
+    want = []
+    for _ in range(1000):
+        i = int(slow.integers(n_pos))
+        src_side = slow.random() < 0.5
+        want.append((i, src_side, int(slow.integers(n_src if src_side else n_dst))))
+    assert got == want
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_sample_negatives_without_positives_names_the_relation():
+    g = bipartite_graph(edges=[("u0", "i0", "buys")])
+    with pytest.raises(SamplingError, match="'buys' has no positives"):
+        sample_negatives(g, "buys", [], 2, np.random.default_rng(0))
+    assert sample_negatives(g, "buys", [], 0, np.random.default_rng(0)) == []
 
 
 # -- similarity ------------------------------------------------------------------
@@ -302,6 +431,50 @@ def test_pretrain_deterministic_checkpoints():
     assert r1.params.content_hash() == r2.params.content_hash()
     r3 = pretrain(g, table, cfg, TrainConfig(max_epochs=4, patience=30), seed=10)
     assert r3.params.content_hash() != r1.params.content_hash()
+
+
+# sha256 of link_protocol's splits of the seeded academic graph (splits seed
+# 3): the training graph's edges, the train positives, the validation samples
+# and the test pairs with their labels; any change to the split or its
+# negative draws moves it
+PINNED_LINK_PROTOCOL_DIGEST = "acfd1c17881d1e7b3f85ba20d0fed5126222ecdf066b39492e9bc2e7ec3d2a2a"
+
+# content_hash of the backbone that four epochs of pretraining (seed 5) leave
+# on the seeded academic graph: on the default hold-out of all edges, and on
+# link_protocol's train positives with every edge forbidden as a negative; any
+# change to the negatives drawn, the model or the training step moves them
+PINNED_PRETRAIN_DIGEST = {
+    "hold-out": "bfe104053a7f6e6d6eaba4c9c4cd80277ee4516d7b873a84f4b76783fa028816",
+    "held-out-edges": "e10c11c2676d12ee09847ba04e3bcce195913cc0c0e08262235ec1749febb5e4",
+}
+
+
+def test_link_protocol_splits_are_pinned_to_the_bit():
+    p = link_protocol(seeded_academic_graph(), seed=3)
+    h = hashlib.sha256()
+    for s, t, e in p.g_train.edges:
+        h.update(f"{s} {t} {e}\n".encode())
+    for e in sorted(p.train_pos):
+        h.update(f"{e} {p.train_pos[e]}\n".encode())
+    for e, sample in sorted(p.val_samples.by_type.items()):
+        h.update(f"{e} {sample.positives} {sample.negatives}\n".encode())
+    h.update(f"{p.test_pairs} {p.test_labels}".encode())
+    assert h.hexdigest() == PINNED_LINK_PROTOCOL_DIGEST
+
+
+@pytest.mark.parametrize("path", sorted(PINNED_PRETRAIN_DIGEST))
+def test_pretrained_backbone_is_pinned_to_the_bit(path):
+    g = seeded_academic_graph()
+    cfg = ModelConfig(d=8, heads=2, type_layers=1, hop_layers=1, hops=2, d_llm=8)
+    if path == "hold-out":
+        table = tokenize_graph(MockBackend(dim=8), g, K=2)
+        result = pretrain(g, table, cfg, TrainConfig(max_epochs=4), seed=5)
+    else:
+        p = link_protocol(g, seed=3)
+        table = tokenize_graph(MockBackend(dim=8), p.g_train, K=2)
+        result = pretrain(p.g_train, table, cfg, TrainConfig(max_epochs=4), seed=5,
+                          train_positives=p.train_pos, val_samples=p.val_samples, forbidden=p.full_edges)
+    assert result.params.content_hash() == PINNED_PRETRAIN_DIGEST[path]
 
 
 def test_pretrain_divergence_aborts_with_dump(tmp_path):
