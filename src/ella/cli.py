@@ -187,7 +187,7 @@ def ingest(nodes_path: str, edges_path: str, schema_path: str, out_dir: str) -> 
 @click.option("--template", type=click.Choice(sorted(TEMPLATES)), default="pretrain")
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--dim", type=click.IntRange(min=1), default=None, help="mock backend dimension [default: 64]")
+@click.option("--dim", type=click.IntRange(min=1), help=f"mock backend dimension [default: {encoder.MOCK_DIM}]")
 @click.option("--pooling", type=click.Choice(["last", "mean"]), default=None, help="with --endpoint [default: mean]")
 def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, pooling):
     """Build node and relation tokens for every node of a graph."""
@@ -195,7 +195,7 @@ def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, poo
         raise click.ClickException(f"--dim sets the mock backend's dim; {endpoint} reports its dim in /v1/info")
     if not endpoint and pooling is not None:
         raise click.ClickException("--pooling is read only with --endpoint; the mock backend does not pool")
-    pooling = pooling or "mean"
+    pooling, dim = pooling or "mean", dim or encoder.MOCK_DIM
     g = _load(load_graph_dir, graph_dir)
     with _open_cache(cache_path) as cache:
         targets = None
@@ -204,7 +204,7 @@ def tokenize(graph_dir, endpoint, hops, template, cache_path, out_path, dim, poo
             targets = [n for n in g.node_ids() if g.node_type(n) in g.schema.class_labels]
             click.echo(f"finetune template: tokenizing {len(targets)} labeled-type nodes")
         try:
-            backend = encoder.HttpBackend(endpoint, pooling=pooling) if endpoint else encoder.MockBackend(dim=dim or 64)
+            backend = encoder.HttpBackend(endpoint, pooling=pooling) if endpoint else encoder.MockBackend(dim)
             table = encoder.tokenize_graph(
                 backend, g, targets=targets, K=hops, template=TEMPLATES[template], cache=cache
             )
@@ -411,7 +411,7 @@ def evaluate(ckpt_path, out_path, graph_dir, tokens_path, labels_path):
 @click.option("--hops", type=click.IntRange(min=1), default=3)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
-@click.option("--dim", type=click.IntRange(min=1), default=16)
+@click.option("--dim", type=click.IntRange(min=1), default=encoder.MOCK_DIM, show_default=True)
 def profile(graph_dir, hops, out_path, cache_path, dim):
     """Backend-call and stored-vector accounting versus the naive per-path cost."""
     g = _load(load_graph_dir, graph_dir)

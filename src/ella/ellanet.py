@@ -26,6 +26,7 @@ from .encoder import TokenTable
 from .tensorcore import Tensor
 
 HEAD_PREFIX = "head/"
+FFN_MULT = 2  # the feed-forward width of every transformer layer, in multiples of d
 
 
 def check_int(name: str, value, low: int) -> None:
@@ -44,7 +45,6 @@ class ModelConfig:
     hop_layers: int = 3
     hops: int = 3
     d_llm: int = 64
-    ffn_mult: int = 2
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -89,23 +89,15 @@ class ModelParams:
 
 
 def _layer_names(prefix: str, cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
-    d, f = cfg.d, cfg.d * cfg.ffn_mult
-    dk = cfg.d // cfg.heads
-    names: list[tuple[str, tuple[int, ...], int]] = []
-    names.append((f"{prefix}/ln1/g", (d,), 0))
-    names.append((f"{prefix}/ln1/b", (d,), 0))
-    for j in range(cfg.heads):
-        names.append((f"{prefix}/attn/q{j}", (d, dk), d))
-        names.append((f"{prefix}/attn/k{j}", (d, dk), d))
-        names.append((f"{prefix}/attn/v{j}", (d, dk), d))
-    names.append((f"{prefix}/attn/o", (d, d), d))
-    names.append((f"{prefix}/ln2/g", (d,), 0))
-    names.append((f"{prefix}/ln2/b", (d,), 0))
-    names.append((f"{prefix}/ffn/w1", (d, f), d))
-    names.append((f"{prefix}/ffn/b1", (f,), 0))
-    names.append((f"{prefix}/ffn/w2", (f, d), f))
-    names.append((f"{prefix}/ffn/b2", (d,), 0))
-    return names
+    """(name, shape, fan-in) of one transformer layer's tensors, in init order."""
+    d, f, dk = cfg.d, cfg.d * FFN_MULT, cfg.d // cfg.heads
+    return [
+        (f"{prefix}/ln1/g", (d,), 0), (f"{prefix}/ln1/b", (d,), 0),
+        *[(f"{prefix}/attn/{m}{j}", (d, dk), d) for j in range(cfg.heads) for m in "qkv"],
+        (f"{prefix}/attn/o", (d, d), d), (f"{prefix}/ln2/g", (d,), 0), (f"{prefix}/ln2/b", (d,), 0),
+        (f"{prefix}/ffn/w1", (d, f), d), (f"{prefix}/ffn/b1", (f,), 0),
+        (f"{prefix}/ffn/w2", (f, d), f), (f"{prefix}/ffn/b2", (d,), 0),
+    ]
 
 
 def init_params(

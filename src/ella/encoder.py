@@ -34,6 +34,8 @@ CACHE_MAGIC = b"ELLACACHE v2\n"
 
 WALK_CHUNK = 256  # targets whose walks tokenize_graph counts together
 
+MOCK_DIM = 64  # the mock backends' vector width unless one is given
+
 
 class EncoderError(RuntimeError):
     pass
@@ -72,7 +74,7 @@ class MockBackend:
     norm. Pure function of its inputs.
     """
 
-    def __init__(self, dim: int = 64) -> None:
+    def __init__(self, dim: int = MOCK_DIM) -> None:
         if dim < 1:
             raise ValueError("dim must be positive")
         self.name = "mock"
@@ -116,7 +118,7 @@ class PrototypeBackend(MockBackend):
 
     _MARKER = re.compile(r"class:(\w+)")
 
-    def __init__(self, dim: int = 64, noise: float = 0.5) -> None:
+    def __init__(self, dim: int = MOCK_DIM, noise: float = 0.5) -> None:
         super().__init__(dim)
         self.name = "prototype"
         self.noise = noise
@@ -153,18 +155,19 @@ class HttpBackend:
         self.endpoint = endpoint.rstrip("/")
         self.pooling = pooling
         self.timeout = timeout
-        info = self._get_json(f"{self.endpoint}/v1/info")
+        info = self._json(urllib.request.Request(f"{self.endpoint}/v1/info"))
         try:
             self.name, self.dim = str(info["name"]), _json_dim(info)
         except (KeyError, TypeError, ValueError) as exc:
             raise EncoderTransportError(f"bad handshake response from {self.endpoint}/v1/info: {info!r}") from exc
 
-    def _get_json(self, url: str) -> dict:
+    def _json(self, req: urllib.request.Request):
+        """The JSON reply to ``req``; a transport or decoding failure names its method and URL."""
         try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 return json.loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            raise EncoderTransportError(f"GET {url} failed: {exc}") from exc
+            raise EncoderTransportError(f"{req.get_method()} {req.full_url} failed: {exc}") from exc
 
     def encode(self, template_id, text, placeholders=None):
         if not text:
@@ -178,12 +181,7 @@ class HttpBackend:
             }
         ).encode("utf-8")
         url = f"{self.endpoint}/v1/encode"
-        req = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"}, method="POST")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            raise EncoderTransportError(f"POST {url} failed: {exc}") from exc
+        payload = self._json(urllib.request.Request(url, body, {"Content-Type": "application/json"}, method="POST"))
         try:
             vec = np.asarray(payload["embedding"], dtype=np.float64)
             dim = _json_dim(payload)
@@ -504,9 +502,10 @@ def load_tokens(path: str | Path) -> TokenTable:
             and index["format"] == _TOKEN_FORMAT
             and node.ndim == rel.ndim == 2 and node.shape[1] == rel.shape[1]
             and (len(nodes), len(rels)) == (len(node), len(rel))
-            and all(type(hop) is int for _, hop, _ in rels)
+            and all(type(s) is str and type(t) is str and type(hop) is int and hop >= 1 for s, hop, t in rels)
+            and all(type(n) is str for n in nodes)
         ):
-            raise ValueError("its index does not match its matrices")
+            raise ValueError("its index does not name each row of its matrices once")
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"not a token file of format {_TOKEN_FORMAT} ({type(exc).__name__}: {exc})"
         raise EncoderError(f"{path}: {reason}; re-run `ella tokenize` to rebuild it") from None

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
+from collections import Counter
 from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -13,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .ellanet import AttentionCapture
-from .encoder import MockBackend, VectorCache, tokenize_graph
+from .encoder import MOCK_DIM, MockBackend, VectorCache, tokenize_graph
 from .hetgraph import HeteroGraph
 from .pathstats import count_simple_paths
 from .promptkit import TemplateId
-from .trainer import EdgeSample, EdgeSampleSet, sample_negatives
+from .trainer import EdgeSample, EdgeSampleSet, by_relation, sample_negatives
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +36,9 @@ class Task(str, Enum):
 # -- metrics --------------------------------------------------------------------
 
 
-def _confusion(preds: list, golds: list, labels: list | None) -> dict:
+def _confusion(preds: list, golds: list, labels: list | None) -> tuple[list, Counter, Counter]:
+    """The sorted vocabulary; per class, its right predictions, and the wrong
+    ones that predicted it or should have (its false positives plus negatives)."""
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
     if not preds:
@@ -45,36 +48,22 @@ def _confusion(preds: list, golds: list, labels: list | None) -> dict:
     for value in preds + golds:
         if value not in vocab_set:
             raise ValueError(f"label {value!r} outside vocabulary")
-    tp = {c: 0 for c in vocab}
-    fp = {c: 0 for c in vocab}
-    fn = {c: 0 for c in vocab}
-    for p, gold in zip(preds, golds):
-        if p == gold:
-            tp[p] += 1
-        else:
-            fp[p] += 1
-            fn[gold] += 1
-    return {"vocab": vocab, "tp": tp, "fp": fp, "fn": fn}
+    right = Counter(p for p, gold in zip(preds, golds) if p == gold)
+    wrong = Counter(c for p, gold in zip(preds, golds) if p != gold for c in (p, gold))
+    return vocab, right, wrong
 
 
 def micro_f1(preds: list, golds: list, labels: list | None = None) -> float:
-    """Global-count F1 (equals accuracy for single-label multiclass)."""
-    c = _confusion(preds, golds, labels)
-    tp = sum(c["tp"].values())
-    fp = sum(c["fp"].values())
-    fn = sum(c["fn"].values())
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    """Global-count F1, which equals accuracy for single-label multiclass."""
+    _, right, _ = _confusion(preds, golds, labels)
+    return sum(right.values()) / len(preds)
 
 
 def macro_f1(preds: list, golds: list, labels: list | None = None) -> float:
     """Unweighted mean of per-class F1; classes absent from the data but
     present in ``labels`` contribute 0."""
-    c = _confusion(preds, golds, labels)
-    scores = []
-    for cls in c["vocab"]:
-        denom = 2 * c["tp"][cls] + c["fp"][cls] + c["fn"][cls]
-        scores.append(2 * c["tp"][cls] / denom if denom else 0.0)
+    vocab, right, wrong = _confusion(preds, golds, labels)
+    scores = [2 * right[c] / (2 * right[c] + wrong[c]) if right[c] + wrong[c] else 0.0 for c in vocab]
     return float(np.mean(scores))
 
 
@@ -91,19 +80,11 @@ def auc(scores: list[float], labels: list[int]) -> float:
     if len(scores) != len(labels):
         raise ValueError("scores and labels differ in length")
     n_pos, n_neg = _check_binary(labels)
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = np.asarray(scores, dtype=float)[order]
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[i : j + 1] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
-    rank_by_index = np.empty(len(scores))
-    rank_by_index[order] = ranks
-    pos_rank_sum = sum(r for r, y in zip(rank_by_index, labels) if y == 1)
+    values = np.asarray(scores, dtype=float)
+    ordered = np.sort(values)
+    # each score's 1-based rank, averaged over the scores equal to it
+    ranks = (np.searchsorted(ordered, values, "left") + np.searchsorted(ordered, values, "right") + 1) / 2.0
+    pos_rank_sum = sum(ranks[np.asarray(labels) == 1].tolist())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -113,14 +94,9 @@ def ap(scores: list[float], labels: list[int]) -> float:
     if len(scores) != len(labels):
         raise ValueError("scores and labels differ in length")
     n_pos, _ = _check_binary(labels)
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
-    tp = 0
-    total = 0.0
-    for k, i in enumerate(order, start=1):
-        if labels[i] == 1:
-            tp += 1
-            total += tp / k
-    return total / n_pos
+    hits = np.asarray(labels)[np.argsort(-np.asarray(scores, dtype=float), kind="stable")] == 1
+    precision = np.cumsum(hits) / np.arange(1, len(hits) + 1)
+    return sum(precision[hits].tolist()) / n_pos
 
 
 # -- split protocol ----------------------------------------------------------------
@@ -207,22 +183,10 @@ def build_splits(
         "test": positives[n_train + n_val :],
     }
     used: set[tuple[str, str, str]] = set()  # negatives drawn so far; edges are rejected anyway
-    for part_name in ("train", "val", "test"):
-        part_pos = parts[part_name]
-        by_type: dict[str, list[tuple[str, str]]] = {}
-        for s, t, ename in part_pos:
-            by_type.setdefault(ename, []).append((s, t))
+    for part_name, part_pos in parts.items():
         negatives: list[tuple[str, str, str]] = []
-        for ename in sorted(by_type):
-            negs = sample_negatives(
-                g,
-                ename,
-                by_type[ename],
-                LINK_NEGATIVE_RATIO * len(by_type[ename]),
-                rng,
-                forbidden=used,
-            )
-            for s, t in negs:
+        for ename, pos in by_relation(part_pos).items():
+            for s, t in sample_negatives(g, ename, pos, LINK_NEGATIVE_RATIO * len(pos), rng, forbidden=used):
                 negatives.append((s, t, ename))
                 used.add((s, t, ename))
         spec.edge_splits[part_name] = LinkPart(positives=part_pos, negatives=negatives)
@@ -246,18 +210,13 @@ def link_protocol(g: HeteroGraph, seed: int) -> LinkProtocol:
     splits = build_splits(g, {}, Task.LinkPrediction, seed=seed)
     train, val, test = (splits.edge_splits[part] for part in ("train", "val", "test"))
     held_out = set(val.positives + test.positives)
-    train_pos: dict[str, list[tuple[str, str]]] = {}
-    for s, t, e in train.positives:
-        train_pos.setdefault(e, []).append((s, t))
-    val_samples = EdgeSampleSet()
-    for e in sorted({x for _, _, x in val.positives + val.negatives}):
-        val_samples.by_type[e] = EdgeSample(
-            positives=[(s, t) for s, t, x in val.positives if x == e],
-            negatives=[(s, t) for s, t, x in val.negatives if x == e],
-        )
+    val_pos, val_neg = by_relation(val.positives), by_relation(val.negatives)
+    val_samples = EdgeSampleSet(
+        {e: EdgeSample(val_pos.get(e, []), val_neg.get(e, [])) for e in sorted(val_pos.keys() | val_neg.keys())}
+    )
     return LinkProtocol(
         g_train=HeteroGraph(g.schema, g.nodes, [e for e in g.edges if e not in held_out], g.node_text),
-        train_pos=train_pos,
+        train_pos=by_relation(train.positives),
         val_samples=val_samples,
         test_pairs=[(s, t) for s, t, _ in test.positives + test.negatives],
         test_labels=[1] * len(test.positives) + [0] * len(test.negatives),
@@ -300,7 +259,7 @@ def profile_run(
     K: int,
     targets: list[str] | None = None,
     cache: VectorCache | None = None,
-    dim: int = 16,
+    dim: int = MOCK_DIM,
 ) -> EfficiencyReport:
     """Tokenize at each hop budget k <= K and report call counts, stored-vector
     counts, and the naive per-path-instance call count a pooling-free

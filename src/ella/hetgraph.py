@@ -230,10 +230,7 @@ class HeteroGraph:
             raise KeyError(f"unknown node {nid!r}") from None
 
     def type_counts(self) -> dict[str, int]:
-        counts = {t: 0 for t in self.schema.node_types}
-        for _, t in self.nodes:
-            counts[t] += 1
-        return counts
+        return {t: len(ids) for t, ids in self._of_type.items()}
 
 
 def typed_neighbors(g: HeteroGraph, v: str) -> list[str]:

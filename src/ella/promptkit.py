@@ -125,10 +125,9 @@ def build_relation_prompt(
     Only profile patterns ending at ``dst_type`` are listed. When no such walk
     exists a single schema-derived pattern is rendered with proportion 0.00.
     """
-    if src_type not in schema.node_types:
-        raise KeyError(f"unknown node type {src_type!r}")
-    if dst_type not in schema.node_types:
-        raise KeyError(f"unknown node type {dst_type!r}")
+    for ntype in (src_type, dst_type):
+        if ntype not in schema.node_types:
+            raise KeyError(f"unknown node type {ntype!r}")
     if profile.hop != hop:
         raise ValueError(f"profile is for hop {profile.hop}, prompt requested hop {hop}")
 

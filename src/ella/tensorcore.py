@@ -77,11 +77,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- arithmetic -------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _broadcast(op, a: Tensor, b: Tensor, name: str) -> np.ndarray:
+    """``op`` of the two values; shapes that do not broadcast raise ``ShapeError``."""
     try:
-        data = a.data + b.data
+        return op(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+        raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    data = _broadcast(np.add, a, b, "add")
 
     def backward(out):
         a.accumulate(_unbroadcast(out.grad, a.shape))
@@ -91,10 +96,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}") from None
+    data = _broadcast(np.subtract, a, b, "sub")
 
     def backward(out):
         a.accumulate(_unbroadcast(out.grad, a.shape))
@@ -104,10 +106,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
+    data = _broadcast(np.multiply, a, b, "mul")
 
     def backward(out):
         if a.requires_grad:
@@ -147,10 +146,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 b.accumulate(a.data.reshape(-1, k).T @ g)
 
         return _result(data, (a, b), backward)
-    try:
-        data = a.data @ b.data
-    except ValueError:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
+    data = _broadcast(np.matmul, a, b, "matmul")
 
     def backward(out):
         if a.requires_grad:
@@ -392,10 +388,7 @@ def grad_check(
         if p.requires_grad
     }
 
-    coords = []
-    for name in sorted(analytic):
-        for idx in range(params[name].data.size):
-            coords.append((name, idx))
+    coords = [(name, idx) for name in sorted(analytic) for idx in range(params[name].data.size)]
     rng = np.random.default_rng(seed)
     if len(coords) > n_samples:
         chosen = rng.choice(len(coords), size=n_samples, replace=False)

@@ -36,6 +36,7 @@ class TrainingDiverged(RuntimeError):
 
 LR_GRID = (1e-2, 1e-3, 1e-4)  # the learning rates fine-tuning tries
 VAL_FRACTION = 0.1  # the share of each relation's positives pretraining holds out
+NEG_RATIO = 1  # the negatives pretraining draws per positive
 
 
 @dataclass
@@ -43,14 +44,13 @@ class TrainConfig:
     lr: float = 1e-4
     patience: int = 30
     max_epochs: int = 200
-    neg_ratio: int = 1
     dump_path: str | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real) or not 0 <= self.lr < np.inf:
             raise ValueError(f"lr must be a finite number >= 0, not {self.lr!r}")
-        for name, low in (("patience", 0), ("max_epochs", 0), ("neg_ratio", 1)):
-            check_int(name, getattr(self, name), low)
+        for name in ("patience", "max_epochs"):
+            check_int(name, getattr(self, name), 0)
         if self.dump_path is not None and not isinstance(self.dump_path, str):
             raise ValueError(f"dump_path must be a string, not {self.dump_path!r}")
 
@@ -66,12 +66,7 @@ class EdgeSampleSet:
     by_type: dict[str, EdgeSample] = field(default_factory=dict)
 
     def endpoints(self) -> set[str]:
-        nodes: set[str] = set()
-        for sample in self.by_type.values():
-            for s, t in sample.positives + sample.negatives:
-                nodes.add(s)
-                nodes.add(t)
-        return nodes
+        return {n for sample in self.by_type.values() for pair in sample.positives + sample.negatives for n in pair}
 
 
 def _lemire(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,15 +172,10 @@ def sample_negatives(
                 break
     if len(out) < count:
         # exact fallback: enumerate the complement (desk-scale graphs only)
-        complement = []
-        for s in src_pool:
-            for t in dst_pool:
-                if s == t or is_edge(s, t):
-                    continue
-                key = (s, t) if (et.src != et.dst or s <= t) else (t, s)
-                if key in chosen or (et.src == et.dst and key != (s, t)):
-                    continue
-                complement.append(key)
+        complement = [
+            (s, t) for s in src_pool for t in dst_pool  # a same-type pair once, in its sorted order
+            if s != t and (et.src != et.dst or s < t) and not is_edge(s, t) and (s, t) not in chosen
+        ]
         need = count - len(out)
         if not out and not complement:
             raise SamplingError(f"relation {etype_name!r} is complete; no negatives exist")
@@ -199,6 +189,15 @@ def sample_negatives(
     return out
 
 
+def by_relation(edges) -> dict[str, list[tuple[str, str]]]:
+    """The ``(source, target)`` pairs of ``(source, target, relation)`` triples
+    per relation, in input order; the relations in name order."""
+    pairs: dict[str, list[tuple[str, str]]] = {}
+    for s, t, ename in edges:
+        pairs.setdefault(ename, []).append((s, t))
+    return {ename: pairs[ename] for ename in sorted(pairs)}
+
+
 def sample_edges(g: HeteroGraph, ratio: int, seed: int) -> EdgeSampleSet:
     """Per relation type: all edges as positives plus ``ratio`` uniformly
     corrupted negatives per positive, rejecting existing edges."""
@@ -206,11 +205,8 @@ def sample_edges(g: HeteroGraph, ratio: int, seed: int) -> EdgeSampleSet:
         raise ValueError("negative ratio must be >= 1")
     rng = np.random.default_rng(seed)
     sampleset = EdgeSampleSet()
-    positives_by_type: dict[str, list[tuple[str, str]]] = {}
-    for s, t, ename in g.edges:
-        positives_by_type.setdefault(ename, []).append((s, t))
-    for ename in sorted(positives_by_type):
-        positives = sorted(positives_by_type[ename])
+    for ename, pairs in by_relation(g.edges).items():
+        positives = sorted(pairs)
         negatives = sample_negatives(g, ename, positives, ratio * len(positives), rng)
         sampleset.by_type[ename] = EdgeSample(positives=positives, negatives=negatives)
     return sampleset
@@ -412,7 +408,7 @@ def _fit(
     best_values = {n: t.data.copy() for n, t in trainable.items()}
     best_val, best_epoch = np.full(lr.shape, np.inf), np.full(lr.shape, -1)
     live = np.ones(lr.shape, dtype=bool)
-    epoch = 0
+    epoch = -1  # the last epoch run, if any
     train_curve: list[float] = []
     val_curve: list = []
     for epoch in range(train_cfg.max_epochs):
@@ -459,7 +455,7 @@ def pretrain(
     if (train_positives is None) != (val_samples is None):
         raise ValueError("provide both train_positives and val_samples, or neither")
     if train_positives is None:
-        base = sample_edges(g, train_cfg.neg_ratio, seed)
+        base = sample_edges(g, NEG_RATIO, seed)
         train_positives, val_samples = _holdout_split(base, seed)
 
     # Every endpoint an epoch can draw: the node pools of the trained
@@ -485,9 +481,7 @@ def pretrain(
         epoch_rows = []
         for ename, pos_rows in zip(train_names, train_rows):
             pos = train_positives[ename]
-            neg = sample_negatives(
-                g, ename, pos, train_cfg.neg_ratio * len(pos), rng, forbidden
-            )
+            neg = sample_negatives(g, ename, pos, NEG_RATIO * len(pos), rng, forbidden)
             epoch_rows.append((pos_rows, _pair_rows(neg, index, g.node_type)))
 
         Z = forward_batch(batch, params, model_cfg)

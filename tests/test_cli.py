@@ -193,6 +193,17 @@ def test_cache_building_commands_close_their_cache(workdir, tmp_path, monkeypatc
     assert len(encoder.VectorCache(cache)) > 0
 
 
+def test_profile_reads_the_cache_tokenize_wrote_with_default_dims(workdir, tmp_path):
+    cache = tmp_path / "cache.bin"
+    args = ["--graph", str(workdir / "graph"), "--hops", "2", "--cache", str(cache)]
+    run_cli(["tokenize", *args, "--out", str(tmp_path / "t.bin")])
+    size = cache.stat().st_size
+    result = run_cli(["profile", *args, "--out", str(tmp_path / "p.csv")])
+    rows = [line for line in result.output.splitlines() if line.startswith("K=")]
+    assert len(rows) == 2 and all(row.endswith(" cache-complete") for row in rows), result.output
+    assert cache.stat().st_size == size
+
+
 def _untrained_checkpoint(graph_dir, out, recorded=None):
     """An initialised 1-hop checkpoint whose metadata records ``recorded``, by
     default what a pretrain run with seed 0 records."""
@@ -202,6 +213,16 @@ def _untrained_checkpoint(graph_dir, out, recorded=None):
     recorded = {"command": "pretrain", "seed": 0} if recorded is None else recorded
     cli._save_params(init_params(cfg, g.schema.node_types, class_counts), cfg, out, recorded)
     return out
+
+
+def test_load_params_refuses_a_model_config_key_that_is_now_a_constant(workdir):
+    ckpt = _untrained_checkpoint(workdir / "graph", str(workdir / "ffn.ckpt"))
+    meta_path = Path(ckpt + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    meta["model_config"]["ffn_mult"] = 2  # what checkpoints recorded while it was a setting
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(click.ClickException, match="ffn.ckpt.meta.json: unknown model keys: ffn_mult"):
+        cli._load_params(ckpt)
 
 
 def test_load_params_checks_checkpoint_hash(workdir):
@@ -233,6 +254,8 @@ def test_load_params_checks_checkpoint_hash(workdir):
         ({"model": {"d_llm": 7}}, "model.d_llm is not a pretrain setting: it comes from the token file's vector dim"),
         ({"train": {"lr_grid": [0.5]}}, "unknown train keys: lr_grid"),
         ({"train": {"val_fraction": 0.2}}, "unknown train keys: val_fraction"),
+        ({"model": {"ffn_mult": 2}}, "config.json: unknown model keys: ffn_mult"),
+        ({"train": {"neg_ratio": 1}}, "config.json: unknown train keys: neg_ratio"),
     ],
 )
 def test_train_config_unknown_keys(tmp_path, doc, unknown):
@@ -261,8 +284,6 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
         ({"train": {"lr": "1e-3"}}, "invalid train config: lr must be a finite number >= 0, not '1e-3'"),
         ({"train": {"lr": True}}, "invalid train config: lr must be a finite number >= 0, not True"),
         ({"train": {"lr": -1.0}}, "invalid train config: lr must be a finite number >= 0, not -1.0"),
-        ({"train": {"neg_ratio": 0}}, "invalid train config: neg_ratio must be >= 1, got 0"),
-        ({"train": {"neg_ratio": 1.5}}, "invalid train config: neg_ratio must be an integer, not 1.5"),
         ({"train": {"max_epochs": -2}}, "invalid train config: max_epochs must be >= 0, got -2"),
         ({"train": {"dump_path": 5}}, "invalid train config: dump_path must be a string, not 5"),
         ({"model": {"d": 8.0}}, "invalid model config: d must be an integer, not 8.0"),
@@ -270,14 +291,12 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
         ({"model": {"heads": 0}}, "invalid model config: heads must be >= 1, got 0"),
         ({"model": {"heads": True}}, "invalid model config: heads must be an integer, not True"),
         ({"model": {"type_layers": True}}, "invalid model config: type_layers must be an integer, not True"),
-        ({"model": {"ffn_mult": 0}}, "invalid model config: ffn_mult must be >= 1, got 0"),
-        ({"model": {"ffn_mult": 1.5}}, "invalid model config: ffn_mult must be an integer, not 1.5"),
     ],
     ids=["indivisible_heads", "zero_hops", "string_dim", "list_document", "string_document",
          "list_model", "int_train", "empty_list_model", "empty_string_model", "null_model", "zero_train",
-         "string_patience", "word_lr", "string_lr", "bool_lr", "negative_lr", "zero_neg_ratio",
-         "fractional_neg_ratio", "negative_max_epochs", "int_dump_path", "float_d", "zero_d", "zero_heads",
-         "bool_heads", "bool_type_layers", "zero_ffn_mult", "fractional_ffn_mult"],
+         "string_patience", "word_lr", "string_lr", "bool_lr", "negative_lr",
+         "negative_max_epochs", "int_dump_path", "float_d", "zero_d", "zero_heads",
+         "bool_heads", "bool_type_layers"],
 )
 def test_train_config_invalid_values(tmp_path, doc, message):
     path = tmp_path / "config.json"
@@ -843,9 +862,9 @@ def test_pretrain_with_zero_epochs(workdir):
     result = run_cli(
         ["pretrain", "--graph", graph_dir, "--tokens", tokens, "--config", str(config), "--out", ckpt]
     )
-    assert "best val loss n/a" in result.output
+    assert "best epoch -1, last epoch -1, best val loss n/a" in result.output
     meta = json.loads(Path(ckpt + ".meta.json").read_text())
-    assert meta["epochs_run"] == 0 and meta["best_val_loss"] is None
+    assert meta["epochs_run"] == 0 and meta["best_val_loss"] is None and meta["last_epoch"] == -1
 
 
 def test_finetune_refuses_a_changed_backbone(workdir, monkeypatch):

@@ -606,11 +606,17 @@ def _token_arrays(doc=None, **arrays):
         _token_arrays({"relation_keys": [["a", 1]]}),
         _token_arrays(rel=np.ones((1, 3))),
         _token_arrays(extra=np.ones(2)),
+        _token_arrays({"relation_keys": [[12345, 1, "paper"]]}),
+        _token_arrays({"relation_keys": [["a", 1, None]]}),
+        _token_arrays({"relation_keys": [["a", 0, "paper"]]}),
+        _token_arrays({"relation_keys": [["a", -1, "paper"]]}),
+        _token_arrays({"node_ids": [7, "b"]}),
+        _token_arrays({"node_ids": ["a", None]}),
     ],
     ids=[
         "not_json", "wrong_format", "node_count", "relation_count", "duplicate_node",
         "duplicate_relation", "string_hop", "float_hop", "short_key", "mismatched_widths",
-        "extra_array",
+        "extra_array", "int_source", "null_type", "zero_hop", "negative_hop", "int_node", "null_node",
     ],
 )
 def test_load_tokens_rejects_malformed_index(tmp_path, arrays):

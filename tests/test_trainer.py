@@ -417,6 +417,13 @@ def test_pretrain_frozen_val_stops_at_patience():
     assert len(result.val_curve) == 31
 
 
+def test_pretrain_with_zero_epochs_reports_no_epoch_run():
+    g, cfg, table = small_link_setup()
+    result = pretrain(g, table, cfg, TrainConfig(max_epochs=0), seed=0)
+    assert (result.best_epoch, result.last_epoch, result.val_curve) == (-1, -1, [])
+    assert result.metadata() == {"best_epoch": -1, "last_epoch": -1, "best_val_loss": None, "epochs_run": 0}
+
+
 def test_pretrain_never_exceeds_best_plus_patience():
     g, cfg, table = small_link_setup()
     patience = 5
@@ -518,7 +525,7 @@ def test_held_out_pretrain_draws_no_forbidden_negative(monkeypatch):
     result = pretrain(g_train, table, cfg, train_cfg, seed=0,
                       train_positives=train_pos, val_samples=val, forbidden=forbidden)
     epochs = result.last_epoch + 1
-    assert len(drawn) == epochs * train_cfg.neg_ratio * sum(len(pos) for pos in train_pos.values())
+    assert len(drawn) == epochs * trainer.NEG_RATIO * sum(len(pos) for pos in train_pos.values())
     assert not any((s, t, e) in forbidden or (t, s, e) in forbidden for s, t, e in drawn)
 
 
