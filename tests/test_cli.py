@@ -284,6 +284,9 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
         ({"train": {"lr": "1e-3"}}, "invalid train config: lr must be a finite number >= 0, not '1e-3'"),
         ({"train": {"lr": True}}, "invalid train config: lr must be a finite number >= 0, not True"),
         ({"train": {"lr": -1.0}}, "invalid train config: lr must be a finite number >= 0, not -1.0"),
+        # neg_ratio and ffn_mult are constants now: any value of theirs is refused as an unknown key
+        ({"train": {"neg_ratio": 0}}, "unknown train keys: neg_ratio"),
+        ({"train": {"neg_ratio": 1.5}}, "unknown train keys: neg_ratio"),
         ({"train": {"max_epochs": -2}}, "invalid train config: max_epochs must be >= 0, got -2"),
         ({"train": {"dump_path": 5}}, "invalid train config: dump_path must be a string, not 5"),
         ({"model": {"d": 8.0}}, "invalid model config: d must be an integer, not 8.0"),
@@ -291,12 +294,14 @@ def test_train_config_unknown_keys(tmp_path, doc, unknown):
         ({"model": {"heads": 0}}, "invalid model config: heads must be >= 1, got 0"),
         ({"model": {"heads": True}}, "invalid model config: heads must be an integer, not True"),
         ({"model": {"type_layers": True}}, "invalid model config: type_layers must be an integer, not True"),
+        ({"model": {"ffn_mult": 0}}, "unknown model keys: ffn_mult"),
+        ({"model": {"ffn_mult": 1.5}}, "unknown model keys: ffn_mult"),
     ],
     ids=["indivisible_heads", "zero_hops", "string_dim", "list_document", "string_document",
          "list_model", "int_train", "empty_list_model", "empty_string_model", "null_model", "zero_train",
-         "string_patience", "word_lr", "string_lr", "bool_lr", "negative_lr",
-         "negative_max_epochs", "int_dump_path", "float_d", "zero_d", "zero_heads",
-         "bool_heads", "bool_type_layers"],
+         "string_patience", "word_lr", "string_lr", "bool_lr", "negative_lr", "zero_neg_ratio",
+         "fractional_neg_ratio", "negative_max_epochs", "int_dump_path", "float_d", "zero_d", "zero_heads",
+         "bool_heads", "bool_type_layers", "zero_ffn_mult", "fractional_ffn_mult"],
 )
 def test_train_config_invalid_values(tmp_path, doc, message):
     path = tmp_path / "config.json"
