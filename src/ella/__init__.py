@@ -28,7 +28,6 @@ from .encoder import (
     PrototypeBackend,
     TokenTable,
     VectorCache,
-    encode_text,
     pooled_node_token,
     relation_token,
     tokenize_graph,
@@ -61,7 +60,7 @@ __all__ = [
     "MetaPathProfile", "MockBackend", "ModelConfig", "ModelParams", "PrototypeBackend",
     "SchemaDef", "SplitSpec", "SynthConfig", "Task", "TemplateId", "TokenBatch", "TokenTable",
     "TrainConfig", "VectorCache", "ap", "auc", "build_relation_prompt", "build_splits",
-    "encode_text", "enumerate_walks", "finetune", "forward", "forward_batch",
+    "enumerate_walks", "finetune", "forward", "forward_batch",
     "hop_type_neighbors", "init_params", "load_graph", "macro_f1", "meta_path_profile",
     "micro_f1", "pad_tokens", "pooled_node_token", "pretrain", "pretrain_loss", "profile_run",
     "relation_token", "sample_edges", "save_graph", "similarity", "synth_generate",

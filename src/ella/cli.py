@@ -278,7 +278,15 @@ def pretrain(graph_dir, tokens_path, config_path, seed, out_path):
             f"not {TemplateId.PretrainLink.value!r}; re-run 'ella tokenize'"
         )
     model_cfg = dataclasses.replace(model_cfg, d_llm=table.dim, hops=tokens_meta["hops"])
-    result = trainer.pretrain(g, table, model_cfg, train_cfg, seed=seed)
+    try:
+        result = trainer.pretrain(g, table, model_cfg, train_cfg, seed=seed)
+    except trainer.SamplingError as exc:  # such as a relation with no non-edge to draw
+        raise click.ClickException(f"{graph_dir}: cannot draw pretraining negatives: {exc}") from None
+    except trainer.TrainingDiverged as exc:
+        dumped = f"; state dumped to {train_cfg.dump_path}" if train_cfg.dump_path else ""
+        raise click.ClickException(f"pretraining diverged: {exc}{dumped}") from None
+    except OSError as exc:  # pretraining writes no file but the divergence dump
+        raise click.ClickException(f"pretraining diverged, and the dump failed: {exc}") from None
     run_meta = result.metadata()
     _save_params(
         result.params,
@@ -384,7 +392,10 @@ def evaluate(ckpt_path, out_path, graph_dir, tokens_path, labels_path):
         rows.append(("micro_f1", "test", evalkit.micro_f1(preds, golds, labels=vocab)))
         rows.append(("macro_f1", "test", evalkit.macro_f1(preds, golds, labels=vocab)))
     else:
-        proto = evalkit.link_protocol(g, meta["seed"])
+        try:
+            proto = evalkit.link_protocol(g, meta["seed"])
+        except trainer.SamplingError as exc:  # a graph too dense for the split's negatives
+            raise click.ClickException(f"{graph_dir}: cannot split the link task: {exc}") from None
         scores = trainer.score_pairs(proto.test_pairs, params, table, model_cfg, g.node_type).tolist()
         rows.append(("auc", "test", evalkit.auc(scores, proto.test_labels)))
         rows.append(("ap", "test", evalkit.ap(scores, proto.test_labels)))

@@ -149,14 +149,9 @@ class AttentionCapture:
 # -- blocks -------------------------------------------------------------------
 #
 # Every block takes token sets as (..., n, d) tensors: one set is (n, d), a
-# batch of sets carries leading axes. An optional boolean ``keep`` of shape
+# batch of sets carries leading axes. A required boolean ``keep`` of shape
 # (..., n) marks the real tokens; padded ones are masked out as attention keys
 # and readout entries, so they change no real output and receive no gradient.
-
-
-def _all_real(x: Tensor) -> np.ndarray:
-    """A ``keep`` marking every token of the (..., n, d) sets in ``x`` real."""
-    return np.ones(x.shape[:-1], dtype=bool)
 
 
 def _record_rows(capture: AttentionCapture, probs: np.ndarray, keep: np.ndarray) -> None:
@@ -180,12 +175,11 @@ def _mha(
     prefix: str,
     x: Tensor,
     heads: int,
+    keep: np.ndarray,
     capture: AttentionCapture | None,
-    keep: np.ndarray | None = None,
 ) -> Tensor:
     dk = params[f"{prefix}/attn/q0"].shape[1]
     inv_sqrt = 1.0 / np.sqrt(dk)
-    keep = _all_real(x) if keep is None else keep
     key_mask = keep[..., None, :]
     outs = []
     for j in range(heads):
@@ -209,12 +203,12 @@ def _encoder_layer(
     prefix: str,
     x: Tensor,
     heads: int,
+    keep: np.ndarray,
     capture: AttentionCapture | None,
-    keep: np.ndarray | None,
 ) -> Tensor:
     # pre-LN residual form: x + MHA(LN(x)), then x + FFN(LN(x))
     normed = tc.layer_norm(x, params[f"{prefix}/ln1/g"], params[f"{prefix}/ln1/b"])
-    x = tc.add(x, _mha(params, prefix, normed, heads, capture, keep))
+    x = tc.add(x, _mha(params, prefix, normed, heads, keep, capture))
     normed = tc.layer_norm(x, params[f"{prefix}/ln2/g"], params[f"{prefix}/ln2/b"])
     return tc.add(x, _ffn(params, prefix, normed))
 
@@ -223,27 +217,24 @@ def type_block(
     params: ModelParams,
     U: Tensor,
     cfg: ModelConfig,
+    keep: np.ndarray,
     capture: AttentionCapture | None = None,
-    keep: np.ndarray | None = None,
 ) -> Tensor:
     """Mix the per-type relation tokens of one hop (shared weights across hops)."""
     if U.shape[-2] < 1:
         raise tc.ShapeError("type_block needs at least one token")
     x = U
     for l in range(cfg.type_layers):
-        x = _encoder_layer(params, f"type/{l}", x, cfg.heads, capture, keep)
+        x = _encoder_layer(params, f"type/{l}", x, cfg.heads, keep, capture)
     return x
 
 
-def type_readout(
-    u_proj: Tensor, U_hat: Tensor, keep: np.ndarray | None = None
-) -> tuple[Tensor, np.ndarray]:
+def type_readout(u_proj: Tensor, U_hat: Tensor, keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Attention of the target token (..., 1, d) over the mixed type tokens
     (..., m, d); returns the hop feature token as a (..., 1, d) row and the
     weights alpha as a (..., 1, m) array, 0 on padded slots."""
     if U_hat.shape[-2] < 1:
         raise tc.ShapeError("type_readout needs at least one token")
-    keep = _all_real(U_hat) if keep is None else keep
     scores = tc.matmul(u_proj, tc.transpose(U_hat))  # (..., 1, m)
     alpha = tc.softmax(scores, keep[..., None, :])
     return tc.matmul(alpha, U_hat), alpha.data
@@ -253,30 +244,27 @@ def hop_block(
     params: ModelParams,
     H: Tensor,
     cfg: ModelConfig,
+    keep: np.ndarray,
     capture: AttentionCapture | None = None,
-    keep: np.ndarray | None = None,
 ) -> Tensor:
     """Mix the K+1 hop tokens; position 0 is the target node itself."""
     x = H
     for l in range(cfg.hop_layers):
-        x = _encoder_layer(params, f"hop/{l}", x, cfg.heads, capture, keep)
+        x = _encoder_layer(params, f"hop/{l}", x, cfg.heads, keep, capture)
     return x
 
 
-def hop_readout(
-    params: ModelParams, H_hat: Tensor, keep: np.ndarray | None = None
-) -> tuple[Tensor, np.ndarray]:
+def hop_readout(params: ModelParams, H_hat: Tensor, keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Gated combination: z = h0 + sum_j gamma_j * h_j with gamma a softmax of
     per-hop scores of the concatenated (h0 || h_j) pairs.
 
     ``H_hat`` is (..., K+1, d) with K >= 1; returns z as (..., 1, d) and
-    gamma as a (..., 1, K) array. ``keep`` (..., K) marks the hops that are
-    present, all by default; gamma is 0 on the others.
+    gamma as a (..., 1, K) array. The required ``keep`` (..., K) marks the
+    hops that are present; gamma is 0 on the others.
     """
     k = H_hat.shape[-2] - 1
     if k < 1:
         raise tc.ShapeError("hop_readout needs at least one hop token")
-    keep = np.ones(H_hat.shape[:-2] + (k,), dtype=bool) if keep is None else keep
     h0 = tc.gather(H_hat, [0], axis=-2)
     rest = tc.gather(H_hat, list(range(1, k + 1)), axis=-2)
     pairs = tc.concat([tc.mul(Tensor(np.ones((k, 1))), h0), rest], axis=-1)  # (..., k, 2d)
@@ -347,12 +335,12 @@ def forward_batch(
     ids, node, rel, keep, names = batch
     B, K, d = len(ids), keep.shape[1], cfg.d
     u_proj = tc.reshape(project(params, Tensor(node)), (B, 1, d))
-    U_hat = type_block(params, project(params, Tensor(rel)), cfg, capture, keep)
+    U_hat = type_block(params, project(params, Tensor(rel)), cfg, keep, capture)
     h, alpha = type_readout(tc.reshape(u_proj, (B, 1, 1, d)), U_hat, keep)  # (B, K, 1, d)
     present = keep.any(axis=-1)  # (B, K)
     H = tc.concat([u_proj, tc.reshape(h, (B, K, d))], axis=1)
     hop_keep = np.concatenate([np.ones((B, 1), dtype=bool), present], axis=1)
-    H_hat = hop_block(params, H, cfg, capture, hop_keep)
+    H_hat = hop_block(params, H, cfg, hop_keep, capture)
     z, gamma = hop_readout(params, H_hat, present)
     if capture is not None:
         for b, s in enumerate(ids):

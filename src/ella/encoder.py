@@ -36,6 +36,8 @@ WALK_CHUNK = 256  # targets whose walks tokenize_graph counts together
 
 MOCK_DIM = 64  # the mock backends' vector width unless one is given
 
+HTTP_TIMEOUT = 30.0  # seconds HttpBackend waits for each reply
+
 
 class EncoderError(RuntimeError):
     pass
@@ -151,23 +153,26 @@ class HttpBackend:
     "placeholders", "pooling"} -> {"embedding", "dim"}.
     """
 
-    def __init__(self, endpoint: str, pooling: str = "mean", timeout: float = 30.0) -> None:
+    def __init__(self, endpoint: str, pooling: str = "mean") -> None:
         self.endpoint = endpoint.rstrip("/")
         self.pooling = pooling
-        self.timeout = timeout
-        info = self._json(urllib.request.Request(f"{self.endpoint}/v1/info"))
+        info = self._json(f"{self.endpoint}/v1/info")
         try:
             self.name, self.dim = str(info["name"]), _json_dim(info)
         except (KeyError, TypeError, ValueError) as exc:
             raise EncoderTransportError(f"bad handshake response from {self.endpoint}/v1/info: {info!r}") from exc
 
-    def _json(self, req: urllib.request.Request):
-        """The JSON reply to ``req``; a transport or decoding failure names its method and URL."""
+    def _json(self, url: str, body: bytes | None = None):
+        """The JSON reply to a GET of ``url``, or to a POST of the JSON ``body``;
+        a malformed URL, a transport failure or an undecodable reply names the
+        method and the URL."""
+        method, headers = ("GET", {}) if body is None else ("POST", {"Content-Type": "application/json"})
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            req = urllib.request.Request(url, body, headers)  # a POST when it has a body
+            with urllib.request.urlopen(req, timeout=HTTP_TIMEOUT) as resp:
                 return json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            raise EncoderTransportError(f"{req.get_method()} {req.full_url} failed: {exc}") from exc
+        except (urllib.error.URLError, OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            raise EncoderTransportError(f"{method} {url} failed: {exc}") from exc
 
     def encode(self, template_id, text, placeholders=None):
         if not text:
@@ -181,7 +186,7 @@ class HttpBackend:
             }
         ).encode("utf-8")
         url = f"{self.endpoint}/v1/encode"
-        payload = self._json(urllib.request.Request(url, body, {"Content-Type": "application/json"}, method="POST"))
+        payload = self._json(url, body)
         try:
             vec = np.asarray(payload["embedding"], dtype=np.float64)
             dim = _json_dim(payload)
@@ -312,12 +317,13 @@ class TokenTable:
 
 
 class TokenizeRun:
-    """What the requests of one tokenization share: the table and cache they
-    fill, the backend's cache owner, and, once every node has its token, the
-    node tokens as a matrix whose rows follow sorted node ids."""
+    """What the requests of one tokenization share: the backend that encodes
+    them, the table and cache they fill, the backend's cache owner, and, once
+    every node has its token, the node tokens as a matrix whose rows follow
+    sorted node ids."""
 
     def __init__(self, backend, table: TokenTable, cache: VectorCache | None = None) -> None:
-        self.table, self.cache = table, cache
+        self.backend, self.table, self.cache = backend, table, cache
         self.owner = f"{backend.name}:{backend.dim}"
         if isinstance(backend, HttpBackend):  # its vectors follow the pooling it asks for
             self.owner += f":{backend.pooling}"
@@ -336,9 +342,10 @@ class TokenizeRun:
             raise EncoderError(f"node token for {s!r} missing")
         return self.table.node_tokens[s], placeholder_bytes(self.table.node_tokens[s])
 
-    def call(self, backend, template_id: str, text: str, placeholders: list[np.ndarray], keys: list):
-        """One backend call on the placeholders, unless the cache holds the
-        request; ``keys`` are the placeholders as ``VectorCache.key_for`` takes them."""
+    def call(self, template_id: str, text: str, placeholders: list[np.ndarray], keys: list):
+        """One call of the run's backend on the placeholders, unless the cache
+        holds the request; ``keys`` are the placeholders as ``VectorCache.key_for``
+        takes them."""
         if not text:
             raise EncoderError("cannot encode empty text")
         table, cache = self.table, self.cache
@@ -350,15 +357,8 @@ class TokenizeRun:
                 return hit
         table.call_count += 1
         table.calls_by_template[template_id] = table.calls_by_template.get(template_id, 0) + 1
-        vec = backend.encode(template_id, text, placeholders)
+        vec = self.backend.encode(template_id, text, placeholders)
         return vec if cache is None else cache.put(key, vec)
-
-
-def encode_text(
-    backend, text: str, table: TokenTable, cache: VectorCache | None = None
-) -> np.ndarray:
-    """Encode raw node text; one backend call unless served from the cache."""
-    return TokenizeRun(backend, table, cache).call(backend, NODE_TEXT_TEMPLATE_ID, text, [], [])
 
 
 def pooled_node_token(g: HeteroGraph, t: str, table: TokenTable) -> np.ndarray:
@@ -386,8 +386,10 @@ def relation_token(
     template: TemplateId,
     prompt: str,
 ) -> np.ndarray:
-    """Encode the hop-``hop`` type-``t`` relation of ``s``: exactly one call,
-    on the ``template`` prompt text ``prompt``.
+    """Encode the hop-``hop`` type-``t`` relation of ``s``: exactly one call
+    of ``run.backend``, on the ``template`` prompt text ``prompt``. ``backend``
+    is ``run.backend``; it stays the first argument because perfbench's probe
+    counts each target's calls on it.
 
     The placeholders are ``s_placeholder``, which is ``run.placeholder(s)``,
     and the mean of the ``members``' node tokens (zero vector when there are
@@ -404,7 +406,7 @@ def relation_token(
     else:
         pooled = np.zeros(run.table.dim)
     token, key = s_placeholder
-    vec = run.call(backend, template.value, prompt, [token, pooled], [key, pooled])
+    vec = run.call(template.value, prompt, [token, pooled], [key, pooled])
     run.table.relation_tokens[(s, hop, t)] = vec
     return vec
 
@@ -442,7 +444,7 @@ def tokenize_graph(
 
     for nid in g.node_ids():
         if nid in g.node_text:
-            table.node_tokens[nid] = run.call(backend, NODE_TEXT_TEMPLATE_ID, g.node_text[nid], [], [])
+            table.node_tokens[nid] = run.call(NODE_TEXT_TEMPLATE_ID, g.node_text[nid], [], [])
     for nid in g.node_ids():
         if nid not in g.node_text:
             table.node_tokens[nid] = pooled_node_token(g, nid, table)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .ellanet import AttentionCapture
-from .encoder import MOCK_DIM, MockBackend, VectorCache, tokenize_graph
+from .encoder import MOCK_DIM, NODE_TEXT_TEMPLATE_ID, MockBackend, VectorCache, tokenize_graph
 from .hetgraph import HeteroGraph
 from .pathstats import count_simple_paths
 from .promptkit import TemplateId
@@ -279,7 +279,7 @@ def profile_run(
             ProfileRow(
                 hops=k,
                 relation_calls=table.calls_by_template.get(TemplateId.PretrainLink.value, 0),
-                text_calls=table.calls_by_template.get("node_text", 0),
+                text_calls=table.calls_by_template.get(NODE_TEXT_TEMPLATE_ID, 0),
                 cache_hits=table.cache_hits,
                 mean_stored_per_target=float(np.mean(stored)),
                 max_stored_per_target=int(max(stored)),

@@ -275,18 +275,14 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _result(np.clip(a.data, lo, hi), (a,), backward)
 
 
-def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis.
-
-    With a boolean ``mask`` (broadcastable to ``a``), entries where it is
-    False get probability 0 and no gradient; a row with no True entry is all
-    zeros rather than NaN.
+def softmax(a: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis under a required boolean ``mask``
+    (broadcastable to ``a``): entries where it is False get probability 0 and
+    no gradient; a row with no True entry is all zeros rather than NaN.
     """
-    x = a.data
-    if mask is not None:
-        if np.broadcast_shapes(np.shape(mask), a.shape) != a.shape:
-            raise ShapeError(f"softmax: mask of shape {np.shape(mask)} does not fit {a.shape}")
-        x = np.where(mask, x, -np.inf)
+    if np.broadcast_shapes(np.shape(mask), a.shape) != a.shape:
+        raise ShapeError(f"softmax: mask of shape {np.shape(mask)} does not fit {a.shape}")
+    x = np.where(mask, a.data, -np.inf)
     top = x.max(axis=-1, keepdims=True)
     e = np.exp(x - np.where(np.isneginf(top), 0.0, top))
     total = e.sum(axis=-1, keepdims=True)

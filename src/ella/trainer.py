@@ -436,12 +436,12 @@ def pretrain(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     seed: int,
-    params: ModelParams | None = None,
     train_positives: dict[str, list[tuple[str, str]]] | None = None,
     val_samples: EdgeSampleSet | None = None,
     forbidden: set[tuple[str, str, str]] | None = None,
 ) -> PretrainResult:
-    """Full-parameter contrastive training with early stopping.
+    """Full-parameter contrastive training with early stopping, from the
+    parameters ``init_params`` draws from ``seed``.
 
     Positives default to all edges less a held-out ``VAL_FRACTION`` slice;
     negatives are resampled every epoch from an epoch-derived seed, always
@@ -449,9 +449,8 @@ def pretrain(
     edge set when training on a held-out-edge subgraph). Deterministic given
     (inputs, seed).
     """
-    if params is None:
-        class_counts = {t: len(v) for t, v in g.schema.class_labels.items()}
-        params = init_params(model_cfg, g.schema.node_types, class_counts, seed=seed)
+    class_counts = {t: len(v) for t, v in g.schema.class_labels.items()}
+    params = init_params(model_cfg, g.schema.node_types, class_counts, seed=seed)
     if (train_positives is None) != (val_samples is None):
         raise ValueError("provide both train_positives and val_samples, or neither")
     if train_positives is None:

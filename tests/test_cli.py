@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from ella import cli, encoder, evalkit, pathstats, trainer
 from ella.cli import main
 from ella.ellanet import ModelConfig, init_params
-from ella.hetgraph import load_graph_dir, load_labels, save_graph, save_labels
+from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef, load_graph_dir, load_labels, save_graph, save_labels
 from ella.tensorcore import save_arrays
 
 from fixtures import EncoderStub, complete_typed_tree, http_server, planted_node_fixture
@@ -795,6 +795,70 @@ def test_tokenize_ends_in_an_error_naming_a_target_with_too_many_walks_to_count(
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
     assert re.search(r"Error: more than 1 hop-1 walks from '\w+': too many to count", result.output), result.output
     assert not (tmp_path / "t.bin").exists()
+
+
+def test_tokenize_with_an_endpoint_without_a_scheme_ends_in_an_error_naming_it(workdir, tmp_path, monkeypatch):
+    monkeypatch.setattr(encoder.urllib.request, "urlopen", lambda *a, **k: pytest.fail("a host was contacted"))
+    result = CliRunner().invoke(main, ["tokenize", "--graph", str(workdir / "graph"), "--endpoint", "nohost",
+                                       "--out", str(tmp_path / "tokens.bin")])
+    _assert_refused(result, tmp_path / "tokens.bin", "GET nohost/v1/info failed: unknown url type: 'nohost/v1/info'")
+
+
+def _writes_graph(tmp_path, authors, papers, edges):
+    """A graph directory of ``authors`` and ``papers`` joined by the ``(author, paper)`` ``writes`` ``edges``."""
+    schema = SchemaDef(node_types=["paper", "author"], edge_types=[EdgeType("writes", "author", "paper")])
+    nodes = [(a, "author") for a in authors] + [(p, "paper") for p in papers]
+    g = HeteroGraph(schema, nodes, [(a, p, "writes") for a, p in edges], {n: f"text of {n}" for n, _ in nodes})
+    return str(save_graph(g, tmp_path / "graph"))
+
+
+def _pretrain_small(tmp_path, graph_dir, train=None):
+    """``ella pretrain`` of a small model with the ``train`` config section on
+    1-hop tokens of ``graph_dir``: the result and the checkpoint path."""
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "8"])
+    config = tmp_path / "config.json"
+    model = {"d": 8, "heads": 2, "type_layers": 1, "hop_layers": 1}
+    config.write_text(json.dumps({"model": model, "train": {"max_epochs": 3, **(train or {})}}))
+    ckpt = tmp_path / "model.ckpt"
+    args = ["pretrain", "--graph", graph_dir, "--tokens", tokens, "--config", str(config), "--out", str(ckpt)]
+    return CliRunner().invoke(main, args), ckpt
+
+
+def test_pretrain_on_a_complete_relation_ends_in_an_error_naming_the_graph(tmp_path):
+    graph_dir = _writes_graph(tmp_path, ["a1"], ["p1", "p2"], [("a1", "p1"), ("a1", "p2")])
+    result, ckpt = _pretrain_small(tmp_path, graph_dir)
+    message = f"{graph_dir}: cannot draw pretraining negatives: relation 'writes' is complete; no negatives exist"
+    _assert_refused(result, ckpt, message)
+
+
+@pytest.mark.parametrize("dump", [None, "diverged.ckpt", "missing/diverged.ckpt"], ids=["no_dump", "dump", "unwritable_dump"])
+def test_pretrain_divergence_ends_in_an_error_naming_the_epoch(tmp_path, dump):
+    authors, papers = ["a1", "a2", "a3"], ["p1", "p2", "p3"]
+    graph_dir = _writes_graph(tmp_path, authors, papers, [("a1", "p1"), ("a2", "p2"), ("a3", "p3"), ("a1", "p2")])
+    dump_path = tmp_path / (dump or "unused")
+    train = {"lr": 1e308, **({"dump_path": str(dump_path)} if dump else {})}
+    with np.errstate(over="ignore", invalid="ignore"):
+        result, ckpt = _pretrain_small(tmp_path, graph_dir, train)
+    message = {
+        None: "pretraining diverged: non-finite loss nan at epoch 1\n",
+        "diverged.ckpt": f"pretraining diverged: non-finite loss nan at epoch 1; state dumped to {dump_path}",
+        "missing/diverged.ckpt": f"pretraining diverged, and the dump failed: [Errno 2] No such file or directory: '{dump_path}'",
+    }[dump]
+    _assert_refused(result, ckpt, message)
+    assert (tmp_path / "diverged.ckpt").exists() == (dump == "diverged.ckpt")
+
+
+def test_evaluate_link_on_a_graph_too_dense_for_its_split_ends_in_an_error_naming_the_graph(tmp_path):
+    authors, papers = [f"a{i}" for i in range(5)], [f"p{i}" for i in range(5)]
+    edges = [(f"a{i}", f"p{j}") for i in range(5) for j in range(5) if (i + j) % 5 < 2]  # 10 of the 25 pairs
+    graph_dir = _writes_graph(tmp_path, authors, papers, edges)
+    pretrained, ckpt = _pretrain_small(tmp_path, graph_dir)
+    assert pretrained.exit_code == 0, pretrained.output
+    out = tmp_path / "link.csv"
+    result = CliRunner().invoke(main, ["evaluate", "--graph", graph_dir, "--tokens", str(tmp_path / "tokens.bin"),
+                                       "--ckpt", str(ckpt), "--out", str(out)])
+    _assert_refused(result, out, f"{graph_dir}: cannot split the link task: relation 'writes' admits only 3 negatives, need 4")
 
 
 def test_the_readme_walkthrough_names_only_real_commands_and_options():

@@ -31,6 +31,16 @@ def params_for(cfg, seed=0, types=("paper", "author", "organization"), classes=N
     return init_params(cfg, list(types), classes or {}, seed=seed)
 
 
+def all_real(x):
+    """A ``keep`` marking every token of the (..., n, d) sets in ``x`` real."""
+    return np.ones(x.shape[:-1], dtype=bool)
+
+
+def all_hops(H):
+    """A ``hop_readout`` ``keep`` marking every hop after the target token of ``H`` present."""
+    return all_real(H)[..., 1:]
+
+
 # -- independent single-purpose reference forward (oracle) ----------------------
 
 
@@ -143,7 +153,8 @@ def test_type_block_single_token_attention_identity():
     cfg = small_cfg(type_layers=1)
     p = params_for(cfg)
     cap = AttentionCapture()
-    type_block(p, Tensor(np.random.default_rng(0).standard_normal((1, 4))), cfg, cap)
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 4)))
+    type_block(p, x, cfg, all_real(x), cap)
     for row in cap.softmax_rows:
         assert np.allclose(row, [1.0])
 
@@ -153,7 +164,7 @@ def test_type_block_identical_tokens_identical_outputs():
     p = params_for(cfg, seed=3)
     row = np.random.default_rng(4).standard_normal(4)
     U = Tensor(np.tile(row, (3, 1)))
-    out = type_block(p, U, cfg).data
+    out = type_block(p, U, cfg, all_real(U)).data
     assert np.allclose(out[0], out[1]) and np.allclose(out[1], out[2])
 
 
@@ -161,7 +172,7 @@ def test_type_block_matches_reference():
     cfg = small_cfg(d=4, heads=2, type_layers=2)
     p = params_for(cfg, seed=5)
     x = np.random.default_rng(6).standard_normal((3, 4))
-    ours = type_block(p, Tensor(x), cfg).data
+    ours = type_block(p, Tensor(x), cfg, all_real(x)).data
     ref = ref_block(x, p, "type", cfg.type_layers, cfg.heads)
     assert np.max(np.abs(ours - ref)) < 1e-10
 
@@ -170,7 +181,7 @@ def test_type_block_empty_errors():
     cfg = small_cfg()
     p = params_for(cfg)
     with pytest.raises(tc.ShapeError):
-        type_block(p, Tensor(np.zeros((0, 4))), cfg)
+        type_block(p, Tensor(np.zeros((0, 4))), cfg, np.ones(0, dtype=bool))
 
 
 # -- type readout -----------------------------------------------------------------
@@ -179,7 +190,7 @@ def test_type_block_empty_errors():
 def test_type_readout_single_type():
     u = Tensor(np.array([[1.0, 0.0]]))
     U = Tensor(np.array([[3.0, 4.0]]))
-    h, alpha = type_readout(u, U)
+    h, alpha = type_readout(u, U, all_real(U))
     assert np.allclose(h.data, [[3.0, 4.0]])
     assert np.allclose(alpha, [[1.0]])
 
@@ -187,7 +198,7 @@ def test_type_readout_single_type():
 def test_type_readout_identical_tokens_uniform():
     u = Tensor(np.array([[0.3, -0.2]]))
     U = Tensor(np.tile([1.0, 2.0], (4, 1)))
-    _, alpha = type_readout(u, U)
+    _, alpha = type_readout(u, U, all_real(U))
     assert alpha.shape == (1, 4)
     assert np.allclose(alpha, 0.25)
 
@@ -196,7 +207,7 @@ def test_type_readout_dot_products_one_two():
     # u.u1 = 1, u.u2 = 2 -> alpha = softmax([1, 2])
     u = Tensor(np.array([[1.0, 0.0]]))
     U = Tensor(np.array([[1.0, 5.0], [2.0, -3.0]]))
-    h, alpha = type_readout(u, U)
+    h, alpha = type_readout(u, U, all_real(U))
     expected_alpha = np.exp([1.0, 2.0]) / np.exp([1.0, 2.0]).sum()
     assert np.allclose(alpha[0], expected_alpha, atol=1e-12)
     assert np.allclose(h.data[0], expected_alpha @ U.data, atol=1e-12)
@@ -208,7 +219,7 @@ def test_type_readout_argmax_invariant_under_scaling():
     U = Tensor(rng.standard_normal((3, 4)))
     base = None
     for c in (0.5, 1.0, 3.0, 10.0):
-        _, alpha = type_readout(Tensor(c * u), U)
+        _, alpha = type_readout(Tensor(c * u), U, all_real(U))
         arg = int(np.argmax(alpha[0]))
         base = arg if base is None else base
         assert arg == base
@@ -221,7 +232,7 @@ def test_hop_block_matches_reference():
     cfg = small_cfg(d=4, heads=2, hop_layers=3, hops=2)
     p = params_for(cfg, seed=8)
     x = np.random.default_rng(9).standard_normal((3, 4))
-    ours = hop_block(p, Tensor(x), cfg).data
+    ours = hop_block(p, Tensor(x), cfg, all_real(x)).data
     ref = ref_block(x, p, "hop", cfg.hop_layers, cfg.heads)
     assert np.max(np.abs(ours - ref)) < 1e-10
 
@@ -232,15 +243,15 @@ def test_hop_block_permutation_equivariant():
     p = params_for(cfg, seed=10)
     x = np.random.default_rng(11).standard_normal((4, 4))
     perm = [0, 3, 1, 2]  # keep position 0 (the target token) fixed
-    out = hop_block(p, Tensor(x), cfg).data
-    out_perm = hop_block(p, Tensor(x[perm]), cfg).data
+    out = hop_block(p, Tensor(x), cfg, all_real(x)).data
+    out_perm = hop_block(p, Tensor(x[perm]), cfg, all_real(x)).data
     assert np.allclose(out[perm], out_perm, atol=1e-12)
 
 
 def test_hop_readout_k1():
     p = params_for(small_cfg())
     H = Tensor(np.array([[1.0, 2.0, 0.0, 0.0], [0.5, -1.0, 0.0, 0.0]]))
-    z, gamma = hop_readout(p, H)
+    z, gamma = hop_readout(p, H, all_hops(H))
     assert np.allclose(gamma, [[1.0]])
     assert np.allclose(z.data, H.data[0] + H.data[1])
 
@@ -248,7 +259,7 @@ def test_hop_readout_k1():
 def test_hop_readout_k0():
     p = params_for(small_cfg())
     with pytest.raises(tc.ShapeError):
-        hop_readout(p, Tensor(np.array([[1.0, 2.0, 3.0, 4.0]])))
+        hop_readout(p, Tensor(np.array([[1.0, 2.0, 3.0, 4.0]])), np.ones(0, dtype=bool))
 
 
 def test_hop_readout_scores_03_07():
@@ -256,7 +267,7 @@ def test_hop_readout_scores_03_07():
     p = init_params(cfg, ["t"], {}, seed=0)
     p["readout/w"].data[...] = np.array([[0.0], [1.0]])  # score_j = h_j
     H = Tensor(np.array([[0.0], [0.3], [0.7]]))
-    z, weights = hop_readout(p, H)
+    z, weights = hop_readout(p, H, all_hops(H))
     gamma = np.exp([0.3, 0.7]) / np.exp([0.3, 0.7]).sum()
     assert np.allclose(weights[0], gamma, atol=1e-12)
     assert np.allclose(z.data, [[gamma[0] * 0.3 + gamma[1] * 0.7]], atol=1e-12)
@@ -296,7 +307,7 @@ def test_forward_isolated_node_collapses_to_h0():
     table.node_tokens["lonely"] = np.random.default_rng(13).standard_normal(8)
     z = forward("lonely", table, p, cfg)
     u_proj = project(p, Tensor(table.node_tokens["lonely"].reshape(1, -1)))
-    assert np.allclose(z.data, hop_block(p, u_proj, cfg).data, atol=1e-12)
+    assert np.allclose(z.data, hop_block(p, u_proj, cfg, all_real(u_proj)).data, atol=1e-12)
 
 
 def test_forward_matches_manual_composition():
@@ -320,9 +331,9 @@ def test_forward_matches_manual_composition():
 
     u_proj = project(p, Tensor(table.node_tokens["a"].reshape(1, -1)))
     U = project(p, Tensor(table.relation_tokens[("a", 1, "paper")].reshape(1, -1)))
-    h1, _ = type_readout(u_proj, type_block(p, U, cfg))
+    h1, _ = type_readout(u_proj, type_block(p, U, cfg, all_real(U)), all_real(U))
     H = tc.concat([u_proj, h1], axis=0)
-    expected, _ = hop_readout(p, hop_block(p, H, cfg))
+    expected, _ = hop_readout(p, hop_block(p, H, cfg, all_real(H)), all_hops(H))
     assert np.allclose(z.data, expected.data, atol=1e-12)
 
 
@@ -372,7 +383,7 @@ def test_single_mha_block_gradient():
     tensors["x"] = x
 
     def f():
-        return tc.tsum(tc.mul(_mha(p, "type/0", x, cfg.heads, None), mix))
+        return tc.tsum(tc.mul(_mha(p, "type/0", x, cfg.heads, all_real(x), None), mix))
 
     err = grad_check(f, tensors, eps=1e-5, n_samples=100, seed=24)
     assert err < 1e-4
@@ -416,7 +427,7 @@ def test_forward_batch_matches_reference_on_mixed_batch():
     assert cap.gamma["gap"][0] == [1, 3]
     # an isolated node collapses to its h0, whatever shares its batch
     u_proj = project(p, Tensor(table.node_tokens["iso"].reshape(1, -1)))
-    assert np.max(np.abs(Z[0] - hop_block(p, u_proj, cfg).data[0])) < 1e-12
+    assert np.max(np.abs(Z[0] - hop_block(p, u_proj, cfg, all_real(u_proj)).data[0])) < 1e-12
 
 
 def test_forward_batch_repeated_id_gets_its_own_tokens():

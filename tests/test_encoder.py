@@ -16,7 +16,6 @@ from ella.encoder import (
     TokenTable,
     TokenizeRun,
     VectorCache,
-    encode_text,
     load_tokens,
     pooled_node_token,
     relation_token,
@@ -51,9 +50,9 @@ def table(dim=16):
 def test_mock_deterministic_and_cached(tmp_path):
     b = MockBackend(dim=16)
     t = table()
-    cache = VectorCache(tmp_path / "cache.bin")
-    v1 = encode_text(b, "hello world", t, cache)
-    v2 = encode_text(b, "hello world", t, cache)
+    run = TokenizeRun(b, t, VectorCache(tmp_path / "cache.bin"))
+    v1 = run.call(NODE_TEXT_TEMPLATE_ID, "hello world", [], [])
+    v2 = run.call(NODE_TEXT_TEMPLATE_ID, "hello world", [], [])
     assert np.array_equal(v1, v2)
     assert t.call_count == 1
     assert t.cache_hits == 1
@@ -61,14 +60,14 @@ def test_mock_deterministic_and_cached(tmp_path):
 
 def test_mock_output_dimension():
     b = MockBackend(dim=16)
-    assert encode_text(b, "anything", table()).shape == (16,)
+    assert TokenizeRun(b, table()).call(NODE_TEXT_TEMPLATE_ID, "anything", [], []).shape == (16,)
 
 
 def test_mock_distinct_strings_differ():
     b = MockBackend(dim=16)
-    t = table()
-    v1 = encode_text(b, "movie about boats", t)
-    v2 = encode_text(b, "movie about trains", t)
+    run = TokenizeRun(b, table())
+    v1 = run.call(NODE_TEXT_TEMPLATE_ID, "movie about boats", [], [])
+    v2 = run.call(NODE_TEXT_TEMPLATE_ID, "movie about trains", [], [])
     assert not np.array_equal(v1, v2)
 
 
@@ -94,7 +93,7 @@ def test_mock_rejects_empty_text():
     with pytest.raises(EncoderError):
         MockBackend(dim=4).encode("t", "")
     with pytest.raises(EncoderError):
-        encode_text(MockBackend(dim=4), "", table())
+        TokenizeRun(MockBackend(dim=4), table()).call(NODE_TEXT_TEMPLATE_ID, "", [], [])
 
 
 def test_stable_hash_is_order_sensitive():
@@ -309,16 +308,16 @@ def test_relation_token_single_member_one_call():
     g = small_academic_graph()
     b = MockBackend(dim=8)
     t = table(8)
+    run = TokenizeRun(b, t)
     for nid in g.node_ids():
         if nid in g.node_text:
-            t.node_tokens[nid] = encode_text(b, g.node_text[nid], t)
+            t.node_tokens[nid] = run.call(NODE_TEXT_TEMPLATE_ID, g.node_text[nid], [], [])
     for nid in g.node_ids():
         if nid not in g.node_text:
             t.node_tokens[nid] = pooled_node_token(g, nid, t)
     before = t.call_count
     nb, prompt = relation_ingredients(g, "p1", 1, "author")
     assert nb == {"a1"}
-    run = TokenizeRun(b, t)
     vec = relation_token(b, "p1", 1, "author", run, run.placeholder("p1"), nb, TemplateId.PretrainLink, prompt)
     assert t.call_count == before + 1
     assert t.relation_tokens[("p1", 1, "author")] is vec
@@ -333,12 +332,12 @@ def test_relation_token_thousand_members_one_call():
     g = HeteroGraph(schema, nodes, edges, text)
     b = MockBackend(dim=8)
     t = table(8)
+    run = TokenizeRun(b, t)
     for nid in g.node_ids():
-        t.node_tokens[nid] = encode_text(b, g.node_text[nid], t)
+        t.node_tokens[nid] = run.call(NODE_TEXT_TEMPLATE_ID, g.node_text[nid], [], [])
     before = t.call_count
     nb, prompt = relation_ingredients(g, "h", 1, "leaf")
     assert len(nb) == n
-    run = TokenizeRun(b, t)
     relation_token(b, "h", 1, "leaf", run, run.placeholder("h"), nb, TemplateId.PretrainLink, prompt)
     assert t.call_count == before + 1
 
@@ -357,14 +356,14 @@ def test_relation_token_empty_neighborhood_zero_prompt():
     )
     b = MockBackend(dim=8)
     t = table(8)
-    t.node_tokens["p1"] = encode_text(b, g.node_text["p1"], t)
+    run = TokenizeRun(b, t)
+    t.node_tokens["p1"] = run.call(NODE_TEXT_TEMPLATE_ID, g.node_text["p1"], [], [])
     t.node_tokens["a1"] = pooled_node_token(g, "a1", t)
     nb = hop_type_neighbors(g, "a1", 3, "author")
     assert nb == set()
     profile = MetaPathProfile(target="a1", hop=3, patterns={})
     prompt = build_relation_prompt(schema, "author", "author", 3, profile, TemplateId.PretrainLink)
     assert "author-paper-paper-author (Proportion of paths: 0.00)" in prompt
-    run = TokenizeRun(b, t)
     vec = relation_token(b, "a1", 3, "author", run, run.placeholder("a1"), nb, TemplateId.PretrainLink, prompt)
     assert vec.shape == (8,)
     # zero pooled vector: output equals mixing u_s with an all-zero second slot
@@ -700,6 +699,11 @@ def test_http_cache_serves_only_the_pooling_it_was_filled_with(http_server, tmp_
 def test_http_backend_unreachable_is_transport_error():
     with pytest.raises(EncoderTransportError):
         HttpBackend("http://127.0.0.1:1")  # nothing listens there
+
+
+def test_http_backend_url_without_a_scheme_is_a_transport_error_naming_it():
+    with pytest.raises(EncoderTransportError, match="GET nohost/v1/info failed: unknown url type"):
+        HttpBackend("nohost")  # refused before any connection is tried
 
 
 def test_http_backend_transport_errors_name_the_service(http_server, monkeypatch):

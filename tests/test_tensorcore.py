@@ -21,8 +21,13 @@ def randt(rng, *shape, requires_grad=True):
     return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
+def softmax_all(a):
+    """``tc.softmax`` of ``a`` under an all-true mask."""
+    return tc.softmax(a, np.ones(a.shape, dtype=bool))
+
+
 def test_softmax_uniform():
-    out = tc.softmax(Tensor([[0.0, 0.0]]))
+    out = softmax_all(Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]])
 
 
@@ -30,14 +35,14 @@ def test_softmax_shift_invariance():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 5))
     for c in (1.0, -3.7, 100.0):
-        a = tc.softmax(Tensor(x)).data
-        b = tc.softmax(Tensor(x + c)).data
+        a = softmax_all(Tensor(x)).data
+        b = softmax_all(Tensor(x + c)).data
         assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
-    out = tc.softmax(Tensor(rng.standard_normal((7, 9)) * 10))
+    out = softmax_all(Tensor(rng.standard_normal((7, 9)) * 10))
     assert np.all(out.data >= 0)
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -95,7 +100,7 @@ def test_primitive_grad_checks(seed):
         "sigmoid": lambda: tc.tsum(tc.sigmoid(tc.matmul(a, b))),
         "log": lambda: tc.tsum(tc.tlog(tc.add(tc.sigmoid(c), Tensor(0.5)))),
         "clip": lambda: tc.tsum(tc.clip(tc.mul(c, Tensor(3.0)), -1.0, 1.0)),
-        "softmax": lambda: tc.tsum(tc.mul(tc.softmax(tc.matmul(a, b)), c)),
+        "softmax": lambda: tc.tsum(tc.mul(softmax_all(tc.matmul(a, b)), c)),
         "layer_norm": lambda: tc.tsum(tc.mul(tc.layer_norm(c, gamma, beta), c)),
     }
     for name, f in cases.items():
@@ -159,7 +164,7 @@ def test_forward_replay_bit_stable():
     b = randt(rng, 4, 4)
 
     def run():
-        return tc.tsum(tc.softmax(tc.matmul(tc.relu(a), b))).item()
+        return tc.tsum(softmax_all(tc.matmul(tc.relu(a), b))).item()
 
     assert run() == run()
 
@@ -366,8 +371,9 @@ def test_masked_softmax_values_and_empty_rows():
 
 def test_masked_softmax_all_true_equals_softmax():
     x = np.random.default_rng(8).standard_normal((4, 5))
-    plain = tc.softmax(Tensor(x)).data
-    masked = tc.softmax(Tensor(x), np.ones((4, 5), dtype=bool)).data
-    assert np.array_equal(plain, masked)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    plain = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(tc.softmax(Tensor(x), np.ones((4, 5), dtype=bool)).data, plain)
+    assert np.array_equal(tc.softmax(Tensor(x), np.ones(5, dtype=bool)).data, plain)  # a mask broadcasts
     with pytest.raises(ShapeError):
         tc.softmax(Tensor(x), np.ones((2, 4, 5), dtype=bool))
