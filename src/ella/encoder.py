@@ -303,9 +303,13 @@ class TokenTable:
     dim: int
     node_tokens: dict[str, np.ndarray] = field(default_factory=dict)
     relation_tokens: dict[tuple[str, int, str], np.ndarray] = field(default_factory=dict)
-    call_count: int = 0
     cache_hits: int = 0
     calls_by_template: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def call_count(self) -> int:
+        """Backend calls made, over every template."""
+        return sum(self.calls_by_template.values())
 
     def stored_per_target(self, target: str) -> int:
         return self.stored_counts([target])[0]
@@ -355,7 +359,6 @@ class TokenizeRun:
             if hit is not None:
                 table.cache_hits += 1
                 return hit
-        table.call_count += 1
         table.calls_by_template[template_id] = table.calls_by_template.get(template_id, 0) + 1
         vec = self.backend.encode(template_id, text, placeholders)
         return vec if cache is None else cache.put(key, vec)

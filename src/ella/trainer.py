@@ -3,11 +3,9 @@ frozen-backbone fine-tuning of a per-type classification head."""
 
 from __future__ import annotations
 
-import logging
 import numbers
-from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -17,8 +15,6 @@ from .ellanet import HEAD_PREFIX, ModelConfig, ModelParams, check_int, forward_b
 from .encoder import TokenTable
 from .hetgraph import HeteroGraph
 from .tensorcore import AdamState, Tensor, adam_step, backward, zero_grads
-
-log = logging.getLogger(__name__)
 
 SIM_CLAMP = 1e-12
 
@@ -69,57 +65,6 @@ class EdgeSampleSet:
         return {n for sample in self.by_type.values() for pair in sample.positives + sample.negatives for n in pair}
 
 
-def _lemire(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's integers in ``[0, n)``, ``n`` > 1, from 32-bit ``words`` (Lemire's
-    method), and where numpy keeps them without a redraw."""
-    m = words * np.uint64(n)
-    return m >> 32, m & 0xFFFFFFFF >= (2**32 - n) % n
-
-
-def _attempt_draws(rng: np.random.Generator, n_pos: int, n_src: int, n_dst: int, block: int):
-    """Yield (positive index, corrupt the source?, pool index) per attempt, as
-    ``rng.integers(n_pos)``, ``rng.random() < 0.5`` and ``rng.integers`` of
-    that side's pool size would draw them. A PCG64 stream is replayed from
-    ``2 * block`` raw outputs at a time, two per attempt: the integers come
-    from 32-bit halves (low half first, the high one buffered in ``uinteger``),
-    the coin from the top 53 bits. An attempt numpy redraws (Lemire's
-    rejection) takes the three scalar calls, and so does every attempt when a
-    bound is 1 (numpy draws nothing for it) or the bit generator is another.
-    Closing the generator leaves ``rng`` just past the attempts yielded.
-    """
-    bits = rng.bit_generator
-    while True:
-        start = bits.state
-        n_ok = 0
-        if start["bit_generator"] == "PCG64" and min(n_pos, n_src, n_dst) > 1:
-            raw = bits.random_raw(2 * block)
-            if start["has_uint32"]:
-                first = np.append(np.uint64(start["uinteger"]), raw[1:-1:2] >> 32)
-                coin, second = raw[0::2], raw[1::2] & 0xFFFFFFFF
-            else:
-                first, coin, second = raw[0::2] & 0xFFFFFFFF, raw[1::2], raw[0::2] >> 32
-            src_side = (coin >> 11) * 2.0**-53 < 0.5
-            i, i_ok = _lemire(first, n_pos)
-            (j_src, src_ok), (j_dst, dst_ok) = _lemire(second, n_src), _lemire(second, n_dst)
-            ok = i_ok & np.where(src_side, src_ok, dst_ok)
-            n_ok = block if ok.all() else int(ok.argmin())
-            j = np.where(src_side, j_src, j_dst)
-            draws = zip(i[:n_ok].tolist(), src_side[:n_ok].tolist(), j[:n_ok].tolist())
-            used = 0
-            try:
-                for used, draw in enumerate(draws, 1):
-                    yield draw
-            finally:
-                if used:  # the last high half drawn stays in the buffer, read or not
-                    start["uinteger"] = int(raw[2 * used - 2 + start["has_uint32"]] >> 32)
-                bits.state = start
-                bits.random_raw(2 * used, output=False)
-        if n_ok < block:
-            i = int(rng.integers(n_pos))
-            src_side = rng.random() < 0.5
-            yield i, src_side, int(rng.integers(n_src if src_side else n_dst))
-
-
 def sample_negatives(
     g: HeteroGraph,
     etype_name: str,
@@ -131,10 +76,10 @@ def sample_negatives(
     """Corrupt one endpoint of a uniformly chosen positive until ``count``
     distinct non-edges are found; falls back to exact complement enumeration
     when rejection stalls. A pair is an edge if the graph holds it or
-    ``forbidden`` names it, in either orientation. The draws come in blocks
-    (:func:`_attempt_draws`), but give the negatives and the ``rng`` state of
-    three scalar draws per attempt, bit for bit. Raises :class:`SamplingError`
-    if ``count`` negatives cannot be found or no positive is given."""
+    ``forbidden`` names it, in either orientation. Each block of ``count + 16``
+    attempts draws its sides, positives and pool indices in three ``rng``
+    calls. Raises :class:`SamplingError` if ``count`` negatives cannot be
+    found or no positive is given."""
     et = g.schema.edge_type(etype_name)
     if count <= 0:
         return []
@@ -153,11 +98,16 @@ def sample_negatives(
 
     out: list[tuple[str, str]] = []
     chosen: set[tuple[str, str]] = set()
-    max_attempts = max(1000, 200 * count)
-    with closing(_attempt_draws(rng, len(positives), len(src_pool), len(dst_pool), count + 16)) as draws:
-        for i, src_side, j in islice(draws, max_attempts):
+    attempts, max_attempts = 0, max(1000, 200 * count)
+    while len(out) < count and attempts < max_attempts:
+        n = min(count + 16, max_attempts - attempts)
+        attempts += n
+        src_side = rng.random(n) < 0.5
+        pos_idx = rng.integers(len(positives), size=n)
+        pool_idx = rng.integers(np.where(src_side, len(src_pool), len(dst_pool)))
+        for i, corrupt_src, j in zip(pos_idx.tolist(), src_side.tolist(), pool_idx.tolist()):
             s, t = positives[i]
-            if src_side:
+            if corrupt_src:
                 s = src_pool[j]
             else:
                 t = dst_pool[j]
@@ -383,7 +333,6 @@ def _check_finite(
         return
     if dump_path:
         tc.save_checkpoint(tensors, dump_path)
-        log.error("diverged at epoch %d; state dumped to %s", epoch, dump_path)
     raise TrainingDiverged(epoch, value)
 
 
@@ -411,22 +360,24 @@ def _fit(
     epoch = -1  # the last epoch run, if any
     train_curve: list[float] = []
     val_curve: list = []
-    for epoch in range(train_cfg.max_epochs):
-        train_loss, val_loss = step(epoch)
-        _check_finite(train_loss.item(), epoch, trainable, train_cfg.dump_path)
-        _check_finite(float(np.sum(val_loss, where=live)), epoch, trainable, train_cfg.dump_path)
-        train_curve.append(train_loss.item())
-        val_curve.append(val_loss)
-        improved = val_loss < best_val
-        best_val = np.where(improved, val_loss, best_val)
-        best_epoch = np.where(improved, epoch, best_epoch)
-        best_values = {n: np.where(improved, t.data, best_values[n]) for n, t in trainable.items()}
-        live &= epoch - best_epoch < train_cfg.patience
-        if not live.any():
-            break
-        zero_grads(trainable)
-        backward(train_loss)
-        adam_step(trainable, opt, np.where(live, lr, 0.0))
+    # an overflowing epoch is caught by its non-finite loss, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_cfg.max_epochs):
+            train_loss, val_loss = step(epoch)
+            _check_finite(train_loss.item(), epoch, trainable, train_cfg.dump_path)
+            _check_finite(float(np.sum(val_loss, where=live)), epoch, trainable, train_cfg.dump_path)
+            train_curve.append(train_loss.item())
+            val_curve.append(val_loss)
+            improved = val_loss < best_val
+            best_val = np.where(improved, val_loss, best_val)
+            best_epoch = np.where(improved, epoch, best_epoch)
+            best_values = {n: np.where(improved, t.data, best_values[n]) for n, t in trainable.items()}
+            live &= epoch - best_epoch < train_cfg.patience
+            if not live.any():
+                break
+            zero_grads(trainable)
+            backward(train_loss)
+            adam_step(trainable, opt, np.where(live, lr, 0.0))
     return best_values, best_val, best_epoch, epoch, train_curve, val_curve
 
 
