@@ -45,7 +45,8 @@ def _load_params(ckpt: str, *keys: str, command: str | dict | None = None) -> tu
     if hashlib.sha256(data).hexdigest() != meta["checkpoint_sha256"]:
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
     cfg = _config_section(ModelConfig, meta["model_config"], meta_path, "model", {})
-    return ModelParams(load_checkpoint(ckpt, data)), cfg, meta
+    params = _load(load_checkpoint, ckpt, data, redo=f"; re-run 'ella {meta.get('command', 'pretrain')}'")
+    return ModelParams(params), cfg, meta
 
 
 def _read_tokens(tokens_path: str, *keys: str) -> tuple[encoder.TokenTable, dict]:
@@ -120,13 +121,13 @@ def _open_cache(cache_path: str | None):
     return _load(encoder.VectorCache, cache_path) if cache_path else nullcontext()
 
 
-def _load(loader, *paths):
-    """``loader(*paths)``; a missing or malformed input file ends in a
-    ``ClickException`` whose message names it, instead of a traceback."""
+def _load(loader, *args, redo: str = ""):
+    """``loader(*args)``; a missing or malformed input file ends in a
+    ``ClickException`` whose message names it, then ``redo``, instead of a traceback."""
     try:
-        return loader(*paths)
+        return loader(*args)
     except (encoder.EncoderError, OSError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
+        raise click.ClickException(f"{exc}{redo}") from None
 
 
 def _node_labels(g: HeteroGraph, labels_path: str, target_type: str, source: str) -> dict[str, str]:

@@ -475,29 +475,31 @@ def save_tokens(table: TokenTable, path: str | Path) -> None:
     """Write the table as ``node`` (N, dim) and ``rel`` (M, dim) float64
     matrices plus ``index``, a UTF-8 JSON document naming their rows in order.
     A vector whose shape is not ``(dim,)`` raises ``EncoderError`` naming it."""
-    for key, vec in (*table.node_tokens.items(), *table.relation_tokens.items()):
-        if np.shape(vec) != (table.dim,):
-            raise EncoderError(f"cannot store token {key!r}: shape {np.shape(vec)}, not ({table.dim},)")
-    index = {
-        "format": _TOKEN_FORMAT,
-        "node_ids": list(table.node_tokens),
-        "relation_keys": list(table.relation_tokens),
-    }
-    save_arrays(
-        {
-            "node": np.array(list(table.node_tokens.values()), dtype=np.float64).reshape(-1, table.dim),
-            "rel": np.array(list(table.relation_tokens.values()), dtype=np.float64).reshape(-1, table.dim),
-            "index": np.frombuffer(json.dumps(index).encode("utf-8"), dtype=np.uint8),
-        },
-        path,
-    )
+    node, rel = _token_matrix(table.node_tokens, table.dim), _token_matrix(table.relation_tokens, table.dim)
+    keys = {"node_ids": list(table.node_tokens), "relation_keys": list(table.relation_tokens)}
+    index = json.dumps({"format": _TOKEN_FORMAT, **keys}).encode("utf-8")
+    save_arrays({"node": node, "rel": rel, "index": np.frombuffer(index, np.uint8)}, path)
+
+
+def _token_matrix(tokens: dict, dim: int) -> np.ndarray:
+    """The vectors of ``tokens`` as the rows of one float64 matrix."""
+    try:  # after a zero row, a vector of any other shape makes a ragged list, which numpy refuses
+        return np.array([*tokens.values(), np.zeros(dim)], dtype=np.float64)[:-1]
+    except ValueError:
+        for key, vec in tokens.items():
+            if np.shape(vec) != (dim,):
+                raise EncoderError(f"cannot store token {key!r}: shape {np.shape(vec)}, not ({dim},)") from None
+        raise
 
 
 def load_tokens(path: str | Path) -> TokenTable:
-    """Read a :func:`save_tokens` file. Any other layout, an older format
-    included, raises ``EncoderError`` naming the file; a truncated or padded
-    container raises ``ValueError`` naming it."""
-    arrays = load_arrays(path)
+    """Read a :func:`save_tokens` file. A file :func:`load_arrays` refuses
+    raises ``ValueError``, other arrays (an older token format included)
+    ``EncoderError``; both name the file and the command that rebuilds it."""
+    try:
+        arrays = load_arrays(path)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; re-run `ella tokenize` to rebuild it") from None
     try:
         node, rel, index = arrays["node"], arrays["rel"], json.loads(arrays["index"].tobytes())
         nodes = dict(zip(index["node_ids"], node, strict=True))

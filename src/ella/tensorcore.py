@@ -7,15 +7,15 @@ implicit tape in reverse topological order. Single-threaded per tape.
 
 from __future__ import annotations
 
+import io
 import math
-import struct
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-CKPT_MAGIC = b"ELLACKPT v1\n"
-_DTYPE_CODES = {0: np.float64, 1: np.float32, 2: np.uint8}
-_CODE_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1, np.dtype(np.uint8): 2}
+_DTYPES = (np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.uint8))
 
 
 class ShapeError(ValueError):
@@ -449,59 +449,46 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 def save_arrays(arrays: dict[str, np.ndarray], path: str | Path) -> None:
-    """Versioned binary container of named arrays (little-endian raw values)."""
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(arrays)))
+    """Write a stored zip of one ``<name>.npy`` member per array, in name order,
+    that ``numpy.load`` reads; other dtypes than float64, float32 and uint8 are
+    stored as float64. Members keep ``ZipInfo``'s date, 1980-01-01."""
+    with zipfile.ZipFile(path, "w") as zf:
         for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
-            if arr.dtype not in _CODE_FOR:
-                arr = arr.astype(np.float64)
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<BB", _CODE_FOR[arr.dtype], arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+            arr = np.asarray(arrays[name], order="C")
+            arr = arr if arr.dtype in _DTYPES else arr.astype(np.float64)
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:  # the values go in without a copy
+                np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(arr))
+                fh.write(arr)
 
 
 def load_arrays(path: str | Path, data: bytes | None = None) -> dict[str, np.ndarray]:
-    """Read a :func:`save_arrays` container, or parse ``data``, bytes already
-    read from ``path``; a truncated or padded file, or an unknown dtype code,
+    """Read a :func:`save_arrays` file, or parse ``data``, bytes already read
+    from ``path``. Anything else, a damaged member or extra bytes included,
     raises ``ValueError`` naming the file."""
     data = Path(path).read_bytes() if data is None else data
-    if not data.startswith(CKPT_MAGIC):
-        raise ValueError(f"{path}: not an array container (bad header)")
-    off = len(CKPT_MAGIC)
-
-    def take(n: int) -> int:
-        """Claim the next ``n`` bytes; returns their start offset."""
-        nonlocal off
-        if off + n > len(data):
-            raise ValueError(f"{path}: container truncated at byte {len(data)}")
-        off += n
-        return off - n
-
-    (count,) = struct.unpack_from("<I", data, take(4))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, take(2))
-        start = take(nlen)
-        try:
-            name = data[start:off].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: array name at byte {start} is not UTF-8") from None
-        code, ndim = struct.unpack_from("<BB", data, take(2))
-        if code not in _DTYPE_CODES:
-            raise ValueError(f"{path}: array {name!r} has unknown dtype code {code}")
-        shape = struct.unpack_from(f"<{ndim}I", data, take(4 * ndim))
-        dtype = np.dtype(_DTYPE_CODES[code])
-        n = math.prod(shape)
-        arr = np.frombuffer(data, dtype.newbyteorder("<"), n, take(n * dtype.itemsize))
-        arrays[name] = arr.reshape(shape).astype(dtype)
-    if off != len(data):
-        raise ValueError(f"{path}: {len(data) - off} trailing bytes after the last array")
+    end, arrays = data[-22:], {}  # with no comment, the end record is the last 22 bytes
+    try:
+        if data.startswith(b"ELLACKPT v1\n"):
+            raise ValueError("it has the older ELLACKPT v1 layout")
+        if end[:4] != b"PK\x05\x06" or end[-2:] != b"\0\0":
+            raise ValueError("no end record at the end of the file")
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            if min((info.header_offset for info in zf.infolist()), default=zf.start_dir):
+                raise ValueError("bytes before the first member")
+            for info in zf.infolist():
+                name, raw = info.filename, zf.read(info)  # read checks the CRC-32
+                fh = io.BytesIO(raw)  # save_arrays writes version 1.0 headers only
+                if not name.endswith(".npy") or np.lib.format.read_magic(fh) != (1, 0):
+                    raise ValueError(f"member {name!r} is not a .npy file of version 1.0")
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+                if fortran_order or dtype not in _DTYPES or len(raw) - fh.tell() != math.prod(shape) * dtype.itemsize:
+                    raise ValueError(f"member {name!r} is not {shape} values of float64, float32 or uint8 in C order")
+                arrays[name[:-4]] = np.frombuffer(raw, dtype, offset=fh.tell()).reshape(shape).copy()
+        if (count := int.from_bytes(end[10:12], "little")) != len(arrays):
+            raise ValueError(f"its end record counts {count} members")
+    except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, ValueError) as exc:
+        # zipfile raises RuntimeError or NotImplementedError for flag and version bits it cannot read
+        raise ValueError(f"{path}: not a zip of .npy arrays ({exc})") from None
     return arrays
 
 

@@ -1,8 +1,10 @@
 import builtins
+import hashlib
 import io
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import click
@@ -14,7 +16,7 @@ from ella import cli, encoder, evalkit, pathstats, trainer
 from ella.cli import main
 from ella.ellanet import ModelConfig, init_params
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef, load_graph_dir, load_labels, save_graph, save_labels
-from ella.tensorcore import save_arrays
+from ella.tensorcore import load_arrays, save_arrays
 
 from fixtures import EncoderStub, complete_typed_tree, http_server, planted_node_fixture
 
@@ -318,6 +320,42 @@ def _write_parent_format_tokens(path):
     save_arrays({"node\x1fa": np.ones(12)}, path)
 
 
+def _rewrite(data_for):
+    """Replace an array file by ``data_for(path)``; a checkpoint's metadata
+    gets the new bytes' sha256, so only the file's layout is wrong."""
+
+    def damage(path):
+        path.write_bytes(data_for(path))
+        meta_path = Path(f"{path}.meta.json")
+        meta = json.loads(meta_path.read_text())
+        if "checkpoint_sha256" in meta:
+            meta["checkpoint_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            meta_path.write_text(json.dumps(meta))
+
+    return damage
+
+
+_NO_ZIP = r"not a zip of \.npy arrays \(no end record at the end of the file\)"
+_OLD_LAYOUT = r"not a zip of \.npy arrays \(it has the older ELLACKPT v1 layout\)"
+
+
+def _garbage(path):
+    return b"not an array file\n"
+
+
+def _ellackpt_v1(path):
+    """The arrays at ``path`` in the layout array files had before they were
+    zips: magic line, count, then per array its name, dtype code, shape and
+    little-endian values."""
+    arrays = load_arrays(path)
+    parts = [b"ELLACKPT v1\n", struct.pack("<I", len(arrays))]
+    for name in sorted(arrays):
+        arr, raw = arrays[name], name.encode("utf-8")
+        code = {"float64": 0, "float32": 1, "uint8": 2}[arr.dtype.name]
+        parts += [struct.pack(f"<H{len(raw)}sBB{arr.ndim}I", len(raw), raw, code, arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(parts)
+
+
 def _write_invalid_json(path):
     path.write_text("{not json")
 
@@ -406,8 +444,16 @@ def _delete(path):
         ("pretrain", "config.json", _set("model", {"d_llm": 12}),
          r"config\.json: model\.d_llm is not a pretrain setting: it comes from the token file's vector dim$"),
         ("pretrain", "config.json", _set("train", {"lr_grid": [0.5]}), r"config\.json: unknown train keys: lr_grid$"),
-        ("pretrain", "tokens.bin", _cut_three_bytes, r"tokens\.bin: container truncated"),
+        ("pretrain", "tokens.bin", _cut_three_bytes, rf"tokens\.bin: {_NO_ZIP}; re-run `ella tokenize` to rebuild it$"),
         ("pretrain", "tokens.bin", _write_parent_format_tokens, r"tokens\.bin: not a token file of format 2"),
+        ("pretrain", "tokens.bin", _rewrite(_ellackpt_v1), rf"tokens\.bin: {_OLD_LAYOUT}; re-run `ella tokenize` to rebuild it$"),
+        ("evaluate", "model.ckpt", _rewrite(_garbage), rf"model\.ckpt: {_NO_ZIP}; re-run 'ella pretrain'$"),
+        ("finetune", "model.ckpt", _rewrite(_garbage), rf"model\.ckpt: {_NO_ZIP}; re-run 'ella pretrain'$"),
+        ("export-attention", "model.ckpt", _rewrite(_garbage), rf"model\.ckpt: {_NO_ZIP}; re-run 'ella pretrain'$"),
+        ("evaluate", "model.ckpt", _rewrite(_ellackpt_v1), rf"model\.ckpt: {_OLD_LAYOUT}; re-run 'ella pretrain'$"),
+        ("evaluate_node", "model.ckpt", _rewrite(_ellackpt_v1), rf"model\.ckpt: {_OLD_LAYOUT}; re-run 'ella finetune'$"),
+        ("finetune", "model.ckpt", _rewrite(_ellackpt_v1), rf"model\.ckpt: {_OLD_LAYOUT}; re-run 'ella pretrain'$"),
+        ("export-attention", "model.ckpt", _rewrite(_ellackpt_v1), rf"model\.ckpt: {_OLD_LAYOUT}; re-run 'ella pretrain'$"),
         ("evaluate", "model.ckpt.meta.json", _write_invalid_json, r"model\.ckpt\.meta\.json: not valid JSON"),
         ("evaluate", "model.ckpt.meta.json", _drop("model_config"),
          r"model\.ckpt\.meta\.json records no model_config; re-run 'ella pretrain'"),
@@ -442,7 +488,10 @@ def _delete(path):
          "graph_missing_edges_file", "finetune_label_for_unknown_node", "evaluate_label_for_unknown_node",
          "label_outside_vocabulary", "repeated_label_id", "labels_without_header", "labels_not_utf8", "config_not_json",
          "config_sets_d_llm", "config_sets_lr_grid",
-         "truncated_tokens", "parent_format_tokens", "ckpt_meta_not_json",
+         "truncated_tokens", "parent_format_tokens", "ellackpt_v1_tokens", "garbage_ckpt_evaluate",
+         "garbage_ckpt_finetune", "garbage_ckpt_export_attention", "ellackpt_v1_ckpt_evaluate",
+         "ellackpt_v1_head_evaluate", "ellackpt_v1_ckpt_finetune", "ellackpt_v1_ckpt_export_attention",
+         "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
          "ckpt_meta_indivisible_heads", "ckpt_meta_float_d", "ckpt_meta_missing", "ckpt_meta_without_seed",
          "tokens_meta_missing",
@@ -470,6 +519,7 @@ def test_bad_input_file_ends_in_an_error_naming_it(workdir, tmp_path, command, b
         "finetune": ["finetune", *inputs, *node_task, "--target-type", "paper"],
         "evaluate": ["evaluate", "--ckpt", ckpt, "--out", str(tmp_path / "eval.csv"), *inputs],
         "evaluate_node": ["evaluate", *inputs, *node_task],
+        "export-attention": ["export-attention", "--ckpt", ckpt, "--out", str(tmp_path / "attn"), *inputs],
     }[command]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -638,11 +639,21 @@ def test_load_tokens_rejects_malformed_entry(tmp_path, entry):
         load_tokens(path)
 
 
-@pytest.mark.parametrize("bad", [np.ones(5), np.ones((2, 4))])
+@pytest.mark.parametrize(
+    "bad",
+    [np.ones(5), np.ones((2, 4)), np.ones((8, 1)), np.float64(1.0), (np.ones((8, 1)), np.ones(3))],
+    ids=["bad0", "bad1", "column", "scalar", "ragged_mix"],
+)
 def test_save_tokens_rejects_vector_of_wrong_shape(tmp_path, bad):
-    t = TokenTable(dim=8, node_tokens={"a": np.ones(8), "b": bad})
-    with pytest.raises(EncoderError, match=r"cannot store token 'b': shape \("):
+    # a tuple is a ragged mix: token 'b' and, after it, 'c' of another wrong shape
+    vectors = dict(zip("bc", bad if isinstance(bad, tuple) else (bad,)))
+    t = TokenTable(dim=8, node_tokens={"a": np.ones(8), **vectors})
+    with pytest.raises(EncoderError, match=re.escape(f"cannot store token 'b': shape {np.shape(vectors['b'])}, not (8,)")):
         save_tokens(t, tmp_path / "tokens.bin")
+    t = TokenTable(dim=8, node_tokens={"a": np.ones(8)}, relation_tokens={("a", 1, "paper"): vectors["b"]})
+    with pytest.raises(EncoderError, match=r"cannot store token \('a', 1, 'paper'\): shape"):
+        save_tokens(t, tmp_path / "tokens.bin")
+    assert not (tmp_path / "tokens.bin").exists()
 
 
 def test_load_tokens_truncated_file_names_it(tmp_path):
@@ -651,11 +662,15 @@ def test_load_tokens_truncated_file_names_it(tmp_path):
     path = tmp_path / "tokens.bin"
     save_tokens(t, path)
     raw = path.read_bytes()
+    refused = r"tokens.bin: not a zip of \.npy arrays \(no end record at the end of the file\); re-run `ella tokenize`"
     path.write_bytes(raw[:-3])
-    with pytest.raises(ValueError, match="tokens.bin.*truncated"):
+    with pytest.raises(ValueError, match=refused):
         load_tokens(path)
     path.write_bytes(raw + b"\0")
-    with pytest.raises(ValueError, match="tokens.bin: 1 trailing bytes"):
+    with pytest.raises(ValueError, match=refused):
+        load_tokens(path)
+    path.write_bytes(b"ELLACKPT v1\n" + raw)  # the layout token files had before they were zips
+    with pytest.raises(ValueError, match=r"tokens.bin: .*older ELLACKPT v1 layout\); re-run `ella tokenize`"):
         load_tokens(path)
 
 

@@ -1,7 +1,12 @@
+import io
+import time
+import zipfile
+
 import numpy as np
 import pytest
 
 import ella.tensorcore as tc
+from ella.encoder import TokenTable, save_tokens
 from ella.tensorcore import (
     AdamState,
     ShapeError,
@@ -259,7 +264,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"garbage")
-    with pytest.raises(ValueError, match="bad header"):
+    with pytest.raises(ValueError, match=r"bad.bin: not a zip of \.npy arrays \(no end record"):
+        load_arrays(path)
+    # the layout save_arrays wrote before it wrote zips: magic, count, then name, dtype code, shape and values
+    path.write_bytes(b"ELLACKPT v1\n" + bytes.fromhex("01000000 0100 77 0001 01000000") + np.ones(1).tobytes())
+    with pytest.raises(ValueError, match=r"bad.bin: not a zip of \.npy arrays \(it has the older ELLACKPT v1 layout\)"):
         load_arrays(path)
 
 
@@ -268,25 +277,121 @@ def test_checkpoint_truncated_or_padded_names_the_file(tmp_path):
     save_arrays({"w": np.arange(3.0), "s": np.float32(2.0)}, src)
     data = src.read_bytes()
     cut = tmp_path / "cut.bin"
-    for n in range(len(tc.CKPT_MAGIC), len(data)):
+    for n in range(len(data)):
         cut.write_bytes(data[:n])
         with pytest.raises(ValueError, match="cut.bin"):
             load_arrays(cut)
     cut.write_bytes(data + b"\x00junk")
-    with pytest.raises(ValueError, match="cut.bin.*5 trailing bytes"):
+    with pytest.raises(ValueError, match="cut.bin.*no end record at the end of the file"):
+        load_arrays(cut)
+    cut.write_bytes(b"junk" + data)
+    with pytest.raises(ValueError, match="cut.bin.*bytes before the first member"):
         load_arrays(cut)
 
 
-def test_checkpoint_unknown_dtype_code(tmp_path):
+@pytest.mark.parametrize("offset,message", [(-12, "its end record counts 3 members"), (-2, "no end record")])
+def test_an_end_record_that_disagrees_with_the_members_is_refused(tmp_path, offset, message):
+    # a changed member count, or a comment length that moves the end record off the end of the file
     path = tmp_path / "ckpt.bin"
-    save_arrays({"w": np.arange(3.0)}, path)
+    save_arrays({"w": np.arange(3.0), "s": np.float32(2.0)}, path)
     data = bytearray(path.read_bytes())
-    code_at = len(tc.CKPT_MAGIC) + 4 + 2 + len(b"w")
-    assert data[code_at] == 0
-    data[code_at] = 7
+    data[offset] ^= 1
     path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="ckpt.bin.*unknown dtype code 7"):
+    with pytest.raises(ValueError, match=f"ckpt.bin: not a zip of .npy arrays \\({message}"):
         load_arrays(path)
+
+
+def _npy(arr):
+    fh = io.BytesIO()
+    np.lib.format.write_array(fh, arr, allow_pickle=True)
+    return fh.getvalue()
+
+
+def _zip_of(path, name, raw):
+    """A zip at ``path`` whose one member ``name`` holds ``raw``."""
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(zipfile.ZipInfo(name), raw)
+
+
+def test_checkpoint_unknown_dtype_code(tmp_path):
+    # a member of a dtype save_arrays never writes is refused, pickled objects included
+    path = tmp_path / "ckpt.bin"
+    for arr in (np.arange(3), np.array([1.0, None], dtype=object)):
+        _zip_of(path, "w.npy", _npy(arr))
+        with pytest.raises(ValueError, match="ckpt.bin.*member 'w.npy' is not .* values of float64, float32 or uint8"):
+            load_arrays(path)
+        assert np.load(path, allow_pickle=True)["w"].dtype == arr.dtype
+
+
+@pytest.mark.parametrize(
+    "name,raw,message",
+    [
+        ("w.npy", _npy(np.ones((3, 2), order="F")), r"member 'w.npy' is not \(3, 2\) values of .* in C order"),
+        ("w.txt", _npy(np.ones(3)), r"member 'w.txt' is not a \.npy file of version 1\.0"),
+        ("w.npy", _npy(np.ones(3))[:-8], r"member 'w.npy' is not \(3,\) values"),
+    ],
+    ids=["fortran_order", "not_npy", "short_member"],
+)
+def test_a_member_save_arrays_does_not_write_is_refused(tmp_path, name, raw, message):
+    path = tmp_path / "ckpt.bin"
+    _zip_of(path, name, raw)
+    with pytest.raises(ValueError, match=f"ckpt.bin: not a zip of \\.npy arrays \\({message}"):
+        load_arrays(path)
+
+
+def _small_token_file(path):
+    t = TokenTable(dim=8, node_tokens={"a": np.arange(8.0), "b": -np.arange(8.0)})
+    t.relation_tokens[("a", 1, "paper")] = np.linspace(0.0, 1.0, 8)
+    save_tokens(t, path)
+
+
+def _small_checkpoint(path):
+    rng = np.random.default_rng(7)
+    params = {"proj/W": rng.standard_normal((3, 2)), "proj/b": rng.standard_normal(2), "ln/g": np.ones(2)}
+    save_checkpoint({name: Tensor(v, requires_grad=True) for name, v in params.items()}, path)
+
+
+def _as_bits(arrays):
+    return {name: (arr.dtype, arr.shape, arr.tobytes()) for name, arr in arrays.items()}
+
+
+@pytest.mark.parametrize("write", [_small_token_file, _small_checkpoint], ids=["tokens", "checkpoint"])
+def test_every_bit_flip_and_truncation_loads_the_saved_arrays_or_names_the_file(tmp_path, write):
+    path = tmp_path / "arrays.bin"
+    write(path)
+    data = path.read_bytes()
+    saved = _as_bits(load_arrays(path))
+    damaged = [data[:n] for n in range(len(data))]
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        damaged.append(bytes(flipped))
+    unchanged = 0
+    for raw in damaged:
+        try:
+            loaded = load_arrays(path, raw)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            continue
+        assert _as_bits(loaded) == saved
+        unchanged += 1
+    assert unchanged  # flips of fields zipfile does not read, such as dates, change nothing
+
+
+def test_array_file_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "u": np.arange(4, dtype=np.uint8)}
+    for stamp in (0.0, 2e9):
+        monkeypatch.setattr(time, "time", lambda: stamp)
+        save_arrays(arrays, tmp_path / f"{stamp}.bin")
+    assert (tmp_path / "0.0.bin").read_bytes() == (tmp_path / "2000000000.0.bin").read_bytes()
+
+
+@pytest.mark.parametrize("write", [_small_token_file, _small_checkpoint], ids=["tokens", "checkpoint"])
+def test_numpy_load_reads_the_saved_arrays(tmp_path, write):
+    path = tmp_path / "arrays.bin"
+    write(path)
+    with np.load(path, allow_pickle=False) as npz:
+        assert _as_bits({name: npz[name] for name in npz.files}) == _as_bits(load_arrays(path))
 
 
 # -- batched ops ------------------------------------------------------------------
