@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import math
 import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -451,20 +450,23 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 def save_arrays(arrays: dict[str, np.ndarray], path: str | Path) -> None:
     """Write a stored zip of one ``<name>.npy`` member per array, in name order,
     that ``numpy.load`` reads; other dtypes than float64, float32 and uint8 are
-    stored as float64. Members keep ``ZipInfo``'s date, 1980-01-01."""
+    stored as float64. Members are dated 1980-01-01 and marked as made on Unix,
+    so the bytes depend only on the arrays, on any platform."""
     with zipfile.ZipFile(path, "w") as zf:
         for name in sorted(arrays):
             arr = np.asarray(arrays[name], order="C")
             arr = arr if arr.dtype in _DTYPES else arr.astype(np.float64)
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:  # the values go in without a copy
+            info = zipfile.ZipInfo(f"{name}.npy")
+            info.create_system = 3
+            # zip64 fields only for a member that may pass 2 GiB; a .npy 1.0 header is under 64 KiB
+            with zf.open(info, "w", force_zip64=arr.nbytes + (1 << 16) > zipfile.ZIP64_LIMIT) as fh:
                 np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(arr))
-                fh.write(arr)
+                fh.write(arr)  # the values go in without a copy
 
 
 def load_arrays(path: str | Path, data: bytes | None = None) -> dict[str, np.ndarray]:
     """Read a :func:`save_arrays` file, or parse ``data``, bytes already read
-    from ``path``. Anything else, a damaged member or extra bytes included,
-    raises ``ValueError`` naming the file."""
+    from ``path``; anything else raises ``ValueError`` naming the file."""
     data = Path(path).read_bytes() if data is None else data
     end, arrays = data[-22:], {}  # with no comment, the end record is the last 22 bytes
     try:
@@ -476,17 +478,24 @@ def load_arrays(path: str | Path, data: bytes | None = None) -> dict[str, np.nda
             if min((info.header_offset for info in zf.infolist()), default=zf.start_dir):
                 raise ValueError("bytes before the first member")
             for info in zf.infolist():
-                name, raw = info.filename, zf.read(info)  # read checks the CRC-32
-                fh = io.BytesIO(raw)  # save_arrays writes version 1.0 headers only
-                if not name.endswith(".npy") or np.lib.format.read_magic(fh) != (1, 0):
-                    raise ValueError(f"member {name!r} is not a .npy file of version 1.0")
-                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-                if fortran_order or dtype not in _DTYPES or len(raw) - fh.tell() != math.prod(shape) * dtype.itemsize:
-                    raise ValueError(f"member {name!r} is not {shape} values of float64, float32 or uint8 in C order")
-                arrays[name[:-4]] = np.frombuffer(raw, dtype, offset=fh.tell()).reshape(shape).copy()
+                name = info.filename
+                if not name.endswith(".npy") or info.compress_type != zipfile.ZIP_STORED:
+                    raise ValueError(f"member {name!r} is not a stored .npy file")
+                with zf.open(info) as fh:  # reading a member to its end checks its CRC-32
+                    if np.lib.format.read_magic(fh) != (1, 0):  # save_arrays writes version 1.0 headers only
+                        raise ValueError(f"member {name!r} is not a .npy file of version 1.0")
+                    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+                    size = math.prod(shape) * dtype.itemsize
+                    if fortran_order or dtype not in _DTYPES or info.file_size - fh.tell() != size or size > len(data):
+                        raise ValueError(f"member {name!r} is not {shape} values of float64, float32 or uint8 in C order")
+                    # 64 KiB steps: no second copy, and each step is copied and checksummed while in cache
+                    raw = np.empty(size, np.uint8)
+                    if sum(fh.readinto(raw[i : i + (1 << 16)]) for i in range(0, size, 1 << 16)) != size:
+                        raise ValueError(f"member {name!r} does not hold its {size} bytes")
+                arrays[name[:-4]] = raw.view(dtype).reshape(shape)
         if (count := int.from_bytes(end[10:12], "little")) != len(arrays):
             raise ValueError(f"its end record counts {count} members")
-    except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, ValueError) as exc:
+    except (zipfile.BadZipFile, EOFError, RuntimeError, ValueError) as exc:
         # zipfile raises RuntimeError or NotImplementedError for flag and version bits it cannot read
         raise ValueError(f"{path}: not a zip of .npy arrays ({exc})") from None
     return arrays

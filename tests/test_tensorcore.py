@@ -1,5 +1,7 @@
 import io
+import sys
 import time
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -307,10 +309,10 @@ def _npy(arr):
     return fh.getvalue()
 
 
-def _zip_of(path, name, raw):
+def _zip_of(path, name, raw, compress_type=zipfile.ZIP_STORED):
     """A zip at ``path`` whose one member ``name`` holds ``raw``."""
     with zipfile.ZipFile(path, "w") as zf:
-        zf.writestr(zipfile.ZipInfo(name), raw)
+        zf.writestr(zipfile.ZipInfo(name), raw, compress_type=compress_type)
 
 
 def test_checkpoint_unknown_dtype_code(tmp_path):
@@ -324,17 +326,19 @@ def test_checkpoint_unknown_dtype_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name,raw,message",
+    "name,raw,compress_type,message",
     [
-        ("w.npy", _npy(np.ones((3, 2), order="F")), r"member 'w.npy' is not \(3, 2\) values of .* in C order"),
-        ("w.txt", _npy(np.ones(3)), r"member 'w.txt' is not a \.npy file of version 1\.0"),
-        ("w.npy", _npy(np.ones(3))[:-8], r"member 'w.npy' is not \(3,\) values"),
+        ("w.npy", _npy(np.ones((3, 2), order="F")), zipfile.ZIP_STORED, r"member 'w.npy' is not \(3, 2\) values of .* in C order"),
+        ("w.txt", _npy(np.ones(3)), zipfile.ZIP_STORED, r"member 'w.txt' is not a stored \.npy file"),
+        ("w.npy", _npy(np.ones(3))[:-8], zipfile.ZIP_STORED, r"member 'w.npy' is not \(3,\) values"),
+        ("w.npy", _npy(np.ones(3)), zipfile.ZIP_DEFLATED, r"member 'w.npy' is not a stored \.npy file"),
+        ("w.npy", _npy(np.ones(3)), zipfile.ZIP_LZMA, r"member 'w.npy' is not a stored \.npy file"),
     ],
-    ids=["fortran_order", "not_npy", "short_member"],
+    ids=["fortran_order", "not_npy", "short_member", "deflated", "lzma"],
 )
-def test_a_member_save_arrays_does_not_write_is_refused(tmp_path, name, raw, message):
+def test_a_member_save_arrays_does_not_write_is_refused(tmp_path, name, raw, compress_type, message):
     path = tmp_path / "ckpt.bin"
-    _zip_of(path, name, raw)
+    _zip_of(path, name, raw, compress_type)
     with pytest.raises(ValueError, match=f"ckpt.bin: not a zip of \\.npy arrays \\({message}"):
         load_arrays(path)
 
@@ -384,6 +388,43 @@ def test_array_file_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
         monkeypatch.setattr(time, "time", lambda: stamp)
         save_arrays(arrays, tmp_path / f"{stamp}.bin")
     assert (tmp_path / "0.0.bin").read_bytes() == (tmp_path / "2000000000.0.bin").read_bytes()
+
+
+def test_array_file_bytes_do_not_depend_on_the_platform(tmp_path, monkeypatch):
+    # zipfile.ZipInfo records the system that made a member: 0 on Windows, 3 elsewhere
+    arrays = {"w": np.arange(6.0).reshape(2, 3)}
+    save_arrays(arrays, tmp_path / "here.bin")
+    monkeypatch.setattr(sys, "platform", "win32")
+    save_arrays(arrays, tmp_path / "win32.bin")
+    assert (tmp_path / "here.bin").read_bytes() == (tmp_path / "win32.bin").read_bytes()
+
+
+def test_a_member_over_the_zip64_limit_round_trips(tmp_path, monkeypatch):
+    # a member of 2 GiB or more needs zip64 fields; a small limit stands in for that size
+    arrays = {"w": np.arange(64.0).reshape(8, 8), "u": np.arange(300, dtype=np.uint8)}
+    path = tmp_path / "big.bin"
+    with monkeypatch.context() as m:
+        m.setattr(zipfile, "ZIP64_LIMIT", 256)
+        save_arrays(arrays, path)
+    assert b"PK\x06\x06" in path.read_bytes()  # the zip64 end record
+    assert _as_bits(load_arrays(path)) == _as_bits(arrays)
+    with np.load(path, allow_pickle=False) as npz:
+        assert _as_bits({name: npz[name] for name in npz.files}) == _as_bits(arrays)
+
+
+def test_load_arrays_makes_no_second_copy_of_a_member(tmp_path):
+    arr = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+    path = tmp_path / "w.bin"
+    save_arrays({"w": arr}, path)
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        loaded = load_arrays(path, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded["w"], arr) and loaded["w"].flags.writeable
+    assert peak < 1.5 * arr.nbytes, peak
 
 
 @pytest.mark.parametrize("write", [_small_token_file, _small_checkpoint], ids=["tokens", "checkpoint"])
