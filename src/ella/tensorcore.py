@@ -2,7 +2,8 @@
 
 Values are float64.
 Tensors record their parents and a backward closure; ``backward`` replays the
-implicit tape in reverse topological order. Single-threaded per tape.
+implicit tape in reverse topological order once, freeing interior gradients
+and forward values as it walks. Single-threaded per tape.
 """
 
 from __future__ import annotations
@@ -324,9 +325,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def backward(out: Tensor) -> None:
-    """Reverse-mode accumulation from ``out`` through its tape."""
-    if not out.requires_grad:
-        raise ValueError("output does not require grad")
+    """Reverse-mode accumulation from ``out`` through its tape, walked once:
+    each interior node drops its gradient, closure and parent links once it
+    has passed its gradient on, freeing the forward values they held; leaves
+    keep their gradients. An ``out`` with no tape raises ``ValueError``."""
+    if out._backward is None:
+        raise ValueError("output has no tape: it needs no gradient, is a leaf, or backward has walked it")
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(out, False)]
@@ -343,9 +347,11 @@ def backward(out: Tensor) -> None:
             if id(p) not in visited:
                 stack.append((p, False))
     out.grad = np.ones_like(out.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node)
+            node.grad, node._backward, node._parents = None, None, ()
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

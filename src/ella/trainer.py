@@ -17,6 +17,7 @@ from .hetgraph import HeteroGraph
 from .tensorcore import AdamState, Tensor, adam_step, backward, zero_grads
 
 SIM_CLAMP = 1e-12
+SCORE_BLOCK = 2048  # the most pairs score_pairs scores in one batch of rows
 
 
 class SamplingError(RuntimeError):
@@ -567,14 +568,15 @@ def score_pairs(
 
     The pair endpoints are embedded in one pass and each pair is mapped to
     its two rows of ``Z`` once. Pairs are grouped by (source type, target
-    type), with one type lookup per node, and each group is scored in one
-    batch of rows in pair order; groups share nothing, so the scores do not
-    depend on the order the groups are taken in.
+    type), with one type lookup per node, and each group is scored in pair
+    order in batches of up to ``SCORE_BLOCK`` rows, so the temporaries of a
+    batch stay the same size whatever the group's; groups share nothing, so
+    the scores do not depend on the order the groups are taken in.
     """
     scores = np.zeros(len(pairs))
     if not pairs:
         return scores
-    # no gradient is read here: constants record no tape, so each group's
+    # no gradient is read here: constants record no tape, so each batch's
     # temporaries are freed as soon as they are used
     params = params.constants()
     nodes = sorted(set(chain.from_iterable(pairs)))
@@ -586,5 +588,8 @@ def score_pairs(
     for code in np.unique(pair_code).tolist():
         sel = np.flatnonzero(pair_code == code)
         src_type, dst_type = (str(types[c]) for c in divmod(code, len(types)))
-        scores[sel] = _batched_sims(src[sel], dst[sel], src_type, dst_type, Z, params).data
+        # a one-row product can round differently: a one-pair remainder starts a row early
+        for start in range(0, len(sel), SCORE_BLOCK):
+            block = sel[max(0, min(start, len(sel) - 2)) : start + SCORE_BLOCK]
+            scores[block] = _batched_sims(src[block], dst[block], src_type, dst_type, Z, params).data
     return scores

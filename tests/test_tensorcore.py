@@ -141,13 +141,32 @@ def test_first_gradient_is_a_copy_of_a_view():
 
 
 @pytest.mark.parametrize("view_first", [True, False])
-def test_view_gradient_leaves_its_source_unchanged(view_first):
+def test_view_gradient_leaves_its_source_unchanged(view_first, monkeypatch):
+    # backward frees y's gradient, so it is read as offered: reshape offers x
+    # a view of it, which must still hold y's gradient once x's is summed
+    offered = []
+    accumulate = Tensor.accumulate
+    monkeypatch.setattr(Tensor, "accumulate", lambda t, g: (offered.append((t, g)), accumulate(t, g)))
     x = Tensor(np.ones(6), requires_grad=True)
     y = tc.reshape(x, (2, 3))
     terms = [tc.tsum(tc.scale(y, 3.0)), tc.tsum(tc.scale(x, 2.0))]
     backward(tc.add(*(terms if view_first else terms[::-1])))
-    assert np.array_equal(y.grad, np.full((2, 3), 3.0))
+    (to_y,) = [g for t, g in offered if t is y]
+    (view,) = [g for t, g in offered if t is x and g.base is not None]
+    assert np.array_equal(to_y, np.full((2, 3), 3.0))
+    assert np.array_equal(view, np.full(6, 3.0)) and not np.shares_memory(view, x.grad)
     assert np.array_equal(x.grad, np.full(6, 5.0))
+
+
+def test_second_backward_of_a_loss_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+    loss = tc.tsum(tc.mul(x, x))
+    backward(loss)
+    with pytest.raises(ValueError, match="no tape"):
+        backward(loss)
+    with pytest.raises(ValueError, match="no tape"):
+        backward(x)  # a leaf
+    assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_constant_operand_is_offered_no_gradient(monkeypatch):

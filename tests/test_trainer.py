@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -490,12 +491,12 @@ def tape_of(out):
 
 
 def offered_gradients(monkeypatch):
-    """The tensors that ``Tensor.accumulate`` is called on from now on."""
+    """``(tensor, gradient shape)`` of every ``Tensor.accumulate`` call from now on."""
     offered = []
     accumulate = Tensor.accumulate
 
     def recording(t, g):
-        offered.append(t)
+        offered.append((t, g.shape))
         accumulate(t, g)
 
     monkeypatch.setattr(Tensor, "accumulate", recording)
@@ -514,15 +515,48 @@ def test_contrastive_backward_fills_each_gradient_in_its_shape(monkeypatch):
     tape = tape_of(loss)
     offered = offered_gradients(monkeypatch)
     backward(loss)
+    # backward frees interior gradients, so each is checked as it is offered
+    shapes = {}
+    for t, shape in offered:
+        shapes.setdefault(id(t), set()).add(shape)
     for t in tape:
+        if t is loss:
+            continue
         if t.requires_grad:
-            assert t.grad is not None and t.grad.shape == t.shape, t
+            assert shapes.get(id(t)) == {t.shape}, t
         else:
             assert t.grad is None, t
     assert all(params[n].grad.shape == params[n].shape for n in params.backbone())
     # the raw tokens are constants: no product is formed for them
     rel = [t for t in tape if t.data is batch.rel]
-    assert len(rel) == 1 and not any(t is rel[0] for t in offered)
+    assert len(rel) == 1 and not any(t is rel[0] for t, _ in offered)
+
+
+def test_backward_releases_the_tape():
+    g, cfg, table = small_link_setup()
+    params = init_params(cfg, g.schema.node_types, {}, seed=0)
+    samples = sample_edges(g, 1, seed=0)
+    nodes = sorted(samples.endpoints())
+    batch = pad_tokens(nodes, table, cfg.hops)
+    rows = trainer._sample_rows(samples, {n: i for i, n in enumerate(nodes)}, g.node_type)
+    Z = forward_batch(batch, params, cfg)
+    loss = trainer._contrastive_loss(rows, Z, params)
+    interior = [t for t in tape_of(loss) if t._parents]
+    backbone = params.backbone()
+    backward(loss)
+    assert any(t is Z for t in interior)
+    assert all(t.grad is None and t._backward is None and t._parents == () for t in interior)
+    assert all(p.grad is not None and p.grad.shape == p.shape for p in backbone.values())
+    z_values = weakref.ref(Z.data)  # a forward value: it lives as long as Z
+    del interior, Z
+    assert z_values() is None
+    err = tc.grad_check(
+        lambda: trainer._contrastive_loss(rows, forward_batch(batch, params, cfg), params),
+        backbone,
+        eps=1e-5,
+        n_samples=40,
+    )
+    assert err < 1e-4
 
 
 # -- finetune -----------------------------------------------------------------------
@@ -576,6 +610,23 @@ def test_score_pairs_records_no_tape(monkeypatch):
     assert len(sims) == 4
     assert not any(s.requires_grad or s._parents for s in sims)
     assert all(t.requires_grad and t.grad is None for t in params.tensors.values())
+
+
+def test_score_pairs_scores_a_group_in_blocks_to_the_same_bits(monkeypatch):
+    g, _, cfg, table, params = node_task_setup(papers=12, authors=12)
+    a, p = g.nodes_of_type("author"), g.nodes_of_type("paper")
+    pairs = [(a[i], p[(5 * i) % 12]) for i in range(9)]  # one type group: blocks of 4, 4 and 1 pair
+    nodes = sorted({n for pair in pairs for n in pair})
+    Z = forward_batch(pad_tokens(nodes, table, cfg.hops), params, cfg)
+    src, dst = ([nodes.index(pair[k]) for pair in pairs] for k in (0, 1))
+    whole = trainer._batched_sims(src, dst, "author", "paper", Z, params).data
+    rows = []
+    batched_sims = trainer._batched_sims
+    monkeypatch.setattr(trainer, "_batched_sims", lambda *args: rows.append(len(args[0])) or batched_sims(*args))
+    monkeypatch.setattr(trainer, "SCORE_BLOCK", 4)
+    scores = trainer.score_pairs(pairs, params, table, cfg, g.node_type)
+    assert scores.tobytes() == whole.tobytes()
+    assert rows == [4, 4, 2]  # the one-pair remainder starts a row early
 
 
 def test_score_pairs_of_no_pairs_is_empty():
@@ -713,7 +764,7 @@ def test_finetune_embeddings_are_offered_no_gradient(monkeypatch):
     Zt = heads_applied_to[0]
     assert len(heads_applied_to) == 3 and all(a is Zt for a in heads_applied_to)
     assert Zt.shape == (len(train_ids), cfg.d) and Zt.grad is None
-    assert not any(t is Zt for t in offered)
+    assert not any(t is Zt for t, _ in offered)
 
 
 def test_finetune_matches_the_composed_loss(monkeypatch):
