@@ -186,16 +186,55 @@ def _mha(
         q = tc.matmul(x, params[f"{prefix}/attn/q{j}"])
         k = tc.matmul(x, params[f"{prefix}/attn/k{j}"])
         v = tc.matmul(x, params[f"{prefix}/attn/v{j}"])
-        attn = tc.softmax(tc.scale(tc.matmul(q, tc.transpose(k)), inv_sqrt), key_mask)
+        out, probs = _attend(q, k, v, key_mask, inv_sqrt)
         if capture is not None:
-            _record_rows(capture, attn.data, keep)
-        outs.append(tc.matmul(attn, v))
+            _record_rows(capture, probs, keep)
+        outs.append(out)
     return tc.matmul(tc.concat(outs, axis=-1), params[f"{prefix}/attn/o"])
 
 
+def _attend(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, c: float) -> tuple[Tensor, np.ndarray]:
+    """softmax(c q kᵀ) v, keys masked by ``key_mask`` as :func:`tc.softmax`
+    masks them, as one tape op; leading axes broadcast. Returns the output and
+    the probabilities. The backward takes the floating-point steps of the
+    matmul, transpose, scale, softmax and matmul backwards, to the bit."""
+    c = float(c)
+    kt = np.swapaxes(k.data, -1, -2)
+    probs = tc._masked_softmax(np.matmul(q.data, kt) * c, key_mask)
+
+    def backward(out):
+        g = out.grad
+        # v before k: when they are one tensor, its first gradient sets the layout
+        v.accumulate(tc._unbroadcast(np.swapaxes(probs, -1, -2) @ g, v.shape))
+        dprobs = tc._unbroadcast(g @ np.swapaxes(v.data, -1, -2), probs.shape)
+        dscores = c * tc._softmax_grad(probs, dprobs)
+        q.accumulate(tc._unbroadcast(dscores @ k.data, q.shape))
+        k.accumulate(np.swapaxes(tc._unbroadcast(np.swapaxes(q.data, -1, -2) @ dscores, kt.shape), -1, -2))
+
+    return tc._result(np.matmul(probs, v.data), (q, k, v), backward), probs
+
+
 def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    h = tc.relu(tc.add(tc.matmul(x, params[f"{prefix}/ffn/w1"]), params[f"{prefix}/ffn/b1"]))
-    return tc.add(tc.matmul(h, params[f"{prefix}/ffn/w2"]), params[f"{prefix}/ffn/b2"])
+    """relu(x w1 + b1) w2 + b2 as one tape op whose backward takes the
+    floating-point steps of the matmul, add and relu backwards, to the bit."""
+    w1, b1, w2, b2 = (params[f"{prefix}/ffn/{n}"] for n in ("w1", "b1", "w2", "b2"))
+    (d, f), lead = w1.shape, x.shape[:-1]
+    pre = (x.data.reshape(-1, d) @ w1.data).reshape(lead + (f,)) + b1.data
+    mask = pre > 0
+    h = np.where(mask, pre, 0.0)
+
+    def backward(out):
+        b2.accumulate(tc._unbroadcast(out.grad, b2.shape))
+        g = out.grad.reshape(-1, d)
+        w2.accumulate(h.reshape(-1, f).T @ g)
+        dpre = (g @ w2.data.T).reshape(h.shape) * mask
+        b1.accumulate(tc._unbroadcast(dpre, b1.shape))
+        dpre = dpre.reshape(-1, f)
+        w1.accumulate(x.data.reshape(-1, d).T @ dpre)
+        x.accumulate((dpre @ w1.data.T).reshape(x.shape))
+
+    data = (h.reshape(-1, f) @ w2.data).reshape(lead + (d,)) + b2.data
+    return tc._result(data, (x, w1, b1, w2, b2), backward)
 
 
 def _encoder_layer(
@@ -235,9 +274,7 @@ def type_readout(u_proj: Tensor, U_hat: Tensor, keep: np.ndarray) -> tuple[Tenso
     weights alpha as a (..., 1, m) array, 0 on padded slots."""
     if U_hat.shape[-2] < 1:
         raise tc.ShapeError("type_readout needs at least one token")
-    scores = tc.matmul(u_proj, tc.transpose(U_hat))  # (..., 1, m)
-    alpha = tc.softmax(scores, keep[..., None, :])
-    return tc.matmul(alpha, U_hat), alpha.data
+    return _attend(u_proj, U_hat, U_hat, keep[..., None, :], 1.0)
 
 
 def hop_block(

@@ -251,7 +251,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     # numerically stable in both tails
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    tail = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + tail), tail / (1.0 + tail))
 
     def backward(out):
         a.accumulate(out.grad * y * (1.0 - y))
@@ -275,6 +276,51 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _result(np.clip(a.data, lo, hi), (a,), backward)
 
 
+_SHORT_AXIS = 8  # numpy's add-reduce adds a shorter last axis one entry at a time
+
+
+def _max_last(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` to the bit; a short last axis is
+    reduced as a running maximum of its slices, which is faster than numpy's
+    per-row loop. A view of ``x`` when the axis has one entry."""
+    n = x.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return x.max(axis=-1, keepdims=True)
+    top = x[..., :1]
+    for i in range(1, n):
+        top = np.maximum(top, x[..., i : i + 1])
+    return top
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)`` to the bit; a short last axis is
+    added slice by slice, left to right from +0.0 as numpy does, so a row of
+    -0.0 sums to +0.0."""
+    n = x.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return x.sum(axis=-1, keepdims=True)
+    total = x[..., :1] + 0.0
+    for i in range(1, n):
+        # not in place: numpy's in-place add keeps the other operand's NaN when both are NaN
+        total = total + x[..., i : i + 1]
+    return total
+
+
+def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The values of :func:`softmax`: 0 where ``mask`` is False, a row with no
+    True entry all zeros."""
+    x = np.where(mask, x, -np.inf)
+    top = _max_last(x)
+    e = np.exp(x - np.where(np.isneginf(top), 0.0, top))
+    total = _sum_last(e)
+    return e / np.where(total > 0, total, 1.0)
+
+
+def _softmax_grad(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The gradient of softmax scores, given its output ``y`` and output gradient ``dy``."""
+    return y * (dy - _sum_last(dy * y))
+
+
 def softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax over the last axis under a required boolean ``mask``
     (broadcastable to ``a``): entries where it is False get probability 0 and
@@ -282,27 +328,23 @@ def softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     """
     if np.broadcast_shapes(np.shape(mask), a.shape) != a.shape:
         raise ShapeError(f"softmax: mask of shape {np.shape(mask)} does not fit {a.shape}")
-    x = np.where(mask, a.data, -np.inf)
-    top = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - np.where(np.isneginf(top), 0.0, top))
-    total = e.sum(axis=-1, keepdims=True)
-    y = e / np.where(total > 0, total, 1.0)
+    y = _masked_softmax(a.data, mask)
 
     def backward(out):
-        dy = out.grad
-        a.accumulate(y * (dy - (dy * y).sum(axis=-1, keepdims=True)))
+        a.accumulate(_softmax_grad(y, out.grad))
 
     return _result(y, (a,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gamma.data + beta.data
+    # the steps of np.mean and np.var, with the mean taken once
     d = x.shape[-1]
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    data = xhat * gamma.data + beta.data
 
     def backward(out):
         dy = out.grad

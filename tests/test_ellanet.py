@@ -509,3 +509,114 @@ def test_forward_gradient_sum_of_squares():
 
     err = grad_check(loss, p.tensors, eps=1e-5, n_samples=60, seed=18)
     assert err < 1e-4
+
+
+# -- fused tape ops against the chains they replace ------------------------------
+
+
+def composed_attend(q, k, v, key_mask, c):
+    """The chain of tape ops that ``_attend`` fuses, kept as its oracle: the
+    attention core scaled its scores, the type readout (c = 1) did not."""
+    scores = tc.matmul(q, tc.transpose(k))
+    probs = tc.softmax(scores if c == 1.0 else tc.scale(scores, c), key_mask)
+    return tc.matmul(probs, v), probs.data
+
+
+def composed_ffn(params, prefix, x):
+    """The chain of tape ops that ``_ffn`` fuses, kept as its oracle."""
+    h = tc.relu(tc.add(tc.matmul(x, params[f"{prefix}/ffn/w1"]), params[f"{prefix}/ffn/b1"]))
+    return tc.add(tc.matmul(h, params[f"{prefix}/ffn/w2"]), params[f"{prefix}/ffn/b2"])
+
+
+def assert_same_bits(got, want, name):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert got.strides == want.strides, name  # a gradient's layout decides later summation orders
+
+
+def run_attend(attend, arrays, share_kv, key_mask, c, weights):
+    """The output, probabilities and leaf gradients of ``sum(weights * attend(...))``."""
+    leaves = {n: Tensor(a.copy(), requires_grad=True) for n, a in arrays.items()}
+    q, k = leaves["q"], leaves["k"]
+    out, probs = attend(q, k, k if share_kv else leaves["v"], key_mask, c)
+    tc.backward(tc.tsum(tc.mul(out, Tensor(weights))))
+    return out.data, probs, {n: t.grad for n, t in leaves.items()}
+
+
+# (B, K, T) keeps: set (0, 1) keeps one of three slots, set (2, 1) none
+TYPE_KEEP = np.array([[[1, 1, 0], [1, 0, 0]], [[1, 1, 1], [0, 1, 1]], [[1, 0, 1], [0, 0, 0]]], dtype=bool)
+
+
+@pytest.mark.parametrize("case", ["type_block", "one_slot", "type_readout"])
+def test_attend_matches_the_composed_ops_bit_for_bit(case):
+    from ella.ellanet import _attend
+
+    rng = np.random.default_rng(50)
+    keep = TYPE_KEEP[..., :1] if case == "one_slot" else TYPE_KEEP
+    B, K, T = keep.shape
+
+    def draw(*shape):
+        # magnitudes far apart, so a different summation order would show in the last bits
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+    if case == "type_readout":  # one query per node, broadcast over its hops; keys and values one tensor
+        arrays, share_kv, c, out_shape = {"q": draw(B, 1, 1, 4), "k": draw(B, K, T, 4)}, True, 1.0, (B, K, 1, 4)
+    else:  # one head's q, k and v at d = 4 with two heads
+        arrays = {name: draw(B, K, T, 2) for name in "qkv"}
+        share_kv, c, out_shape = False, 1 / np.sqrt(2), (B, K, T, 2)
+    key_mask = keep[..., None, :]
+    weights = draw(*out_shape)
+    got = run_attend(_attend, arrays, share_kv, key_mask, c, weights)
+    want = run_attend(composed_attend, arrays, share_kv, key_mask, c, weights)
+    assert_same_bits(got[0], want[0], "out")
+    assert_same_bits(got[1], want[1], "probs")
+    assert set(got[2]) == set(arrays)
+    for name in arrays:
+        assert_same_bits(got[2][name], want[2][name], name)
+    assert not got[1][2, 1].any()  # the set with no real slot attends to nothing
+
+
+def test_ffn_matches_the_composed_ops_bit_for_bit():
+    from ella.ellanet import _ffn
+
+    cfg = small_cfg(d=4, heads=2, type_layers=1)
+    x_data = np.random.default_rng(51).standard_normal((3, 2, 3, 4))  # relu zeroes about half the hidden units
+    weights = np.random.default_rng(52).standard_normal(x_data.shape)
+    results = []
+    for ffn in (_ffn, composed_ffn):
+        p = params_for(cfg, seed=53)
+        x = Tensor(x_data.copy(), requires_grad=True)
+        out = ffn(p, "type/0", x)
+        tc.backward(tc.tsum(tc.mul(out, Tensor(weights))))
+        grads = {n: p[f"type/0/ffn/{n}"].grad for n in ("w1", "b1", "w2", "b2")}
+        results.append((out.data, x.grad, grads))
+    (out, x_grad, grads), (want_out, want_x_grad, want_grads) = results
+    assert_same_bits(out, want_out, "out")
+    assert_same_bits(x_grad, want_x_grad, "x")
+    for n in grads:
+        assert_same_bits(grads[n], want_grads[n], n)
+
+
+def test_forward_batch_matches_the_composed_ops_bit_for_bit(monkeypatch):
+    # two heads and stacked layers: each layer norm feeds six q/k/v products,
+    # so the order in which gradients add up shows
+    import ella.ellanet as ellanet
+
+    cfg = small_cfg(heads=2, type_layers=2, hop_layers=2, hops=3)
+    table, ids = mixed_table(seed=54)
+    batch = pad_tokens(ids + ids[:2], table, cfg.hops)
+    mix = np.random.default_rng(55).standard_normal((len(batch.ids), cfg.d))
+
+    def run():
+        p = params_for(cfg, seed=56)
+        Z = forward_batch(batch, p, cfg)
+        tc.backward(tc.tsum(tc.mul(Z, Tensor(mix))))
+        return Z.data, {n: t.grad for n, t in p.tensors.items() if t.grad is not None}
+
+    Z, grads = run()
+    monkeypatch.setattr(ellanet, "_attend", composed_attend)
+    monkeypatch.setattr(ellanet, "_ffn", composed_ffn)
+    want_Z, want_grads = run()
+    assert_same_bits(Z, want_Z, "Z")
+    assert set(grads) == set(want_grads)
+    for n in grads:
+        assert_same_bits(grads[n], want_grads[n], n)

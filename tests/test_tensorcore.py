@@ -542,3 +542,31 @@ def test_masked_softmax_all_true_equals_softmax():
     assert np.array_equal(tc.softmax(Tensor(x), np.ones(5, dtype=bool)).data, plain)  # a mask broadcasts
     with pytest.raises(ShapeError):
         tc.softmax(Tensor(x), np.ones((2, 4, 5), dtype=bool))
+
+
+def short_axis_rows(n, rng):
+    """Rows of length ``n``: finite values of magnitudes far apart, so a
+    different summation order would show in the last bits, and rows of signed
+    zeros, -inf (a fully masked row), +inf and NaN."""
+    rows = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n) for _ in range(12)]
+    alternating = np.arange(n) % 2 == 1
+    rows += [np.full(n, 0.0), np.full(n, -0.0), np.where(alternating, 0.0, -0.0), np.where(alternating, -0.0, 0.0)]
+    rows.append(np.full(n, -np.inf))
+    for special in ([np.inf], [np.nan], [-np.inf, 1.0], [np.inf, -np.inf, np.nan], [np.nan, 0.0, -np.inf]):
+        row = rng.standard_normal(n)
+        row[: len(special)] = special[:n]
+        rows += [row, row[::-1].copy()]
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_short_axis_reductions_match_numpy_to_the_byte(n):
+    # n = 8 and 9 take numpy's own reductions; a single row and a stack of rows
+    # run different loops inside numpy
+    x = short_axis_rows(n, np.random.default_rng(n))
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for arr in (x, x.reshape(3, -1, n), np.swapaxes(x.reshape(-1, 1, n), 0, 1), *x[:, None]):
+            assert tc._max_last(arr).tobytes() == arr.max(axis=-1, keepdims=True).tobytes()
+            assert tc._sum_last(arr).tobytes() == arr.sum(axis=-1, keepdims=True).tobytes()
+    # a row of -0.0 sums to +0.0, as numpy's sum does
+    assert not np.signbit(tc._sum_last(np.full((1, n), -0.0))).any()

@@ -383,6 +383,13 @@ PINNED_PRETRAIN_DIGEST = {
 }
 
 
+# content_hash of the backbone that two epochs of pretraining (seed 5) leave on
+# the seeded academic graph at the CLI-default ModelConfig with d_llm 16: four
+# heads, 2 + 3 stacked layers and K = 3, so each layer norm feeds twelve q/k/v
+# products and the order in which their gradients add up shows
+PINNED_DEFAULT_CONFIG_DIGEST = "9bec422bc705f5a0372319224c4e46c777fce38694066ebc042267cc1b1fc6e1"
+
+
 def test_link_protocol_splits_are_pinned_to_the_bit():
     p = link_protocol(seeded_academic_graph(), seed=3)
     h = hashlib.sha256()
@@ -409,6 +416,13 @@ def test_pretrained_backbone_is_pinned_to_the_bit(path):
         result = pretrain(p.g_train, table, cfg, TrainConfig(max_epochs=4), seed=5,
                           train_positives=p.train_pos, val_samples=p.val_samples, forbidden=p.full_edges)
     assert result.params.content_hash() == PINNED_PRETRAIN_DIGEST[path]
+
+
+def test_pretrained_backbone_at_the_default_config_is_pinned_to_the_bit():
+    g = seeded_academic_graph()
+    table = tokenize_graph(MockBackend(dim=16), g, K=3)
+    result = pretrain(g, table, ModelConfig(d_llm=16), TrainConfig(max_epochs=2), seed=5)
+    assert result.params.content_hash() == PINNED_DEFAULT_CONFIG_DIGEST
 
 
 def test_pretrain_divergence_aborts_with_dump(tmp_path):
