@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import encoder, evalkit, trainer
-from .ellanet import AttentionCapture, ModelConfig, ModelParams, forward_batch, pad_tokens
+from .ellanet import AttentionCapture, ModelConfig, ModelParams, forward_batch, init_params, pad_tokens
 from .hetgraph import HeteroGraph, load_graph, load_graph_dir, load_labels, save_graph
 from .promptkit import TemplateId
 from .tensorcore import load_checkpoint, save_checkpoint
@@ -38,15 +38,23 @@ META_TYPES = {
 def _load_params(ckpt: str, *keys: str, command: str | dict | None = None) -> tuple[ModelParams, ModelConfig, dict]:
     """The checkpoint's parameters, model config and metadata, which
     ``_read_meta`` reads with ``keys`` and ``command``. The checkpoint is read
-    once: the bytes hashed against its ``checkpoint_sha256`` are the bytes parsed."""
+    once: the bytes hashed against its ``checkpoint_sha256`` are the bytes parsed.
+    A backbone whose tensor shapes are not the ones ``init_params`` makes for
+    the config and the checkpoint's ``sim/*`` types is refused."""
     meta = _read_meta(ckpt, "checkpoint_sha256", "model_config", *keys, command=command)
     meta_path = f"{ckpt}.meta.json"
     data = Path(ckpt).read_bytes()
     if hashlib.sha256(data).hexdigest() != meta["checkpoint_sha256"]:
         raise click.ClickException(f"{ckpt} does not match the checkpoint_sha256 in {meta_path}")
     cfg = _config_section(ModelConfig, meta["model_config"], meta_path, "model", {})
-    params = _load(load_checkpoint, ckpt, data, redo=f"; re-run 'ella {meta.get('command', 'pretrain')}'")
-    return ModelParams(params), cfg, meta
+    params = ModelParams(_load(load_checkpoint, ckpt, data, redo=f"; re-run 'ella {meta.get('command', 'pretrain')}'"))
+    types = [n.removeprefix("sim/") for n in params.tensors if n.startswith("sim/")]
+    have, want = ({n: t.shape for n, t in p.backbone().items()} for p in (params, init_params(cfg, types)))
+    if have != want:
+        raise click.ClickException(
+            f"{ckpt}: its tensors do not fit the model_config in {meta_path}; re-run 'ella pretrain'"
+        )
+    return params, cfg, meta
 
 
 def _read_tokens(tokens_path: str, *keys: str) -> tuple[encoder.TokenTable, dict]:
@@ -145,6 +153,8 @@ def _node_labels(g: HeteroGraph, labels_path: str, target_type: str, source: str
             raise click.ClickException(f"{labels_path}: unknown node {nid!r}")
         if g.node_type(nid) == target_type and label not in vocab:
             raise click.ClickException(f"{labels_path}: node {nid!r} has label {label!r}, not one of {vocab}")
+    if not any(g.node_type(nid) == target_type for nid in labels):
+        raise click.ClickException(f"{labels_path}: no node of type {target_type!r} is labelled")
     return labels
 
 
@@ -395,7 +405,7 @@ def evaluate(ckpt_path, out_path, graph_dir, tokens_path, labels_path):
     else:
         try:
             proto = evalkit.link_protocol(g, meta["seed"])
-        except trainer.SamplingError as exc:  # a graph too dense for the split's negatives
+        except (trainer.SamplingError, ValueError) as exc:  # a graph too dense or too sparse to split
             raise click.ClickException(f"{graph_dir}: cannot split the link task: {exc}") from None
         scores = trainer.score_pairs(proto.test_pairs, params, table, model_cfg, g.node_type).tolist()
         rows.append(("auc", "test", evalkit.auc(scores, proto.test_labels)))

@@ -117,7 +117,7 @@ def init_params(
         spec.extend(_layer_names(f"type/{l}", cfg))
     for l in range(cfg.hop_layers):
         spec.extend(_layer_names(f"hop/{l}", cfg))
-    spec.append(("readout/w", (2 * cfg.d, 1), 2 * cfg.d))
+    spec.append(("readout/w", (1, cfg.d), cfg.d))
     for ntype in sorted(node_types):
         spec.append((f"sim/{ntype}", (cfg.d, cfg.d), cfg.d))
 
@@ -292,8 +292,9 @@ def hop_block(
 
 
 def hop_readout(params: ModelParams, H_hat: Tensor, keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Gated combination: z = h0 + sum_j gamma_j * h_j with gamma a softmax of
-    per-hop scores of the concatenated (h0 || h_j) pairs.
+    """Gated combination: z = h0 + sum_j gamma_j * h_j, gamma the attention of
+    the learned (1, d) query ``readout/w`` over the h_j. The paper scores the
+    pairs (h0 || h_j), whose h0 share the softmax cancels.
 
     ``H_hat`` is (..., K+1, d) with K >= 1; returns z as (..., 1, d) and
     gamma as a (..., 1, K) array. The required ``keep`` (..., K) marks the
@@ -304,10 +305,8 @@ def hop_readout(params: ModelParams, H_hat: Tensor, keep: np.ndarray) -> tuple[T
         raise tc.ShapeError("hop_readout needs at least one hop token")
     h0 = tc.gather(H_hat, [0], axis=-2)
     rest = tc.gather(H_hat, list(range(1, k + 1)), axis=-2)
-    pairs = tc.concat([tc.mul(Tensor(np.ones((k, 1))), h0), rest], axis=-1)  # (..., k, 2d)
-    scores = tc.transpose(tc.matmul(pairs, params["readout/w"]))  # (..., 1, k)
-    gamma = tc.softmax(scores, keep[..., None, :])
-    return tc.add(h0, tc.matmul(gamma, rest)), gamma.data
+    out, gamma = _attend(params["readout/w"], rest, rest, keep[..., None, :], 1.0)
+    return tc.add(h0, out), gamma
 
 
 class TokenBatch(NamedTuple):

@@ -182,6 +182,8 @@ def build_splits(
         "val": positives[n_train : n_train + n_val],
         "test": positives[n_train + n_val :],
     }
+    if not parts["test"]:
+        raise ValueError(f"link task needs at least 2 edges to hold out a test positive, got {len(edges)}")
     used: set[tuple[str, str, str]] = set()  # negatives drawn so far; edges are rejected anyway
     for part_name, part_pos in parts.items():
         negatives: list[tuple[str, str, str]] = []

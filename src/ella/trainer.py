@@ -408,6 +408,8 @@ def pretrain(
     if train_positives is None:
         base = sample_edges(g, NEG_RATIO, seed)
         train_positives, val_samples = _holdout_split(base, seed)
+    if not any(train_positives.values()):
+        raise SamplingError("no relation has a training positive")
 
     # Every endpoint an epoch can draw: the node pools of the trained
     # relations plus the validation endpoints. Embedding this fixed set each

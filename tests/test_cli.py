@@ -16,7 +16,7 @@ from ella import cli, encoder, evalkit, pathstats, trainer
 from ella.cli import main
 from ella.ellanet import ModelConfig, init_params
 from ella.hetgraph import EdgeType, HeteroGraph, SchemaDef, load_graph_dir, load_labels, save_graph, save_labels
-from ella.tensorcore import load_arrays, save_arrays
+from ella.tensorcore import Tensor, load_arrays, save_arrays, save_checkpoint
 
 from fixtures import EncoderStub, complete_typed_tree, http_server, planted_node_fixture
 
@@ -337,6 +337,7 @@ def _rewrite(data_for):
 
 _NO_ZIP = r"not a zip of \.npy arrays \(no end record at the end of the file\)"
 _OLD_LAYOUT = r"not a zip of \.npy arrays \(it has the older ELLACKPT v1 layout\)"
+_OLD_SHAPES = r"model\.ckpt: its tensors do not fit the model_config in \S*model\.ckpt\.meta\.json; re-run 'ella pretrain'$"
 
 
 def _garbage(path):
@@ -354,6 +355,15 @@ def _ellackpt_v1(path):
         code = {"float64": 0, "float32": 1, "uint8": 2}[arr.dtype.name]
         parts += [struct.pack(f"<H{len(raw)}sBB{arr.ndim}I", len(raw), raw, code, arr.ndim, *arr.shape), arr.tobytes()]
     return b"".join(parts)
+
+
+def _old_hop_readout(path):
+    """The checkpoint at ``path`` as the hop readout that scored the pairs
+    (h0 || h_j) stored it: ``readout/w`` a (2d, 1) column."""
+    arrays = load_arrays(path)
+    arrays["readout/w"] = np.zeros((2 * arrays["readout/w"].size, 1))
+    save_checkpoint({n: Tensor(a) for n, a in arrays.items()}, path)
+    return path.read_bytes()
 
 
 def _write_invalid_json(path):
@@ -403,6 +413,16 @@ def _relabel(nid, label):
     return damage
 
 
+def _keep_labels(prefix, count):
+    """Keep the first ``count`` labels of nodes whose id starts with ``prefix``."""
+
+    def damage(path):
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *[r for r in rows if r.startswith(prefix)][:count]]) + "\n")
+
+    return damage
+
+
 def _append_bytes(raw):
     def damage(path):
         with open(path, "ab") as fh:
@@ -440,6 +460,9 @@ def _delete(path):
         ("finetune", "labels.csv", _append("paper0000,C9"), r"labels\.csv line \d+: repeated node id 'paper0000'"),
         ("finetune", "labels.csv", _write_invalid_json, r"labels\.csv: expected 'id,label' header"),
         ("finetune", "labels.csv", _append_bytes(b"\xff\xfe"), r"labels\.csv line \d+: not UTF-8"),
+        ("finetune", "labels.csv", _keep_labels("", 0), r"labels\.csv: no node of type 'paper' is labelled$"),
+        ("evaluate_node", "labels.csv", _keep_labels("", 0), r"labels\.csv: no node of type 'paper' is labelled$"),
+        ("evaluate_node", "labels.csv", _keep_labels("author", 5), r"labels\.csv: no node of type 'paper' is labelled$"),
         ("pretrain", "config.json", _write_invalid_json, r"config\.json: not valid JSON"),
         ("pretrain", "config.json", _set("model", {"d_llm": 12}),
          r"config\.json: model\.d_llm is not a pretrain setting: it comes from the token file's vector dim$"),
@@ -454,6 +477,9 @@ def _delete(path):
         ("evaluate_node", "model.ckpt", _rewrite(_ellackpt_v1), rf"model\.ckpt: {_OLD_LAYOUT}; re-run 'ella finetune'$"),
         ("finetune", "model.ckpt", _rewrite(_ellackpt_v1), rf"model\.ckpt: {_OLD_LAYOUT}; re-run 'ella pretrain'$"),
         ("export-attention", "model.ckpt", _rewrite(_ellackpt_v1), rf"model\.ckpt: {_OLD_LAYOUT}; re-run 'ella pretrain'$"),
+        ("evaluate", "model.ckpt", _rewrite(_old_hop_readout), _OLD_SHAPES),
+        ("finetune", "model.ckpt", _rewrite(_old_hop_readout), _OLD_SHAPES),
+        ("export-attention", "model.ckpt", _rewrite(_old_hop_readout), _OLD_SHAPES),
         ("evaluate", "model.ckpt.meta.json", _write_invalid_json, r"model\.ckpt\.meta\.json: not valid JSON"),
         ("evaluate", "model.ckpt.meta.json", _drop("model_config"),
          r"model\.ckpt\.meta\.json records no model_config; re-run 'ella pretrain'"),
@@ -486,11 +512,14 @@ def _delete(path):
     ids=["nodes_not_json", "nodes_not_utf8", "schema_not_utf8", "edge_to_unknown_node",
          "edge_against_its_type", "schema_labels_unknown_type",
          "graph_missing_edges_file", "finetune_label_for_unknown_node", "evaluate_label_for_unknown_node",
-         "label_outside_vocabulary", "repeated_label_id", "labels_without_header", "labels_not_utf8", "config_not_json",
+         "label_outside_vocabulary", "repeated_label_id", "labels_without_header", "labels_not_utf8",
+         "finetune_labels_header_only", "evaluate_labels_header_only", "evaluate_labels_of_authors_only",
+         "config_not_json",
          "config_sets_d_llm", "config_sets_lr_grid",
          "truncated_tokens", "parent_format_tokens", "ellackpt_v1_tokens", "garbage_ckpt_evaluate",
          "garbage_ckpt_finetune", "garbage_ckpt_export_attention", "ellackpt_v1_ckpt_evaluate",
          "ellackpt_v1_head_evaluate", "ellackpt_v1_ckpt_finetune", "ellackpt_v1_ckpt_export_attention",
+         "old_hop_readout_ckpt_evaluate", "old_hop_readout_ckpt_finetune", "old_hop_readout_ckpt_export_attention",
          "ckpt_meta_not_json",
          "ckpt_meta_without_model_config", "ckpt_meta_unknown_model_key", "ckpt_meta_model_config_list",
          "ckpt_meta_indivisible_heads", "ckpt_meta_float_d", "ckpt_meta_missing", "ckpt_meta_without_seed",
@@ -880,6 +909,31 @@ def test_pretrain_on_a_complete_relation_ends_in_an_error_naming_the_graph(tmp_p
     result, ckpt = _pretrain_small(tmp_path, graph_dir)
     message = f"{graph_dir}: cannot draw pretraining negatives: relation 'writes' is complete; no negatives exist"
     _assert_refused(result, ckpt, message)
+
+
+def test_pretrain_on_a_graph_without_edges_ends_in_an_error_naming_the_graph(tmp_path):
+    graph_dir = _writes_graph(tmp_path, ["a1"], ["p1", "p2"], [])
+    result, ckpt = _pretrain_small(tmp_path, graph_dir)
+    _assert_refused(result, ckpt, f"{graph_dir}: cannot draw pretraining negatives: no relation has a training positive")
+
+
+@pytest.mark.parametrize(
+    "edges,reason",
+    [
+        ([], "link task needs a nonempty edge set"),
+        ([("a1", "p1")], "link task needs at least 2 edges to hold out a test positive, got 1"),
+    ],
+    ids=["no_edge", "one_edge"],
+)
+def test_evaluate_link_on_a_graph_too_sparse_for_its_split_ends_in_an_error_naming_the_graph(tmp_path, edges, reason):
+    graph_dir = _writes_graph(tmp_path, ["a1", "a2"], ["p1", "p2"], edges)
+    tokens = str(tmp_path / "tokens.bin")
+    run_cli(["tokenize", "--graph", graph_dir, "--hops", "1", "--out", tokens, "--dim", "12"])
+    ckpt = _untrained_checkpoint(graph_dir, str(tmp_path / "model.ckpt"))
+    out = tmp_path / "link.csv"
+    result = CliRunner().invoke(main, ["evaluate", "--graph", graph_dir, "--tokens", tokens, "--ckpt", ckpt,
+                                       "--out", str(out)])
+    _assert_refused(result, out, f"{graph_dir}: cannot split the link task: {reason}")
 
 
 @pytest.mark.parametrize("dump", [None, "diverged.ckpt", "missing/diverged.ckpt"], ids=["no_dump", "dump", "unwritable_dump"])

@@ -18,7 +18,7 @@ from ella.ellanet import (
 from ella.encoder import MockBackend, TokenTable, tokenize_graph
 from ella.tensorcore import Tensor, grad_check
 
-from fixtures import small_academic_graph
+from fixtures import planted_node_fixture, small_academic_graph
 
 
 def small_cfg(**kw):
@@ -81,7 +81,11 @@ def ref_block(x, p, kind, layers, heads):
 
 
 def ref_forward(s, table, p, cfg):
-    """One node, one hop at a time, absent hops skipped: (z, alphas, gamma)."""
+    """One node, one hop at a time, absent hops skipped: (z, alphas, gamma).
+
+    The hop readout is the paper's: it scores the pairs (h0 || h_j) against
+    (a; readout/w.T), with a fixed random h0 share ``a`` that the model does
+    not have, since the softmax over a node's hops cancels it."""
     def proj(x):
         return x @ p["proj/W"].data + p["proj/b"].data
 
@@ -101,7 +105,8 @@ def ref_forward(s, table, p, cfg):
     if not len(rest):
         return h0[0], alphas, np.zeros(0)
     pairs = np.concatenate([np.repeat(h0, len(rest), axis=0), rest], axis=1)
-    gamma = ref_softmax((pairs @ p["readout/w"].data).T)
+    a = 3.0 * np.random.default_rng(80).standard_normal((cfg.d, 1))
+    gamma = ref_softmax((pairs @ np.concatenate([a, p["readout/w"].data.T])).T)
     return (h0 + gamma @ rest)[0], alphas, gamma[0]
 
 
@@ -265,7 +270,7 @@ def test_hop_readout_k0():
 def test_hop_readout_scores_03_07():
     cfg = ModelConfig(d=1, heads=1, type_layers=1, hop_layers=1, hops=2, d_llm=1)
     p = init_params(cfg, ["t"], {}, seed=0)
-    p["readout/w"].data[...] = np.array([[0.0], [1.0]])  # score_j = h_j
+    p["readout/w"].data[...] = np.array([[1.0]])  # score_j = h_j
     H = Tensor(np.array([[0.0], [0.3], [0.7]]))
     z, weights = hop_readout(p, H, all_hops(H))
     gamma = np.exp([0.3, 0.7]) / np.exp([0.3, 0.7]).sum()
@@ -430,6 +435,30 @@ def test_forward_batch_matches_reference_on_mixed_batch():
     assert np.max(np.abs(Z[0] - hop_block(p, u_proj, cfg, all_real(u_proj)).data[0])) < 1e-12
 
 
+def tape_ops(out):
+    """The number of tape ops ``out`` was computed by: the tensors it reaches
+    through their parents that carry a backward closure."""
+    seen, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return sum(t._backward is not None for t in seen.values())
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_the_forward_at_the_bench_config_is_44_tape_ops(K):
+    # d 16, two heads, 1 + 1 layers: 4 ops to project, 15 per transformer layer,
+    # 1 type readout, 5 reshapes and concats around it and 4 for the hop readout;
+    # a change that adds ops to the forward fails here
+    g, _ = planted_node_fixture(seed=0, papers=40, authors=40)
+    cfg = ModelConfig(d=16, heads=2, type_layers=1, hop_layers=1, hops=K, d_llm=16)
+    table = tokenize_graph(MockBackend(dim=16), g, K=K)
+    Z = forward_batch(pad_tokens(g.node_ids(), table, K), params_for(cfg, types=g.schema.node_types), cfg)
+    assert tape_ops(Z) == 44
+
+
 def test_forward_batch_repeated_id_gets_its_own_tokens():
     cfg = small_cfg(hops=3)
     p = params_for(cfg, seed=35)
@@ -546,23 +575,27 @@ def run_attend(attend, arrays, share_kv, key_mask, c, weights):
 TYPE_KEEP = np.array([[[1, 1, 0], [1, 0, 0]], [[1, 1, 1], [0, 1, 1]], [[1, 0, 1], [0, 0, 0]]], dtype=bool)
 
 
-@pytest.mark.parametrize("case", ["type_block", "one_slot", "type_readout"])
+@pytest.mark.parametrize("case", ["type_block", "one_slot", "type_readout", "hop_readout"])
 def test_attend_matches_the_composed_ops_bit_for_bit(case):
     from ella.ellanet import _attend
 
     rng = np.random.default_rng(50)
-    keep = TYPE_KEEP[..., :1] if case == "one_slot" else TYPE_KEEP
-    B, K, T = keep.shape
+    # the hop readout's (B, K) keep: node 0 has its first hop only, node 2 none
+    keep = {"one_slot": TYPE_KEEP[..., :1], "hop_readout": TYPE_KEEP[:, 1]}.get(case, TYPE_KEEP)
+    B = keep.shape[0]
 
     def draw(*shape):
         # magnitudes far apart, so a different summation order would show in the last bits
         return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
 
-    if case == "type_readout":  # one query per node, broadcast over its hops; keys and values one tensor
-        arrays, share_kv, c, out_shape = {"q": draw(B, 1, 1, 4), "k": draw(B, K, T, 4)}, True, 1.0, (B, K, 1, 4)
+    if case == "hop_readout":  # one learned (1, d) query for every node over its hop tokens, keys and values
+        arrays, share_kv, c, out_shape = {"q": draw(1, 4), "k": draw(*keep.shape, 4)}, True, 1.0, (B, 1, 4)
+    elif case == "type_readout":  # one query per node, broadcast over its hops; keys and values one tensor
+        arrays, share_kv, c = {"q": draw(B, 1, 1, 4), "k": draw(*keep.shape, 4)}, True, 1.0
+        out_shape = (*keep.shape[:2], 1, 4)
     else:  # one head's q, k and v at d = 4 with two heads
-        arrays = {name: draw(B, K, T, 2) for name in "qkv"}
-        share_kv, c, out_shape = False, 1 / np.sqrt(2), (B, K, T, 2)
+        arrays = {name: draw(*keep.shape, 2) for name in "qkv"}
+        share_kv, c, out_shape = False, 1 / np.sqrt(2), (*keep.shape, 2)
     key_mask = keep[..., None, :]
     weights = draw(*out_shape)
     got = run_attend(_attend, arrays, share_kv, key_mask, c, weights)
@@ -572,7 +605,7 @@ def test_attend_matches_the_composed_ops_bit_for_bit(case):
     assert set(got[2]) == set(arrays)
     for name in arrays:
         assert_same_bits(got[2][name], want[2][name], name)
-    assert not got[1][2, 1].any()  # the set with no real slot attends to nothing
+    assert not got[1][~keep.any(axis=-1)].any()  # a set with no real slot attends to nothing
 
 
 def test_ffn_matches_the_composed_ops_bit_for_bit():

@@ -378,8 +378,8 @@ PINNED_LINK_PROTOCOL_DIGEST = "a7abba2f4e484b3f2922190329247402684177347f6b700e8
 # link_protocol's train positives with every edge forbidden as a negative; any
 # change to the negatives drawn, the model or the training step moves them
 PINNED_PRETRAIN_DIGEST = {
-    "hold-out": "fedde6051b152c6e6c461d178f72d43288ba7592c8723ac54b5ea4fc209d7486",
-    "held-out-edges": "6abef51792469d1f88a90f38a3082c5d97c1d8fceb6494d9f54b0fa1d7bed61a",
+    "hold-out": "f9960120533a53770ac4ea813c76859132d33cbce9c02313d6aa03a9ce91f42a",
+    "held-out-edges": "8350f9e6e290d5b6b4cd9af916d0e9454704f6e07b6d7f2ff1b7a80abbd5f143",
 }
 
 
@@ -387,7 +387,7 @@ PINNED_PRETRAIN_DIGEST = {
 # the seeded academic graph at the CLI-default ModelConfig with d_llm 16: four
 # heads, 2 + 3 stacked layers and K = 3, so each layer norm feeds twelve q/k/v
 # products and the order in which their gradients add up shows
-PINNED_DEFAULT_CONFIG_DIGEST = "9bec422bc705f5a0372319224c4e46c777fce38694066ebc042267cc1b1fc6e1"
+PINNED_DEFAULT_CONFIG_DIGEST = "1d9c97ced7f06ec9c7ebd8c27ce7cb79e5adcb338ba7432d3d48dfd5f43e549a"
 
 
 def test_link_protocol_splits_are_pinned_to_the_bit():
